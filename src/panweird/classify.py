@@ -82,38 +82,52 @@ def classify_same_prime_extension(m: Factorization, p: int) -> NumberClass:
     return NumberClass.from_abundance(s // sigma_prime_power(p, alpha) - d * p)
 
 
+def max_reduced_center(s: int, d: int, sigpps) -> tuple[int, int]:
+    """max over prime divisors q of center(m/q), as (numerator, denominator).
+
+    m is deficient with sigma(m) = s, deficiency d and sigma(q^alpha) for
+    each prime power q^alpha exactly dividing m in sigpps (not empty).
+    Each center(m/q) comes out of s and d alone: with t = s/sigma(q^alpha),
+    center(m/q) = (s - t)/(d + t), which grows with sigma(q^alpha), so only
+    the largest one matters.
+    """
+    t = s // max(sigpps)
+    return s - t, d + t
+
+
+def clears_reduced_centers(num: int, den: int, s: int, d: int, sigpps) -> bool:
+    """Whether num/den > center(m/q) for every q in sigpps (true if none)."""
+    if not sigpps:
+        return True
+    cnum, cden = max_reduced_center(s, d, sigpps)
+    return num * cden > den * cnum
+
+
+def first_above_reduced_centers(s: int, d: int, sigpps) -> int:
+    """Smallest integer x with clears_reduced_centers(x, 1, s, d, sigpps)."""
+    cnum, cden = max_reduced_center(s, d, sigpps)
+    return cnum // cden + 1
+
+
 def primitivity_lower_bound(m: Factorization) -> Fraction:
     """max over prime divisors q of center(m/q), as an exact ratio; 0 for 1.
 
     A one-prime extension of deficient m is primitive exactly when the new
-    factor clears this bound (and the extension is non-deficient).  Each
-    center(m/q) comes out of sigma(m) and deficiency(m) alone:
-    with t = sigma(m)/sigma(q^alpha), center(m/q) = (sigma(m)-t)/(d(m)+t).
+    factor clears this bound (and the extension is non-deficient).
     """
     d = deficiency(m)
     if d <= 0:
         raise NotDeficient("lower bound is defined for deficient numbers only")
-    s = sigma(m)
-    best = Fraction(0)
-    for q, alpha in m.factors:
-        t = s // sigma_prime_power(q, alpha)
-        cand = Fraction(s - t, d + t)
-        if cand > best:
-            best = cand
-    return best
+    if not m.factors:
+        return Fraction(0)
+    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors]
+    return Fraction(*max_reduced_center(sigma(m), d, sigpps))
 
 
 def _clears_lower_bound(m: Factorization, num: int, den: int, skip: int | None) -> bool:
     """Whether num/den > center(m/q) for every prime divisor q != skip."""
-    s = sigma(m)
-    d = deficiency(m)
-    for q, alpha in m.factors:
-        if q == skip:
-            continue
-        t = s // sigma_prime_power(q, alpha)
-        if num * (d + t) <= den * (s - t):
-            return False
-    return True
+    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors if q != skip]
+    return clears_reduced_centers(num, den, sigma(m), deficiency(m), sigpps)
 
 
 def extend_primitive_coprime(m: Factorization, p: int, e: int = 1) -> ExtensionVerdict:

@@ -23,7 +23,7 @@ from .arith import Factorization, abundance, digits10
 from .classify import NumberClass, classify
 from .enumerate import pndn, sfpan
 from .errors import CeilingExceeded, PanweirdError, ParseError
-from .primes import PrimalityPolicy, certifiable, certified_prime
+from .primes import _DEFAULT_CEILING, PrimalityPolicy, certifiable, certified_prime
 from .weird import (
     IndexSequence,
     SearchConfig,
@@ -207,7 +207,6 @@ def cmd_weird_search(args) -> int:
         seed=seed,
         k=args.k,
         amplitude=args.amplitude,
-        allow_square_extensions=args.squares,
         strict_sigma_bound=args.strict_sigma_bound,
         policy=policy,
     )
@@ -261,11 +260,13 @@ def cmd_weird_certify(args) -> int:
     policy = _policy_from(args)
     checked = skipped = bad = 0
     with open(args.infile) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict) or "factorization" not in rec:
+                raise ParseError("line %d: record has no factorization" % lineno)
             f = Factorization.parse(rec["factorization"])
             for p, _ in f.factors:
                 if not certifiable(p):
@@ -319,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--include-perfect", action="store_true",
                         help="emit perfect completions too (pndn)")
     p_enum.add_argument("--count-only", action="store_true", help="totals, no records")
-    p_enum.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_enum.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most the CPU count")
     p_enum.add_argument("--out", default=None, help="record file, '-' for stdout")
-    p_enum.add_argument("--ceiling", type=int, default=10**10,
+    p_enum.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
                         help="largest allowed leaf sieve bound")
     p_enum.set_defaults(func=cmd_enumerate)
 

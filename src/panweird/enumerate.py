@@ -13,6 +13,14 @@ primitive: removing any single prime leaves a deficient number.
 Counting mode replaces each leaf loop with a prime-interval count, so the
 totals come out without touching individual numbers.
 
+With jobs > 1 this process walks the first two levels of new primes itself
+(deepening an exponent stays at the level of its prime) and hands each
+subtree below them to a worker process.  Siblings are
+evaluated speculatively in windows of jobs and reduced strictly in prime
+order, so counts, found and the record sequence equal a single-process
+run's; results past a stop point are dropped.  jobs is capped at the CPU
+count.
+
 The recursion state is kept in plain integers: value, sigma, the factor
 stack and sigma of each prime power.  Every predicate is decided by integer
 cross-multiplication; note delta(m*p) = sigma(m) - p*deficiency(m) for a new
@@ -21,15 +29,22 @@ prime p, which makes the leaf trichotomy a single multiply.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import Factorization, sigma, sigma_prime_power
-from .classify import NumberClass
+from .classify import NumberClass, clears_reduced_centers, first_above_reduced_centers
 from .errors import CeilingExceeded, NotDeficient
-from .primes import count_in_closed, is_prime, iter_primes_above, primes_in_closed
-
-_DEFAULT_CEILING = 10**10
+from .primes import (
+    _DEFAULT_CEILING,
+    count_in_closed,
+    is_prime,
+    iter_primes_above,
+    primes_in_closed,
+)
 
 
 @dataclass(frozen=True)
@@ -63,16 +78,6 @@ class EnumOutcome:
     found: bool = False
 
 
-def _leaf_lower_bound(s: int, d: int, sigpps: list[int]) -> int:
-    """Smallest integer above max center(m/q): the primitivity threshold.
-
-    center(m/q) = (s - t)/(d + t) with t = s/sigma(q^alpha); the expression
-    grows with sigma(q^alpha), so only the largest one matters.
-    """
-    t = s // max(sigpps)
-    return (s - t) // (d + t) + 1
-
-
 def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
     """Final level: close with one more prime p <= center, or the last prime."""
     d = 2 * v - s
@@ -88,7 +93,7 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
             found = True
         lo = pr + 1
         if factors:
-            lb = _leaf_lower_bound(s, d, sigpps)
+            lb = first_above_reduced_centers(s, d, sigpps)
             if lb > lo:
                 lo = lb
         if lo <= upper:
@@ -117,12 +122,7 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
         delta = q - p * d  # abundance of m*p when p already divides m
         if delta >= 0:
             found = True
-            ok = True
-            if len(factors) > 1:
-                t = s // max(sigpps[:-1])
-                if p * spp * (d + t) <= s - t:
-                    ok = False
-            if ok:
+            if clears_reduced_centers(p * spp, 1, s, d, sigpps[:-1]):
                 if delta > 0:
                     ca += 1
                     if emit is not None:
@@ -152,7 +152,7 @@ def _leaf_sfpan(v, s, factors, sigpps, emit, ceiling):
     lo = pr + 1
     if factors:
         # binding only when the stack carries prime powers (seeded runs)
-        lb = _leaf_lower_bound(s, d, sigpps)
+        lb = first_above_reduced_centers(s, d, sigpps)
         if lb > lo:
             lo = lb
     ca = 0
@@ -168,8 +168,12 @@ def _leaf_sfpan(v, s, factors, sigpps, emit, ceiling):
 
 
 def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-          start_floor, ceiling):
-    """Interior level: deepen the last prime (pndn) and scan new primes."""
+          start_floor, ceiling, pool=None, jobs=1, level=0):
+    """Interior level: deepen the last prime (pndn) and scan new primes.
+
+    level counts the new primes chosen since the root; pool, when given,
+    walks the subtrees rooted at level 2 (see _subtrees).
+    """
     if k == 1:
         if general:
             return _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling)
@@ -187,7 +191,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             sigpps[-1] = nspp
             sca, scp, sfound = _walk(
                 general, k - 1, v * p, q * nspp, factors, sigpps,
-                emit, include_perfect, on_stop, 0, ceiling,
+                emit, include_perfect, on_stop, 0, ceiling, pool, jobs, level,
             )
             factors[-1][1] = e
             sigpps[-1] = spp
@@ -200,15 +204,10 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
         start = pr
     if start_floor > start:
         start = start_floor
-    for p in iter_primes_above(start):
-        factors.append([p, 1])
-        sigpps.append(p + 1)
-        sca, scp, sfound = _walk(
-            general, k - 1, v * p, s * (p + 1), factors, sigpps,
-            emit, include_perfect, on_stop, 0, ceiling,
-        )
-        factors.pop()
-        sigpps.pop()
+    for p, (sca, scp, sfound) in _subtrees(
+        general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
+        start, ceiling, pool, jobs, level,
+    ):
         ca += sca
         cp += scp
         if sfound:
@@ -219,6 +218,55 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
                 on_stop(tuple((q, e) for q, e in factors), p, k)
             break
     return ca, cp, found
+
+
+def _subtrees(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
+              start, ceiling, pool, jobs, level):
+    """Yield (p, subtree totals) for each new prime p above start, in order.
+
+    Inline, each subtree is walked when its turn comes.  With a pool, the
+    children of a level-1 node that are not leaves go to workers in windows
+    of jobs siblings; a window's records are re-emitted in prime order, and
+    results past the first barren sibling are dropped when the caller stops.
+    """
+    primes = iter_primes_above(start)
+    if pool is None or level != 1 or k < 3:
+        for p in primes:
+            factors.append([p, 1])
+            sigpps.append(p + 1)
+            totals = _walk(
+                general, k - 1, v * p, s * (p + 1), factors, sigpps,
+                emit, include_perfect, on_stop, 0, ceiling, pool, jobs, level + 1,
+            )
+            factors.pop()
+            sigpps.pop()
+            yield p, totals
+        return
+    base = tuple((q, e) for q, e in factors)
+    want_records = emit is not None
+    while True:
+        window = [
+            (p, pool.submit(_subtree_task, (
+                general, k - 1, base + ((p, 1),), include_perfect, want_records, ceiling,
+            )))
+            for p in islice(primes, jobs)
+        ]
+        for p, (ca, cp, found, records) in [(p, f.result()) for p, f in window]:
+            for pairs, delta in records or ():
+                emit(pairs, delta)
+            yield p, (ca, cp, found)
+
+
+def _subtree_task(args):
+    """Walk one subtree in a worker; records come back as (pairs, delta)."""
+    general, k, pairs, include_perfect, want_records, ceiling = args
+    v, s, factors, sigpps = _prepare(Factorization(pairs), k)
+    records = [] if want_records else None
+    emit = (lambda pairs_r, delta: records.append((pairs_r, delta))) if want_records else None
+    ca, cp, found = _walk(
+        general, k, v, s, factors, sigpps, emit, include_perfect, None, 0, ceiling,
+    )
+    return ca, cp, found, records
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +296,11 @@ def _record_emitter(sink):
 
 
 def _run(general, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceiling):
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError("jobs must be a positive integer")
+    if jobs > 1 and on_stop is not None:
+        raise ValueError("stop auditing is a single-process feature")
+    jobs = min(jobs, os.cpu_count() or 1)
     v, s, factors, sigpps = _prepare(seed, k)
     have = sum(e for _, e in factors) if general else len(factors)
     left = k - have
@@ -257,17 +310,10 @@ def _run(general, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceili
         raise ValueError("odd_only conflicts with an even seed")
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
     emit = _record_emitter(sink) if sink is not None else None
-    if jobs > 1:
-        if on_stop is not None:
-            raise ValueError("stop auditing is a single-process feature")
-        ca, cp, found = _parallel_root(
-            general, left, v, s, factors, sigpps, emit, include_perfect,
-            jobs, start_floor, ceiling,
-        )
-    else:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         ca, cp, found = _walk(
             general, left, v, s, factors, sigpps, emit, include_perfect,
-            on_stop, start_floor, ceiling,
+            on_stop, start_floor, ceiling, pool, jobs,
         )
     return EnumOutcome(ca, cp, found)
 
@@ -306,123 +352,3 @@ def sfpan_count(k, seed=None, *, odd_only=False, jobs=1,
                 ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Counting twin of sfpan: same totals, no records built."""
     return _run(False, k, seed, None, odd_only, False, jobs, None, ceiling)
-
-
-# ---------------------------------------------------------------------------
-# Process-level parallelism.
-#
-# The master walks the first two new-prime levels itself (exponent deepening
-# stays with the level of the prime it deepens) and ships each deeper subtree
-# to a worker.  Sibling subtrees are evaluated speculatively in batches of
-# size jobs, then reduced strictly in canonical order, so counts, found and
-# the emission sequence are identical to a single-process run; speculative
-# results past a stop point are discarded.
-
-def _subtree_task(args):
-    general, k, pairs, include_perfect, want_records, ceiling = args
-    factors = [[p, e] for p, e in pairs]
-    sigpps = [sigma_prime_power(p, e) for p, e in pairs]
-    v = 1
-    s = 1
-    for (p, e), spp in zip(pairs, sigpps):
-        v *= p**e
-        s *= spp
-    records = [] if want_records else None
-    emit = (lambda pairs_r, delta: records.append((pairs_r, delta))) if want_records else None
-    ca, cp, found = _walk(
-        general, k, v, s, factors, sigpps, emit, include_perfect, None, 0, ceiling,
-    )
-    return ca, cp, found, records
-
-
-class _Child:
-    """One pending sibling: either an inline state or a submitted future."""
-
-    __slots__ = ("future", "state")
-
-    def __init__(self, future=None, state=None):
-        self.future = future
-        self.state = state
-
-
-def _par_node(pool, jobs, general, k, v, s, factors, sigpps, emit,
-              include_perfect, start_floor, ceiling, levels):
-    if k == 1:
-        if general:
-            return _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling)
-        return _leaf_sfpan(v, s, factors, sigpps, emit, ceiling)
-    d = 2 * v - s
-    ca = cp = 0
-    found = False
-    if general and factors:
-        p, e = factors[-1]
-        spp = sigpps[-1]
-        q = s // spp
-        if p * d > q:
-            nspp = spp * p + 1
-            factors[-1][1] = e + 1
-            sigpps[-1] = nspp
-            sca, scp, sfound = _par_node(
-                pool, jobs, general, k - 1, v * p, q * nspp, factors, sigpps,
-                emit, include_perfect, 0, ceiling, levels,
-            )
-            factors[-1][1] = e
-            sigpps[-1] = spp
-            ca += sca
-            cp += scp
-            found |= sfound
-    pr = factors[-1][0] if factors else 1
-    start = max(pr, s // d, start_floor)
-    want_records = emit is not None
-    prime_stream = iter_primes_above(start)
-    stopped = False
-    while not stopped:
-        batch = []
-        for p in prime_stream:
-            pairs = tuple((q2, e2) for q2, e2 in factors) + ((p, 1),)
-            if k - 1 >= 2 and levels + 1 >= 2:
-                fut = pool.submit(
-                    _subtree_task,
-                    (general, k - 1, pairs, include_perfect, want_records, ceiling),
-                )
-                batch.append((p, _Child(future=fut)))
-            else:
-                batch.append((p, _Child(state=pairs)))
-            if len(batch) >= jobs:
-                break
-        for p, child in batch:
-            if child.future is not None:
-                sca, scp, sfound, records = child.future.result()
-                if stopped:
-                    continue  # speculative overshoot, discarded
-                if want_records:
-                    for pairs_r, delta in records:
-                        emit(pairs_r, delta)
-            else:
-                if stopped:
-                    continue
-                factors.append([p, 1])
-                sigpps.append(p + 1)
-                sca, scp, sfound = _par_node(
-                    pool, jobs, general, k - 1, v * p, s * (p + 1), factors,
-                    sigpps, emit, include_perfect, 0, ceiling, levels + 1,
-                )
-                factors.pop()
-                sigpps.pop()
-            ca += sca
-            cp += scp
-            if sfound:
-                found = True
-            barren = not sfound if general else sca == 0
-            if barren:
-                stopped = True
-    return ca, cp, found
-
-
-def _parallel_root(general, k, v, s, factors, sigpps, emit, include_perfect,
-                   jobs, start_floor, ceiling):
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _par_node(
-            pool, jobs, general, k, v, s, factors, sigpps, emit,
-            include_perfect, start_floor, ceiling, 0,
-        )

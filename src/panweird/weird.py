@@ -32,8 +32,10 @@ from .arith import (
     sigma,
     sigma_prime_power,
 )
+from .classify import clears_reduced_centers
 from .errors import (
     InvalidSequence,
+    NoSuchPrime,
     NotAbundant,
     NotDeficient,
     ParseError,
@@ -48,7 +50,6 @@ from .primes import (
     kth_prime_below,
     prime_at_or_zero,
 )
-from .errors import NoSuchPrime
 
 _BITSET_LIMIT = 1 << 24
 
@@ -254,14 +255,12 @@ class SearchConfig:
     k is the total factor count of emitted numbers, the seed's factors
     included: distinct primes for the square-free search, prime factors with
     multiplicity for the general one.  amplitude caps how far a chosen prime
-    may sit from the running center, in primes.  allow_square_extensions
-    selects the general search at the command line.
+    may sit from the running center, in primes.
     """
 
     seed: Factorization = ONE
     k: int = 3
     amplitude: int = 1
-    allow_square_extensions: bool = False
     strict_sigma_bound: bool = False
     policy: PrimalityPolicy | None = None
 
@@ -301,6 +300,85 @@ def _seed_entries(seed: Factorization, policy) -> list[tuple[int, int]]:
     return list(encode_index_sequence(seed, policy).entries)
 
 
+def _search(config: SearchConfig, sink, general: bool) -> int:
+    """Amplitude-windowed walk behind both searches; general picks the mode.
+
+    The mode decides the factor count (with multiplicity or distinct), the
+    interior step that deepens the last prime, and the leaf rule: the exact
+    primitivity bound, or the max sigma(q^alpha) -/+ 1 floor of the
+    square-free search.
+    """
+    policy = config.policy or DEFAULT_POLICY
+    seed = config.seed
+    levels = config.k - (seed.big_omega if general else seed.omega)
+    if levels < 1:
+        raise ValueError("k must exceed the seed's %s count"
+                         % ("factor" if general else "distinct prime"))
+    a = config.amplitude
+    floor_shift = 1 if config.strict_sigma_bound else -1
+    want_cert = bool(config.policy and config.policy.certify)
+    count = 0
+
+    def emit(pairs, value, delta, entries):
+        nonlocal count
+        if not _weird_pairs(pairs, delta):
+            return
+        count += 1
+        if sink is not None:
+            sink(PwnRecord(
+                Factorization(pairs), IndexSequence(tuple(entries)), delta,
+                digits10(value),
+                want_cert and _certify_pairs(pairs, policy),
+            ))
+
+    def rec(left, v, s, pairs, sigpps, entries):
+        d = 2 * v - s
+        c = Fraction(s, d)
+        pr = pairs[-1][0] if pairs else 1
+        if general and pairs:
+            p, e = pairs[-1]
+            spp = sigpps[-1]
+            q = s // spp
+            deeper = pairs[:-1] + ((p, e + 1),)
+            deeper_entries = entries[:-1] + [(entries[-1][0], entries[-1][1] + 1)]
+            if left == 1:
+                delta = q - p * d
+                if delta > 0 and clears_reduced_centers(p * spp, 1, s, d, sigpps[:-1]):
+                    emit(deeper, v * p, delta, deeper_entries)
+            elif p * d > q:  # still deficient with one more p
+                nspp = spp * p + 1
+                rec(left - 1, v * p, q * nspp, deeper, sigpps[:-1] + [nspp],
+                    deeper_entries)
+        p = None
+        for j in range(1, a + 1):
+            if left > 1:
+                p = kth_prime_above(c if j == 1 else p, 1, policy)
+                if p <= pr:
+                    continue  # slot spent on a prime already behind us
+                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
+                    sigpps + [p + 1], entries + [(j, 1)])
+            else:
+                try:
+                    p = kth_prime_below(c if j == 1 else p, 1, policy)
+                except NoSuchPrime:
+                    break
+                if p <= pr:
+                    break  # deeper slots only get smaller
+                if general:
+                    if not clears_reduced_centers(p, 1, s, d, sigpps):
+                        break  # bound only gets harder as p shrinks
+                elif p < max(sigpps, default=0) + floor_shift:
+                    break
+                emit(pairs + ((p, 1),), v * p, s - p * d, entries + [(-j, 1)])
+
+    rec(
+        levels, seed.value, sigma(seed), seed.factors,
+        [sigma_prime_power(p, e) for p, e in seed.factors],
+        _seed_entries(seed, policy),
+    )
+    return count
+
+
 def pwn_search_squarefree(config: SearchConfig, sink=None) -> int:
     """Search for primitive weird numbers that extend the seed square-freely.
 
@@ -310,62 +388,7 @@ def pwn_search_squarefree(config: SearchConfig, sink=None) -> int:
     tightens to strictly above max(sigma(q^alpha)), trading a sufficient
     bound for a narrower sweep.  Returns the number of emissions.
     """
-    policy = config.policy or DEFAULT_POLICY
-    seed = config.seed
-    levels = config.k - seed.omega
-    if levels < 1:
-        raise ValueError("k must exceed the seed's distinct prime count")
-    a = config.amplitude
-    strict = config.strict_sigma_bound
-    want_cert = bool(config.policy and config.policy.certify)
-    count = 0
-
-    def rec(left, v, s, pairs, pr, max_spp, entries):
-        nonlocal count
-        d = 2 * v - s
-        c = Fraction(s, d)
-        if left == 1:
-            floor = max_spp + 1 if strict else max_spp - 1
-            p = None
-            for j in range(1, a + 1):
-                try:
-                    p = kth_prime_below(c if j == 1 else p, 1, policy)
-                except NoSuchPrime:
-                    break
-                if p <= pr or p < floor:
-                    break  # deeper slots only get smaller
-                delta = s - p * d
-                new_pairs = pairs + ((p, 1),)
-                if _weird_pairs(new_pairs, delta):
-                    count += 1
-                    if sink is not None:
-                        seq = IndexSequence(tuple(entries + [(-j, 1)]))
-                        sink(PwnRecord(
-                            Factorization(new_pairs), seq, delta,
-                            digits10(v * p),
-                            want_cert and _certify_pairs(new_pairs, policy),
-                        ))
-        else:
-            p = None
-            for j in range(1, a + 1):
-                p = kth_prime_above(c if j == 1 else p, 1, policy)
-                if p <= pr:
-                    continue  # slot spent on a prime already behind us
-                entries.append((j, 1))
-                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), p,
-                    max(max_spp, p + 1), entries)
-                entries.pop()
-
-    pairs = seed.factors
-    max_spp = max(
-        (sigma_prime_power(p, e) for p, e in pairs), default=0
-    )
-    rec(
-        levels, seed.value, sigma(seed), pairs,
-        pairs[-1][0] if pairs else 1, max_spp,
-        _seed_entries(seed, policy),
-    )
-    return count
+    return _search(config, sink, False)
 
 
 def pwn_search_general(config: SearchConfig, sink=None) -> int:
@@ -378,91 +401,4 @@ def pwn_search_general(config: SearchConfig, sink=None) -> int:
     primitive abundant before the weirdness test runs.  Returns the number
     of emissions.
     """
-    policy = config.policy or DEFAULT_POLICY
-    seed = config.seed
-    levels = config.k - seed.big_omega
-    if levels < 1:
-        raise ValueError("k must exceed the seed's factor count")
-    a = config.amplitude
-    want_cert = bool(config.policy and config.policy.certify)
-    count = 0
-
-    def emit(pairs, delta, entries):
-        nonlocal count
-        if not _weird_pairs(pairs, delta):
-            return
-        count += 1
-        if sink is not None:
-            v = 1
-            for p, e in pairs:
-                v *= p**e
-            sink(PwnRecord(
-                Factorization(pairs), IndexSequence(tuple(entries)), delta,
-                digits10(v),
-                want_cert and _certify_pairs(pairs, policy),
-            ))
-
-    def clears_bound(num, den, s, d, sigpps, skip_last):
-        spps = sigpps[:-1] if skip_last else sigpps
-        if not spps:
-            return True
-        t = s // max(spps)
-        return num * (d + t) > den * (s - t)
-
-    def rec(left, v, s, pairs, sigpps, entries):
-        d = 2 * v - s
-        c = Fraction(s, d)
-        pr = pairs[-1][0] if pairs else 1
-        if left == 1:
-            if pairs:
-                p, e = pairs[-1]
-                spp = sigpps[-1]
-                q = s // spp
-                delta = q - p * d
-                if delta > 0 and clears_bound(p * spp, 1, s, d, sigpps, True):
-                    last = entries[-1]
-                    emit(
-                        pairs[:-1] + ((p, e + 1),), delta,
-                        entries[:-1] + [(last[0], last[1] + 1)],
-                    )
-            p = None
-            for j in range(1, a + 1):
-                try:
-                    p = kth_prime_below(c if j == 1 else p, 1, policy)
-                except NoSuchPrime:
-                    break
-                if p <= pr:
-                    break
-                if not clears_bound(p, 1, s, d, sigpps, False):
-                    break  # bound only gets harder as p shrinks
-                emit(pairs + ((p, 1),), s - p * d, entries + [(-j, 1)])
-        else:
-            if pairs:
-                p, e = pairs[-1]
-                spp = sigpps[-1]
-                q = s // spp
-                if p * d > q:  # still deficient with one more p
-                    nspp = spp * p + 1
-                    last = entries[-1]
-                    rec(
-                        left - 1, v * p, q * nspp,
-                        pairs[:-1] + ((p, e + 1),), sigpps[:-1] + [nspp],
-                        entries[:-1] + [(last[0], last[1] + 1)],
-                    )
-            p = None
-            for j in range(1, a + 1):
-                p = kth_prime_above(c if j == 1 else p, 1, policy)
-                if p <= pr:
-                    continue
-                rec(
-                    left - 1, v * p, s * (p + 1),
-                    pairs + ((p, 1),), sigpps + [p + 1],
-                    entries + [(j, 1)],
-                )
-
-    rec(
-        levels, seed.value, sigma(seed), seed.factors,
-        [sigma_prime_power(p, e) for p, e in seed.factors],
-        _seed_entries(seed, policy),
-    )
-    return count
+    return _search(config, sink, True)

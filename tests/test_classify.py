@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,8 +24,10 @@ from panweird import (
     is_primitive_nondeficient_oracle,
     primes_in_closed,
     primitivity_lower_bound,
+    sigma,
     sigma_prime_power,
 )
+from panweird.classify import first_above_reduced_centers
 
 F = Factorization.parse
 
@@ -126,6 +129,10 @@ def test_lower_bound_is_max_of_reduced_centers():
         m = random_deficient(rng)
         want = max(center(m.divide_prime(q)) for q, _ in m.factors)
         assert primitivity_lower_bound(m) == want
+        # the kernel's integer inverse: the first integer clearing the bound
+        sigpps = [sigma_prime_power(q, a) for q, a in m.factors]
+        assert first_above_reduced_centers(sigma(m), deficiency(m), sigpps) == \
+            math.floor(want) + 1
 
 
 def test_extend_coprime_matches_oracle():

@@ -86,7 +86,18 @@ def test_enumerate_errors(capsys):
                  "--seed", "2^2", "--count-only"]) == 1
     assert main(["enumerate", "--mode", "pndn", "--k", "4",
                  "--ceiling", "10", "--count-only"]) == 3
+    for jobs in ("0", "-3"):
+        assert main(["enumerate", "--mode", "pndn", "--k", "3",
+                     "--jobs", jobs, "--count-only"]) == 1
     capsys.readouterr()
+
+
+def test_enumerate_jobs_output_is_byte_identical(tmp_path):
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    assert main(["enumerate", "--mode", "sfpan", "--k", "5", "--out", str(serial)]) == 0
+    assert main(["enumerate", "--mode", "sfpan", "--k", "5", "--jobs", "2",
+                 "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_weird_search_to_file(tmp_path):
@@ -151,6 +162,15 @@ def test_weird_certify(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "certifiable", lambda p: p < 11)
     assert main(["weird", "certify", "--in", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "certified 4 primes, 2 skipped, 0 failures"
+
+
+def test_weird_certify_rejects_record_without_factorization(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"factorization": "2*5*7"}) + "\n\n"
+                    + json.dumps({"delta": "4"}) + "\n")
+    assert main(["weird", "certify", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 3" in err and "factorization" in err
 
 
 def test_convert_to_csv(tmp_path):

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import panweird.enumerate
 from panweird import (
     CeilingExceeded,
     EnumOutcome,
@@ -160,6 +163,31 @@ def test_parallel_runs_match_serial():
     assert poutcome == soutcome
     assert pndn_count(6, jobs=4) == pndn_count(6)
     assert sfpan_count(5, jobs=2) == sfpan_count(5)
+    assert collect(sfpan, 5, jobs=2) == collect(sfpan, 5)
+    assert pndn_count(6, odd_only=True, jobs=2) == pndn_count(6, odd_only=True)
+    assert collect(pndn, 6, seed="3^2", jobs=2) == collect(pndn, 6, seed="3^2")
+
+
+def test_jobs_validation_and_cap(monkeypatch):
+    for jobs in (0, -3, 1.5, "2", None):
+        with pytest.raises(ValueError):
+            pndn_count(4, jobs=jobs)
+    # a huge request asks the pool for the CPU count; the stub starts no worker
+    asked = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no workers in this test")
+
+    monkeypatch.setattr(panweird.enumerate, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError):
+        sfpan_count(4, jobs=10**9)
+    assert asked == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert sfpan_count(4, jobs=10**9) == sfpan_count(4)  # capped to serial
+    assert asked == [3]
 
 
 def test_seed_and_k_validation():

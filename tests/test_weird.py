@@ -49,10 +49,7 @@ def run_squarefree(seed, k, amplitude, **kw):
 
 def run_general(seed, k, amplitude, **kw):
     records = []
-    config = SearchConfig(
-        seed=F(seed), k=k, amplitude=amplitude,
-        allow_square_extensions=True, **kw
-    )
+    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude, **kw)
     count = pwn_search_general(config, records.append)
     assert count == len(records)
     return records
