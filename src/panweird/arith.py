@@ -16,6 +16,11 @@ from .errors import NotADivisor, NotCoprime, NotDeficient, ParseError
 
 _FACTOR_LIMIT = 1 << 64
 
+# Largest factor count a walk or search accepts: each factor is a level of
+# recursion, and this keeps the deepest one well inside Python's recursion
+# limit while leaving room far beyond the paper's 16 factors.
+MAX_FACTORS = 128
+
 
 def sigma_prime_power(p: int, e: int) -> int:
     """sigma(p^e) = 1 + p + ... + p^e; sigma(p^0) = 1."""

@@ -5,8 +5,12 @@ produce byte-identical files; delta is a decimal string because abundances
 of search results can outgrow doubles.  Progress and diagnostics go to
 stderr; stdout carries records only when --out is '-'.
 
-Exit codes: 0 success, 1 usage or bad input, 2 verification failure,
-3 resource ceiling hit.
+Records written to a file go to <out>.partial first and are renamed to
+<out> only when the run succeeds.  The manifest is written either way; its
+status says how the run ended: ok, ceiling, interrupted or error.
+
+Exit codes: 0 success, 1 usage, bad input or a file that cannot be read or
+written, 2 verification failure, 3 resource ceiling hit.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class RunManifest:
     started: str
     finished: str = ""
     runtime_seconds: float = 0.0
+    status: str = ""
     totals: dict = field(default_factory=dict)
     records: str = ""
 
@@ -59,6 +64,7 @@ class RunManifest:
                 "started": self.started,
                 "finished": self.finished,
                 "runtime_seconds": self.runtime_seconds,
+                "status": self.status,
                 "totals": self.totals,
                 "records": self.records,
             },
@@ -121,38 +127,57 @@ def _pwn_record_line(rec) -> str:
 
 
 class _Output:
-    """Record writer for a path or stdout, with the manifest routed around it."""
+    """Record writer for a path or stdout that writes the manifest on exit.
 
-    def __init__(self, out: str | None):
+    A file is written as <path>.partial and renamed to path on success.
+    On any exit the manifest gets the final status and the emitted count.
+    """
+
+    def __init__(self, out: str | None, manifest: RunManifest):
         self.path = out
+        self.manifest = manifest
         self.stream = None
         self.count = 0
+        self.t0 = time.monotonic()
 
     def __enter__(self):
         if self.path == "-":
             self.stream = sys.stdout
         elif self.path:
-            self.stream = open(self.path, "w")
+            self.stream = open(self.path + ".partial", "w")
         return self
 
-    def __exit__(self, *exc):
-        if self.stream not in (None, sys.stdout):
+    def __exit__(self, exc_type, exc, tb):
+        to_file = self.path not in (None, "-")
+        if to_file:
             self.stream.close()
+        m = self.manifest
+        m.records = self.path or ""
+        if exc_type is None:
+            m.status = "ok"
+            if to_file:
+                os.replace(self.path + ".partial", self.path)
+        else:
+            m.status = ("ceiling" if issubclass(exc_type, CeilingExceeded)
+                        else "interrupted" if issubclass(exc_type, KeyboardInterrupt)
+                        else "error")
+            if to_file:
+                m.records += ".partial"
+        m.finished = _now()
+        m.runtime_seconds = round(time.monotonic() - self.t0, 3)
+        m.totals["emitted"] = self.count
+        if to_file:
+            with open(self.path + ".manifest.json", "w") as fh:
+                fh.write(m.to_json() + "\n")
+        elif self.path == "-":
+            sys.stderr.write(m.to_json() + "\n")
+        else:
+            print(m.to_json())
 
     def write(self, line: str) -> None:
         self.count += 1
         if self.stream:
             self.stream.write(line + "\n")
-
-    def finish(self, manifest: RunManifest) -> None:
-        manifest.records = self.path or ""
-        if self.path and self.path != "-":
-            with open(self.path + ".manifest.json", "w") as fh:
-                fh.write(manifest.to_json() + "\n")
-        elif self.path == "-":
-            sys.stderr.write(manifest.to_json() + "\n")
-        else:
-            print(manifest.to_json())
 
 
 def cmd_enumerate(args) -> int:
@@ -176,23 +201,18 @@ def cmd_enumerate(args) -> int:
         },
         started=_now(),
     )
-    t0 = time.monotonic()
-    with _Output(None if args.count_only else (args.out or "-")) as out:
+    with _Output(None if args.count_only else (args.out or "-"), manifest) as out:
         sink = None if args.count_only else (lambda rec: out.write(_enum_record_line(rec)))
         run = sfpan if args.mode == "sfpan" else pndn
         kwargs = dict(odd_only=args.odd, jobs=args.jobs, ceiling=args.ceiling)
         if args.mode == "pndn":
             kwargs["include_perfect"] = args.include_perfect
         outcome = run(args.k, seed, sink, **kwargs)
-        manifest.finished = _now()
-        manifest.runtime_seconds = round(time.monotonic() - t0, 3)
         manifest.totals = {
             "count_abundant": outcome.count_abundant,
             "count_perfect": outcome.count_perfect,
             "found": outcome.found,
-            "emitted": out.count,
         }
-        out.finish(manifest)
     return 0
 
 
@@ -221,14 +241,9 @@ def cmd_weird_search(args) -> int:
         },
         started=_now(),
     )
-    t0 = time.monotonic()
-    with _Output(args.out or "-") as out:
+    with _Output(args.out or "-", manifest) as out:
         search = pwn_search_general if args.squares else pwn_search_squarefree
-        n = search(config, lambda rec: out.write(_pwn_record_line(rec)))
-        manifest.finished = _now()
-        manifest.runtime_seconds = round(time.monotonic() - t0, 3)
-        manifest.totals = {"emitted": n}
-        out.finish(manifest)
+        search(config, lambda rec: out.write(_pwn_record_line(rec)))
     return 0
 
 
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes, at most the CPU count")
     p_enum.add_argument("--out", default=None, help="record file, '-' for stdout")
     p_enum.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
-                        help="largest allowed leaf sieve bound")
+                        help="largest allowed bound x of a leaf's prime count pi(x)")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_weird = sub.add_parser("weird", help="weird-number tools")
@@ -378,10 +393,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return 1
-    except PanweirdError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except ValueError as exc:
+    except (PanweirdError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

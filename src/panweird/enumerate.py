@@ -35,7 +35,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import Factorization, sigma, sigma_prime_power
+from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
 from .classify import NumberClass, clears_reduced_centers, first_above_reduced_centers
 from .errors import CeilingExceeded, NotDeficient
 from .primes import (
@@ -98,7 +98,7 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
                 lo = lb
         if lo <= upper:
             if emit is None:
-                n = n_all if lo == pr + 1 else count_in_closed(lo, upper)
+                n = n_all - count_in_closed(pr + 1, lo - 1)
                 if n and s % d == 0 and is_prime(upper):
                     cp += 1  # the completion sitting exactly at the center
                     ca += n - 1
@@ -158,7 +158,7 @@ def _leaf_sfpan(v, s, factors, sigpps, emit, ceiling):
     ca = 0
     if lo <= upper:
         if emit is None:
-            ca = n_all if lo == pr + 1 else count_in_closed(lo, upper)
+            ca = n_all - count_in_closed(pr + 1, lo - 1)
         else:
             base = tuple((q, e) for q, e in factors)
             for p in primes_in_closed(lo, upper):
@@ -275,6 +275,8 @@ def _subtree_task(args):
 def _prepare(seed, k):
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
+    if k > MAX_FACTORS:
+        raise ValueError("k must be at most %d" % MAX_FACTORS)
     f = Factorization.coerce(seed if seed is not None else 1)
     factors = [[p, e] for p, e in f.factors]
     sigpps = [sigma_prime_power(p, e) for p, e in f.factors]

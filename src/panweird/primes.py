@@ -4,11 +4,16 @@ Everything here works on plain integers; rational bounds are accepted where an
 open interval endpoint may be non-integral (centers usually are).  Strictness
 is resolved once, by integer conversion: the smallest integer > a is
 floor(a)+1, the largest integer < b is ceil(b)-1.
+
+The primes up to a limit form one sorted int64 numpy array, the table, grown
+(up to 2^26) by sieving only the new range.  That odd-only sieve is the only
+one; past the table it counts primes window by window.  prime_pi(x) looks x
+up in the table, plus those windows; a count over [lo, hi] is
+prime_pi(hi) - prime_pi(lo - 1).  Only Python ints leave the table.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 import threading
 from dataclasses import dataclass
@@ -132,85 +137,75 @@ def certified_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sieve-backed prime cache.
+# The prime table: every prime up to a limit, in one sorted int64 array.
 
-def _sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, via a numpy odd-only sieve."""
-    if limit < 2:
-        return []
-    if limit < 3:
-        return [2]
-    n_odd = (limit - 1) // 2  # index i holds 2i+3
-    mask = np.ones(n_odd, dtype=bool)
-    for p in range(3, isqrt(limit) + 1, 2):
-        if mask[(p - 3) >> 1]:
-            mask[(p * p - 3) >> 1 :: p] = False
-    return [2] + (2 * np.flatnonzero(mask) + 3).tolist()
+_CACHE_CAP = 1 << 26  # the table stops growing here; past it, stepping goes MR
+_WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
 
 
-class _PrimeCache:
-    """A single growing sorted list of primes shared by all callers."""
+def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
+    """Primality mask of the odd numbers in (lo, hi]; entry i is (lo+1|1) + 2i.
 
-    __slots__ = ("limit", "primes", "lock")
-
-    def __init__(self):
-        self.limit = 0
-        self.primes: list[int] = []
-        self.lock = threading.Lock()
-
-    def ensure(self, n: int) -> None:
-        if n <= self.limit:
-            return
-        with self.lock:
-            if n <= self.limit:
-                return
-            target = max(n, 2 * self.limit, 1 << 16)
-            self.primes = _sieve_primes(target)
-            self.limit = target
+    table must hold every prime up to isqrt(hi).  This is the only sieve:
+    run window by window, it grows the table and counts primes past it.
+    """
+    first = (lo + 1) | 1
+    mask = np.ones(max(0, (hi - first) // 2 + 1), dtype=bool)
+    for p in table[1 : table.searchsorted(isqrt(hi), side="right")].tolist():
+        start = max(p, -(-first // p) | 1) * p  # least odd multiple >= p*p and >= first
+        mask[(start - first) >> 1 :: p] = False
+    return mask
 
 
-_cache = _PrimeCache()
-_CACHE_CAP = 1 << 26  # beyond this, counting goes segmented and stepping goes MR
+_lock = threading.Lock()
+_state = (2, np.array([2], dtype=np.int64))  # (limit, every prime <= limit), swapped whole
 
 
-def _segment_count(lo: int, hi: int) -> int:
-    """Count primes in [lo, hi] without materializing them."""
-    if hi < 2 or hi < lo:
+def _table(n: int) -> tuple[int, np.ndarray]:
+    """The (limit, primes) pair, first grown (at least doubling) to min(n, cap)."""
+    global _state
+    if n <= _state[0] or _state[0] >= _CACHE_CAP:
+        return _state
+    with _lock:
+        limit, table = _state
+        target = min(max(n, 2 * limit, 1 << 16), _CACHE_CAP) if n > limit else limit
+        while limit < target:
+            end = min(target, limit * limit)  # its sieving primes are all in the table
+            parts = [table]
+            for lo in range(limit, end, _WINDOW):
+                mask = _sieve_primes(lo, min(lo + _WINDOW, end), table)
+                parts.append(((lo + 1) | 1) + 2 * np.flatnonzero(mask))
+            limit, table = end, np.concatenate(parts)
+        _state = limit, table
+        return _state
+
+
+def prime_pi(x: int) -> int:
+    """Number of primes <= x: a table lookup, plus sieved windows past it."""
+    if x < 2:
         return 0
-    lo = max(lo, 2)
-    count = 1 if lo <= 2 else 0
-    root = isqrt(hi)
-    _cache.ensure(root)
-    odd_base = _cache.primes[1 : bisect.bisect_right(_cache.primes, root)]
-    start = max(lo | 1, 3)
-    span = 1 << 23
-    while start <= hi:
-        end = min(start + span - 2, hi)
-        if end % 2 == 0:
-            end -= 1
-        mask = np.ones((end - start) // 2 + 1, dtype=bool)
-        for p in odd_base:
-            if p * p > end:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            if first <= end:
-                mask[(first - start) >> 1 :: p] = False
-        count += int(np.count_nonzero(mask))
-        start = end + 2
-    return count
+    limit, table = _table(x)
+    if x <= limit:
+        return int(table.searchsorted(x, side="right"))
+    return len(table) + _count_past(limit, x, table)
+
+
+def _count_past(lo: int, hi: int, table: np.ndarray) -> int:
+    """Number of primes in (lo, hi], for lo at or past the table's limit."""
+    if isqrt(hi) > _CACHE_CAP:
+        raise CeilingExceeded("bound %d above the square of the table cap" % hi)
+    return sum(int(np.count_nonzero(_sieve_primes(a, min(a + _WINDOW, hi), table)))
+               for a in range(lo, hi, _WINDOW))
 
 
 def count_in_closed(lo: int, hi: int) -> int:
-    """Count primes in [lo, hi], via cached bisect or a segmented sieve."""
+    """Count primes in [lo, hi]; an interval past the table is sieved alone."""
     if hi < lo or hi < 2:
         return 0
-    if hi <= _CACHE_CAP:
-        _cache.ensure(hi)
-        ps = _cache.primes
-        return bisect.bisect_right(ps, hi) - bisect.bisect_left(ps, lo)
-    return _segment_count(lo, hi)
+    limit, table = _table(hi)
+    if lo > limit:
+        return _count_past(lo - 1, hi, table)
+    return prime_pi(hi) - prime_pi(lo - 1)
 
 
 def _next_prime_step(n: int, policy: PrimalityPolicy | None) -> int:
@@ -260,15 +255,18 @@ def int_lt(x) -> int:
     return x.numerator // x.denominator
 
 
+def _index_above(n: int) -> tuple[np.ndarray, int]:
+    """(table, i): table[i] is the smallest prime > n, unless i == len(table)."""
+    _, table = _table(2 * n + 2)  # a prime lies in (n, 2n + 2] (Bertrand)
+    return table, int(table.searchsorted(max(n, 0), side="right"))
+
+
 def next_prime(n: int, policy: PrimalityPolicy | None = None) -> int:
     """Smallest prime strictly greater than n."""
     if n < _CACHE_CAP:
-        _cache.ensure(min(max(n + 2, 1 << 16), _CACHE_CAP))
-        if n < _cache.limit:
-            ps = _cache.primes
-            idx = bisect.bisect_right(ps, n)
-            if idx < len(ps):
-                return ps[idx]
+        table, i = _index_above(n)
+        if i < len(table):
+            return int(table[i])
     return _next_prime_step(n, policy)
 
 
@@ -277,6 +275,10 @@ def kth_prime_above(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     p = int_gt(x) - 1
+    if p < _CACHE_CAP:
+        table, i = _index_above(p)
+        if i + k <= len(table):
+            return int(table[i + k - 1])
     for _ in range(k):
         p = next_prime(p, policy)
     return p
@@ -290,12 +292,11 @@ def kth_prime_below(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     if hi < 2:
         raise NoSuchPrime("no prime below %s" % (x,))
     if hi <= _CACHE_CAP:
-        _cache.ensure(hi)
-        ps = _cache.primes
-        idx = bisect.bisect_right(ps, hi)
-        if idx < k:
+        _, table = _table(hi)
+        i = int(table.searchsorted(hi, side="right"))
+        if i < k:
             raise NoSuchPrime("fewer than %d primes below %s" % (k, x))
-        return ps[idx - k]
+        return int(table[i - k])
     p = hi + 1
     for _ in range(k):
         p = _prev_prime_step(p, policy)
@@ -330,25 +331,23 @@ def iter_primes_above(x, policy: PrimalityPolicy | None = None):
     """Yield primes strictly greater than x in increasing order, forever."""
     p = int_gt(x) - 1
     while p < _CACHE_CAP:
-        _cache.ensure(min(max(2 * (p + 1), 1 << 16), _CACHE_CAP))
-        ps = _cache.primes
-        limit = _cache.limit
-        for i in range(bisect.bisect_right(ps, p), len(ps)):
-            p = ps[i]
-            yield p
-        if limit >= _CACHE_CAP:
+        table, i = _index_above(p)
+        if i == len(table):
             break
+        chunk = table[i : i + 64].tolist()
+        yield from chunk
+        p = chunk[-1]
     while True:
         p = _next_prime_step(p, policy)
         yield p
 
 
 def primes_in_closed(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi] as a list; hi must stay within the cache cap."""
+    """All primes in [lo, hi] as a list; hi must stay within the table cap."""
     if hi < lo or hi < 2:
         return []
     if hi > _CACHE_CAP:
         raise CeilingExceeded("range end %d above cache cap %d" % (hi, _CACHE_CAP))
-    _cache.ensure(hi)
-    ps = _cache.primes
-    return ps[bisect.bisect_left(ps, lo) : bisect.bisect_right(ps, hi)]
+    _, table = _table(hi)
+    a, b = table.searchsorted((max(lo, 0), hi + 1))
+    return table[a:b].tolist()

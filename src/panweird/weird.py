@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    MAX_FACTORS,
     ONE,
     Factorization,
     abundance,
@@ -267,6 +268,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
+        if self.k > MAX_FACTORS:
+            raise ValueError("k must be at most %d" % MAX_FACTORS)
         if self.amplitude < 1:
             raise ValueError("amplitude must be positive")
         if deficiency(self.seed) <= 0:

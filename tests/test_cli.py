@@ -3,8 +3,12 @@ import json
 
 import pytest
 
+import panweird.enumerate
+import panweird.weird
 from panweird import cli
+from panweird.arith import MAX_FACTORS
 from panweird.cli import build_parser, main
+from panweird.enumerate import pndn
 
 from known_values import GENERAL_PWN_SPOT, SQUAREFREE_PWN_BLOCKS
 
@@ -210,3 +214,80 @@ def test_policy_from_environment(monkeypatch):
     policy = cli._policy_from(args)
     assert policy.deterministic_limit == 1 << 40
     assert policy.probabilistic_rounds == 2
+
+
+def test_ceiling_hit_leaves_only_a_partial_file(tmp_path, capsys):
+    out = tmp_path / "k5.jsonl"
+    assert main(["enumerate", "--mode", "pndn", "--k", "5", "--ceiling", "200",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    partial = read_jsonl(tmp_path / "k5.jsonl.partial")
+    manifest = json.loads((tmp_path / "k5.jsonl.manifest.json").read_text())
+    assert manifest["status"] == "ceiling"
+    assert manifest["totals"] == {"emitted": len(partial)} and partial
+    assert manifest["records"] == str(out) + ".partial"
+    # a successful run renames the file and leaves no partial one behind
+    assert main(["enumerate", "--mode", "pndn", "--k", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "k5.jsonl.manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["records"] == str(out)
+    assert manifest["totals"]["emitted"] == len(read_jsonl(out)) == 906
+    assert not (tmp_path / "k5.jsonl.partial").exists()
+    capsys.readouterr()
+
+
+def test_interrupted_run_is_marked_in_its_manifest(tmp_path, monkeypatch):
+    def interrupted(k, seed, sink, **kwargs):
+        pndn(3, sink=sink)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "pndn", interrupted)
+    out = tmp_path / "k3.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "--mode", "pndn", "--k", "3", "--out", str(out)])
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "k3.jsonl.manifest.json").read_text())
+    assert manifest["status"] == "interrupted"
+    assert manifest["totals"] == {"emitted": 2}
+    assert len(read_jsonl(str(out) + ".partial")) == 2
+
+
+def test_count_only_manifest_reports_the_ceiling(capsys):
+    assert main(["enumerate", "--mode", "pndn", "--k", "4",
+                 "--ceiling", "10", "--count-only"]) == 3
+    manifest = json.loads(capsys.readouterr().out)
+    assert manifest["status"] == "ceiling"
+    assert manifest["totals"] == {"emitted": 0}
+
+
+def test_missing_or_unwritable_files_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    unwritable = str(tmp_path / "no-such-dir" / "out")
+    for argv in (
+        ["convert", "--in", missing, "--out", str(tmp_path / "x.csv")],
+        ["weird", "certify", "--in", missing],
+        ["enumerate", "--mode", "pndn", "--k", "3", "--out", unwritable],
+        ["weird", "search", "--seed", "2^3", "--k", "4", "--amplitude", "2",
+         "--out", unwritable],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    src = tmp_path / "records.jsonl"
+    src.write_text(json.dumps({"factorization": "2*5*7"}) + "\n")
+    assert main(["convert", "--in", str(src), "--out", unwritable]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_huge_k_is_rejected_before_any_walk(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a walk or search started")
+
+    monkeypatch.setattr(panweird.enumerate, "_walk", no_work)
+    monkeypatch.setattr(panweird.weird, "_search", no_work)
+    for argv in (
+        ["enumerate", "--mode", "pndn", "--k", "3000", "--count-only"],
+        ["enumerate", "--mode", "sfpan", "--k", str(MAX_FACTORS + 1), "--count-only"],
+        ["weird", "search", "--seed", "2", "--k", "3000", "--amplitude", "1", "--squares"],
+    ):
+        assert main(argv) == 1
+        assert "at most %d" % MAX_FACTORS in capsys.readouterr().err

@@ -19,6 +19,7 @@ from panweird import (
     sfpan_count,
     sigma,
 )
+from panweird.arith import MAX_FACTORS
 from panweird.enumerate import _subtree_task
 
 from oracles import naive_sigma, primitive_census
@@ -199,6 +200,8 @@ def test_seed_and_k_validation():
         pndn_count(0)
     with pytest.raises(ValueError):
         pndn_count("3")
+    with pytest.raises(ValueError):
+        sfpan_count(MAX_FACTORS + 1)
     # k counts the seed's factors, so it must leave room for new primes
     with pytest.raises(ValueError):
         pndn_count(2, seed="2^2")

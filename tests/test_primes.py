@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import panweird.primes
 from panweird import (
     DEFAULT_POLICY,
     CeilingExceeded,
@@ -17,9 +19,10 @@ from panweird import (
     kth_prime_below,
     next_prime,
     prime_at_or_zero,
+    prime_pi,
     primes_in_closed,
 )
-from panweird.primes import count_in_closed, int_gt, int_lt
+from panweird.primes import _CACHE_CAP, count_in_closed, int_gt, int_lt
 
 from oracles import naive_is_prime
 
@@ -170,3 +173,60 @@ def test_primes_in_closed():
     assert primes_in_closed(24, 28) == []
     with pytest.raises(CeilingExceeded):
         primes_in_closed(2, 2**27)
+
+
+# pi(10^j), j = 0..9 (OEIS A006880)
+PUBLISHED_PI = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+
+
+def test_prime_pi_at_powers_of_ten():
+    for j, want in enumerate(PUBLISHED_PI):
+        assert prime_pi(10**j) == want
+    assert prime_pi(1) == prime_pi(-5) == 0 and prime_pi(2) == 1
+
+
+def _pi_answers():
+    """prime_pi around and past the table cap, and counts that straddle it."""
+    cap = _CACHE_CAP
+    pis = [prime_pi(x) for x in (cap - 1, cap, cap + 1, 10**8 + 7)]
+    counts = [
+        count_in_closed(cap - 1000, cap + 1000),
+        count_in_closed(100, cap + 1000),
+        count_in_closed(cap + 1, cap + 20000),
+    ]
+    return pis, counts
+
+
+def test_prime_pi_against_sympy():
+    sympy_primepi = pytest.importorskip("sympy").primepi
+    cap = _CACHE_CAP
+    pis, counts = _pi_answers()
+    assert pis == [int(sympy_primepi(x)) for x in (cap - 1, cap, cap + 1, 10**8 + 7)]
+    straddle = sum(1 for n in range(cap - 1000, cap + 1001) if is_prime(n))
+    assert counts[0] == straddle
+    assert counts[1] == int(sympy_primepi(cap + 1000)) - 25
+    assert counts[2] == int(sympy_primepi(cap + 20000)) - int(sympy_primepi(cap))
+
+
+def test_fresh_table_first_queried_past_the_cap(monkeypatch):
+    want = _pi_answers()
+    for first in (10**8 + 7, _CACHE_CAP + 1):
+        monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+        prime_pi(first)
+        assert panweird.primes._state[0] == _CACHE_CAP
+        assert _pi_answers() == want
+    monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+    assert count_in_closed(_CACHE_CAP + 1, _CACHE_CAP + 20000) == want[1][2]
+
+
+def test_table_answers_are_python_ints():
+    values = [prime_pi(10**6), count_in_closed(2, 10**6), next_prime(10**6),
+              kth_prime_above(10**6, 5), kth_prime_below(10**6, 5)]
+    values += primes_in_closed(10**6, 10**6 + 100)
+    it = iter_primes_above(10**6)
+    values += [next(it) for _ in range(100)]
+    assert all(type(v) is int for v in values)
+    p = 10**6
+    for _ in range(5):
+        p = next_prime(p)
+    assert kth_prime_above(10**6, 5) == p

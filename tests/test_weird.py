@@ -24,6 +24,7 @@ from panweird import (
     subset_sums_to,
     weird_numbers_below,
 )
+from panweird.arith import MAX_FACTORS
 
 from known_values import (
     CODEC_WORKED_EXAMPLE,
@@ -207,6 +208,8 @@ def test_search_config_validation():
         SearchConfig(k=0)
     with pytest.raises(ValueError):
         SearchConfig(amplitude=0)
+    with pytest.raises(ValueError):
+        SearchConfig(k=MAX_FACTORS + 1)
     with pytest.raises(NotDeficient):
         SearchConfig(seed=F("2*3"))
     with pytest.raises(ValueError):
