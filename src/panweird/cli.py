@@ -27,7 +27,13 @@ from .arith import Factorization, abundance, digits10
 from .classify import NumberClass, classify
 from .enumerate import pndn, sfpan
 from .errors import CeilingExceeded, PanweirdError, ParseError
-from .primes import _DEFAULT_CEILING, PrimalityPolicy, certifiable, certified_prime
+from .primes import (
+    _DEFAULT_CEILING,
+    PI_BOUND,
+    PrimalityPolicy,
+    certifiable,
+    certified_prime,
+)
 from .weird import (
     IndexSequence,
     SearchConfig,
@@ -339,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes, at most the CPU count")
     p_enum.add_argument("--out", default=None, help="record file, '-' for stdout")
     p_enum.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
-                        help="largest allowed bound x of a leaf's prime count pi(x)")
+                        help="largest allowed bound x of a leaf's prime count pi(x), "
+                             "from 1 to %d" % PI_BOUND)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_weird = sub.add_parser("weird", help="weird-number tools")

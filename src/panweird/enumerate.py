@@ -40,6 +40,7 @@ from .classify import NumberClass, clears_reduced_centers, first_above_reduced_c
 from .errors import CeilingExceeded, NotDeficient
 from .primes import (
     _DEFAULT_CEILING,
+    PI_BOUND,
     count_in_closed,
     is_prime,
     iter_primes_above,
@@ -302,6 +303,8 @@ def _run(general, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceili
         raise ValueError("jobs must be a positive integer")
     if jobs > 1 and on_stop is not None:
         raise ValueError("stop auditing is a single-process feature")
+    if not isinstance(ceiling, int) or not 1 <= ceiling <= PI_BOUND:
+        raise ValueError("ceiling must be an integer from 1 to %d" % PI_BOUND)
     jobs = min(jobs, os.cpu_count() or 1)
     v, s, factors, sigpps = _prepare(seed, k)
     have = sum(e for _, e in factors) if general else len(factors)

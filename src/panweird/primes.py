@@ -6,10 +6,12 @@ is resolved once, by integer conversion: the smallest integer > a is
 floor(a)+1, the largest integer < b is ceil(b)-1.
 
 The primes up to a limit form one sorted int64 numpy array, the table, grown
-(up to 2^26) by sieving only the new range.  That odd-only sieve is the only
-one; past the table it counts primes window by window.  prime_pi(x) looks x
-up in the table, plus those windows; a count over [lo, hi] is
-prime_pi(hi) - prime_pi(lo - 1).  Only Python ints leave the table.
+(up to 2^26) by sieving only the new range with one odd-only sieve.
+prime_pi(x) looks x up in the table; past it, nothing is sieved: pi(x) comes
+from Lucy_Hedgehog's recurrence over the table's primes up to isqrt(x), in
+O(x^(3/4)) time and O(sqrt(x)) memory, for x up to PI_BOUND.  A count over
+[lo, hi] is prime_pi(hi) - prime_pi(lo - 1).  Only Python ints leave the
+table.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ _MR_BASE_SETS = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_DEFAULT_CEILING = 10**10
+_DEFAULT_CEILING = 5 * 10**10
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,17 @@ def certified_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
 
 _CACHE_CAP = 1 << 26  # the table stops growing here; past it, stepping goes MR
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
+# Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
+# (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
+PI_BOUND = 10**14
+_PAIRS = 1 << 18  # (i, p) pairs per batch in the last phase of Lucy's recurrence
 
 
 def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
     """Primality mask of the odd numbers in (lo, hi]; entry i is (lo+1|1) + 2i.
 
-    table must hold every prime up to isqrt(hi).  This is the only sieve:
-    run window by window, it grows the table and counts primes past it.
+    table must hold every prime up to isqrt(hi).  This is the only sieve;
+    run window by window, it grows the table.
     """
     first = (lo + 1) | 1
     mask = np.ones(max(0, (hi - first) // 2 + 1), dtype=bool)
@@ -181,30 +187,68 @@ def _table(n: int) -> tuple[int, np.ndarray]:
 
 
 def prime_pi(x: int) -> int:
-    """Number of primes <= x: a table lookup, plus sieved windows past it."""
+    """Number of primes <= x: a table lookup, or Lucy's recurrence past it."""
     if x < 2:
         return 0
+    if x > PI_BOUND:
+        raise CeilingExceeded("pi(%d) above the bound %d" % (x, PI_BOUND))
     limit, table = _table(x)
     if x <= limit:
         return int(table.searchsorted(x, side="right"))
-    return len(table) + _count_past(limit, x, table)
+    return _lucy_pi(x, table)
 
 
-def _count_past(lo: int, hi: int, table: np.ndarray) -> int:
-    """Number of primes in (lo, hi], for lo at or past the table's limit."""
-    if isqrt(hi) > _CACHE_CAP:
-        raise CeilingExceeded("bound %d above the square of the table cap" % hi)
-    return sum(int(np.count_nonzero(_sieve_primes(a, min(a + _WINDOW, hi), table)))
-               for a in range(lo, hi, _WINDOW))
+def _lucy_pi(x: int, table: np.ndarray) -> int:
+    """pi(x) by Lucy_Hedgehog's recurrence, from the table's primes <= isqrt(x).
+
+    S(v) counts the numbers in [2, v] that are prime or have no prime factor
+    below p; moving past p takes S(v) -= S(v // p) - S(p - 1) for every
+    v >= p*p, and once p passes isqrt(v), S(v) = pi(v).  Only the values
+    v = x // i occur: small[v] holds S(v) for v <= r and large[i - 1] holds
+    S(x // i) for i <= r, so large[0] ends as pi(x).  Each right-hand side is
+    read whole before it is subtracted, so every update for p sees the values
+    left by the primes below p.
+    """
+    r = isqrt(x)
+    q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
+    large = q - 1
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
+    primes = table[: table.searchsorted(r, side="right")]
+    cube = int(np.count_nonzero(primes * primes <= x // primes))  # p^3 <= x
+    for j, p in enumerate(primes[:cube].tolist()):
+        # j = S(p - 1): the primes below p
+        n = min(r, x // (p * p))  # i <= n have x // i >= p * p
+        m = r // p  # i <= m have i * p <= r, so S(x // (i*p)) sits in large
+        large[:m] -= large[p - 1 : m * p : p] - j
+        large[m:n] -= small[q[m:n] // p] - j
+        if p * p <= r:
+            small[p * p :] -= small[np.arange(p * p, r + 1) // p] - j
+    # Past the cube root, p^2 > r leaves small final, and each p changes only
+    # large[i - 1] for i <= x // p^2 < p, below every entry it reads (i * p >= p).
+    # So every read sees a final value, and the remaining primes apply at once:
+    # large[i - 1] -= sum of S(x // (i*p)) - j over its first c[i - 1] primes p,
+    # whose j run from cube up.  (x > 2^26 puts a prime between cbrt(x) and r.)
+    rest = primes[cube:]
+    n = x // int(rest[0]) ** 2
+    c = (rest * rest).searchsorted(q[:n], side="right")
+    i0 = 0
+    while i0 < n:  # in batches of about _PAIRS (i, p) pairs
+        i1 = min(n, i0 + max(1, _PAIRS // int(c[i0])))
+        cc = c[i0:i1]
+        start = np.cumsum(cc) - cc
+        i = np.repeat(np.arange(i0 + 1, i1 + 1), cc)
+        p = rest[np.arange(len(i)) - np.repeat(start, cc)]
+        d = i * p
+        s = np.where(d <= r, large[np.minimum(d, r) - 1], small[x // np.maximum(d, r + 1)])
+        large[i0:i1] -= np.add.reduceat(s, start) - (cc * cube + cc * (cc - 1) // 2)
+        i0 = i1
+    return int(large[0])
 
 
 def count_in_closed(lo: int, hi: int) -> int:
-    """Count primes in [lo, hi]; an interval past the table is sieved alone."""
+    """Count primes in [lo, hi] as prime_pi(hi) - prime_pi(lo - 1)."""
     if hi < lo or hi < 2:
         return 0
-    limit, table = _table(hi)
-    if lo > limit:
-        return _count_past(lo - 1, hi, table)
     return prime_pi(hi) - prime_pi(lo - 1)
 
 

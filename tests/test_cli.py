@@ -9,6 +9,7 @@ from panweird import cli
 from panweird.arith import MAX_FACTORS
 from panweird.cli import build_parser, main
 from panweird.enumerate import pndn
+from panweird.primes import PI_BOUND
 
 from known_values import GENERAL_PWN_SPOT, SQUAREFREE_PWN_BLOCKS
 
@@ -291,3 +292,22 @@ def test_huge_k_is_rejected_before_any_walk(monkeypatch, capsys):
     ):
         assert main(argv) == 1
         assert "at most %d" % MAX_FACTORS in capsys.readouterr().err
+
+
+def test_ceiling_out_of_range_is_rejected_before_any_walk(monkeypatch, capsys):
+    walked = []
+
+    def no_walk(*args):
+        walked.append(args)
+        return 0, 0, False
+
+    monkeypatch.setattr(panweird.enumerate, "_walk", no_walk)
+    for ceiling in ("0", "-5", str(PI_BOUND + 1)):
+        assert main(["enumerate", "--mode", "pndn", "--k", "7",
+                     "--ceiling", ceiling, "--count-only"]) == 1
+        assert "ceiling must be" in capsys.readouterr().err
+    assert not walked
+    # the bound itself is accepted
+    assert main(["enumerate", "--mode", "sfpan", "--k", "7",
+                 "--ceiling", str(PI_BOUND), "--count-only"]) == 0
+    assert len(walked) == 1

@@ -21,6 +21,7 @@ from panweird import (
 )
 from panweird.arith import MAX_FACTORS
 from panweird.enumerate import _subtree_task
+from panweird.primes import PI_BOUND
 
 from oracles import naive_sigma, primitive_census
 
@@ -216,6 +217,10 @@ def test_ceiling_guards_leaf_scans():
         pndn_count(4, ceiling=10)
     with pytest.raises(CeilingExceeded):
         sfpan_count(4, ceiling=10)
+    # a ceiling prime_pi cannot honour is refused before the walk
+    for ceiling in (0, -1, PI_BOUND + 1, 1e10, None):
+        with pytest.raises(ValueError):
+            pndn_count(4, ceiling=ceiling)
 
 
 def test_stop_auditing_is_serial_only():

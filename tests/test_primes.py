@@ -22,7 +22,7 @@ from panweird import (
     prime_pi,
     primes_in_closed,
 )
-from panweird.primes import _CACHE_CAP, count_in_closed, int_gt, int_lt
+from panweird.primes import PI_BOUND, _CACHE_CAP, count_in_closed, int_gt, int_lt
 
 from oracles import naive_is_prime
 
@@ -175,8 +175,9 @@ def test_primes_in_closed():
         primes_in_closed(2, 2**27)
 
 
-# pi(10^j), j = 0..9 (OEIS A006880)
-PUBLISHED_PI = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+# pi(10^j), j = 0..11 (OEIS A006880)
+PUBLISHED_PI = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
+                455_052_511, 4_118_054_813]
 
 
 def test_prime_pi_at_powers_of_ten():
@@ -206,6 +207,36 @@ def test_prime_pi_against_sympy():
     assert counts[0] == straddle
     assert counts[1] == int(sympy_primepi(cap + 1000)) - 25
     assert counts[2] == int(sympy_primepi(cap + 20000)) - int(sympy_primepi(cap))
+
+
+def test_prime_pi_past_the_table_against_sympy():
+    sympy_primepi = pytest.importorskip("sympy").primepi
+    rng = random.Random(0x1ACE)
+    for _ in range(20):
+        x = rng.randrange(_CACHE_CAP + 1, 3 * 10**9 + 1)
+        assert prime_pi(x) == int(sympy_primepi(x))
+    # squares and cubes of primes, where a prime's last update lands exactly
+    for p in (8209, next_prime(10**4), next_prime(5 * 10**4), 409, next_prime(10**3)):
+        x = p * p if p > 8192 else p**3
+        for y in (x - 1, x, x + 1):
+            assert prime_pi(y) == int(sympy_primepi(y))
+    # a long interval wholly past the table
+    lo, hi = _CACHE_CAP + 1, 3 * 10**9
+    assert count_in_closed(lo, hi) == int(sympy_primepi(hi)) - int(sympy_primepi(lo - 1))
+
+
+def test_prime_pi_refuses_past_its_bound_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the table or Lucy's arrays were touched")
+
+    monkeypatch.setattr(panweird.primes, "_table", no_work)
+    monkeypatch.setattr(panweird.primes, "_lucy_pi", no_work)
+    with pytest.raises(CeilingExceeded):
+        prime_pi(PI_BOUND + 1)
+    with pytest.raises(CeilingExceeded):
+        count_in_closed(PI_BOUND + 1, PI_BOUND + 100)
+    with pytest.raises(CeilingExceeded):
+        count_primes_in_open_interval(2, PI_BOUND + 2, ceiling=10**20)
 
 
 def test_fresh_table_first_queried_past_the_cap(monkeypatch):
