@@ -187,6 +187,9 @@ class _Output:
 
 
 def cmd_enumerate(args) -> int:
+    if args.include_perfect and args.mode != "pndn":
+        sys.stderr.write("--include-perfect applies to --mode pndn only\n")
+        return 1
     policy = _policy_from(args)
     try:
         seed = Factorization.parse(args.seed, policy)
@@ -202,7 +205,6 @@ def cmd_enumerate(args) -> int:
             "odd": args.odd,
             "include_perfect": args.include_perfect,
             "count_only": args.count_only,
-            "jobs": args.jobs,
             "ceiling": args.ceiling,
         },
         started=_now(),
@@ -210,7 +212,7 @@ def cmd_enumerate(args) -> int:
     with _Output(None if args.count_only else (args.out or "-"), manifest) as out:
         sink = None if args.count_only else (lambda rec: out.write(_enum_record_line(rec)))
         run = sfpan if args.mode == "sfpan" else pndn
-        kwargs = dict(odd_only=args.odd, jobs=args.jobs, ceiling=args.ceiling)
+        kwargs = dict(odd_only=args.odd, ceiling=args.ceiling)
         if args.mode == "pndn":
             kwargs["include_perfect"] = args.include_perfect
         outcome = run(args.k, seed, sink, **kwargs)
@@ -341,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--include-perfect", action="store_true",
                         help="emit perfect completions too (pndn)")
     p_enum.add_argument("--count-only", action="store_true", help="totals, no records")
-    p_enum.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, at most the CPU count")
     p_enum.add_argument("--out", default=None, help="record file, '-' for stdout")
     p_enum.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
                         help="largest allowed bound x of a leaf's prime count pi(x), "
@@ -358,10 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="total factor count of results, seed included")
     p_search.add_argument("--amplitude", type=int, required=True,
                           help="how many primes around each center to try")
-    p_search.add_argument("--squares", action="store_true",
-                          help="allow deepening prime exponents")
-    p_search.add_argument("--strict-sigma-bound", action="store_true",
-                          help="tighter leaf threshold in the square-free search")
+    search_mode = p_search.add_mutually_exclusive_group()
+    search_mode.add_argument("--squares", action="store_true",
+                             help="allow deepening prime exponents")
+    search_mode.add_argument("--strict-sigma-bound", action="store_true",
+                             help="tighter leaf threshold in the square-free search")
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=cmd_weird_search)
 

@@ -13,13 +13,8 @@ primitive: removing any single prime leaves a deficient number.
 Counting mode replaces each leaf loop with a prime-interval count, so the
 totals come out without touching individual numbers.
 
-With jobs > 1 this process walks the first two levels of new primes itself
-(deepening an exponent stays at the level of its prime) and hands each
-subtree below them to a worker process.  Siblings are
-evaluated speculatively in windows of jobs and reduced strictly in prime
-order, so counts, found and the record sequence equal a single-process
-run's; results past a stop point are dropped.  jobs is capped at the CPU
-count.
+A seed pins the walk to the subtree of its multiples.  Larger campaigns
+run disjoint seed shards as separate processes and add up their totals.
 
 The recursion state is kept in plain integers: value, sigma, the factor
 stack and sigma of each prime power.  Every predicate is decided by integer
@@ -29,11 +24,7 @@ prime p, which makes the leaf trichotomy a single multiply.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 
 from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
 from .classify import NumberClass, clears_reduced_centers, first_above_reduced_centers
@@ -79,13 +70,15 @@ class EnumOutcome:
     found: bool = False
 
 
-def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
-    """Final level: close with one more prime p <= center, or the last prime."""
+def _leaf(general, v, s, factors, sigpps, emit, include_perfect, ceiling):
+    """Final level: close with one new prime up to center(m) (pndn) or
+    strictly below it (sfpan), or, in pndn, with the last prime once more."""
     d = 2 * v - s
     ca = cp = 0
     found = False
     pr = factors[-1][0] if factors else 1
-    upper = s // d  # largest integer p with p <= center(m)
+    # largest integer p with p <= center(m), or p < center(m) for sfpan
+    upper = s // d if general else (s - 1) // d
     if upper > ceiling:
         raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
     if upper > pr:
@@ -94,13 +87,15 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
             found = True
         lo = pr + 1
         if factors:
+            # for sfpan, binding only when the stack carries prime powers (seeded runs)
             lb = first_above_reduced_centers(s, d, sigpps)
             if lb > lo:
                 lo = lb
         if lo <= upper:
             if emit is None:
                 n = n_all - count_in_closed(pr + 1, lo - 1)
-                if n and s % d == 0 and is_prime(upper):
+                # never true for sfpan, whose upper sits strictly below the center
+                if n and upper * d == s and is_prime(upper):
                     cp += 1  # the completion sitting exactly at the center
                     ca += n - 1
                 else:
@@ -116,7 +111,7 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
                         cp += 1
                         if include_perfect:
                             emit(base + ((p, 1),), 0)
-    if factors:
+    if general and factors:
         p, e = factors[-1]
         spp = sigpps[-1]
         q = s // spp
@@ -126,59 +121,18 @@ def _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling):
             if clears_reduced_centers(p * spp, 1, s, d, sigpps[:-1]):
                 if delta > 0:
                     ca += 1
-                    if emit is not None:
-                        emit(
-                            tuple((x, y) for x, y in factors[:-1]) + ((p, e + 1),),
-                            delta,
-                        )
                 else:
                     cp += 1
-                    if emit is not None and include_perfect:
-                        emit(
-                            tuple((x, y) for x, y in factors[:-1]) + ((p, e + 1),),
-                            0,
-                        )
+                if emit is not None and (delta > 0 or include_perfect):
+                    emit(tuple((x, y) for x, y in factors[:-1]) + ((p, e + 1),), delta)
     return ca, cp, found
 
 
-def _leaf_sfpan(v, s, factors, sigpps, emit, ceiling):
-    """Final level, square-free flavor: one new prime strictly below center."""
-    d = 2 * v - s
-    pr = factors[-1][0] if factors else 1
-    upper = (s - 1) // d  # largest integer p with p < center(m), strictly
-    if upper > ceiling:
-        raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
-    n_all = count_in_closed(pr + 1, upper)
-    found = n_all > 0
-    lo = pr + 1
-    if factors:
-        # binding only when the stack carries prime powers (seeded runs)
-        lb = first_above_reduced_centers(s, d, sigpps)
-        if lb > lo:
-            lo = lb
-    ca = 0
-    if lo <= upper:
-        if emit is None:
-            ca = n_all - count_in_closed(pr + 1, lo - 1)
-        else:
-            base = tuple((q, e) for q, e in factors)
-            for p in primes_in_closed(lo, upper):
-                ca += 1
-                emit(base + ((p, 1),), s - p * d)
-    return ca, 0, found
-
-
 def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-          start_floor, ceiling, pool=None, jobs=1, level=0):
-    """Interior level: deepen the last prime (pndn) and scan new primes.
-
-    level counts the new primes chosen since the root; pool, when given,
-    walks the subtrees rooted at level 2 (see _subtrees).
-    """
+          start_floor, ceiling):
+    """Interior level: deepen the last prime (pndn) and scan new primes."""
     if k == 1:
-        if general:
-            return _leaf_pndn(v, s, factors, sigpps, emit, include_perfect, ceiling)
-        return _leaf_sfpan(v, s, factors, sigpps, emit, ceiling)
+        return _leaf(general, v, s, factors, sigpps, emit, include_perfect, ceiling)
     d = 2 * v - s
     ca = cp = 0
     found = False
@@ -192,7 +146,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             sigpps[-1] = nspp
             sca, scp, sfound = _walk(
                 general, k - 1, v * p, q * nspp, factors, sigpps,
-                emit, include_perfect, on_stop, 0, ceiling, pool, jobs, level,
+                emit, include_perfect, on_stop, 0, ceiling,
             )
             factors[-1][1] = e
             sigpps[-1] = spp
@@ -205,69 +159,24 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
         start = pr
     if start_floor > start:
         start = start_floor
-    for p, (sca, scp, sfound) in _subtrees(
-        general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-        start, ceiling, pool, jobs, level,
-    ):
+    for p in iter_primes_above(start):
+        factors.append([p, 1])
+        sigpps.append(p + 1)
+        sca, scp, sfound = _walk(
+            general, k - 1, v * p, s * (p + 1), factors, sigpps,
+            emit, include_perfect, on_stop, 0, ceiling,
+        )
+        factors.pop()
+        sigpps.pop()
         ca += sca
         cp += scp
-        if sfound:
-            found = True
+        found |= sfound
         barren = not sfound if general else sca == 0
         if barren:
             if on_stop is not None:
                 on_stop(tuple((q, e) for q, e in factors), p, k)
             break
     return ca, cp, found
-
-
-def _subtrees(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-              start, ceiling, pool, jobs, level):
-    """Yield (p, subtree totals) for each new prime p above start, in order.
-
-    Inline, each subtree is walked when its turn comes.  With a pool, the
-    children of a level-1 node that are not leaves go to workers in windows
-    of jobs siblings; a window's records are re-emitted in prime order, and
-    results past the first barren sibling are dropped when the caller stops.
-    """
-    primes = iter_primes_above(start)
-    if pool is None or level != 1 or k < 3:
-        for p in primes:
-            factors.append([p, 1])
-            sigpps.append(p + 1)
-            totals = _walk(
-                general, k - 1, v * p, s * (p + 1), factors, sigpps,
-                emit, include_perfect, on_stop, 0, ceiling, pool, jobs, level + 1,
-            )
-            factors.pop()
-            sigpps.pop()
-            yield p, totals
-        return
-    base = tuple((q, e) for q, e in factors)
-    want_records = emit is not None
-    while True:
-        window = [
-            (p, pool.submit(_subtree_task, (
-                general, k - 1, base + ((p, 1),), include_perfect, want_records, ceiling,
-            )))
-            for p in islice(primes, jobs)
-        ]
-        for p, (ca, cp, found, records) in [(p, f.result()) for p, f in window]:
-            for pairs, delta in records or ():
-                emit(pairs, delta)
-            yield p, (ca, cp, found)
-
-
-def _subtree_task(args):
-    """Walk one subtree in a worker; records come back as (pairs, delta)."""
-    general, k, pairs, include_perfect, want_records, ceiling = args
-    v, s, factors, sigpps = _prepare(Factorization(pairs), k)
-    records = [] if want_records else None
-    emit = (lambda pairs_r, delta: records.append((pairs_r, delta))) if want_records else None
-    ca, cp, found = _walk(
-        general, k, v, s, factors, sigpps, emit, include_perfect, None, 0, ceiling,
-    )
-    return ca, cp, found, records
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +207,9 @@ def _record_emitter(sink):
     return emit
 
 
-def _run(general, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceiling):
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    if jobs > 1 and on_stop is not None:
-        raise ValueError("stop auditing is a single-process feature")
+def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
     if not isinstance(ceiling, int) or not 1 <= ceiling <= PI_BOUND:
         raise ValueError("ceiling must be an integer from 1 to %d" % PI_BOUND)
-    jobs = min(jobs, os.cpu_count() or 1)
     v, s, factors, sigpps = _prepare(seed, k)
     have = sum(e for _, e in factors) if general else len(factors)
     left = k - have
@@ -315,16 +219,15 @@ def _run(general, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceili
         raise ValueError("odd_only conflicts with an even seed")
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
     emit = _record_emitter(sink) if sink is not None else None
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        ca, cp, found = _walk(
-            general, left, v, s, factors, sigpps, emit, include_perfect,
-            on_stop, start_floor, ceiling, pool, jobs,
-        )
+    ca, cp, found = _walk(
+        general, left, v, s, factors, sigpps, emit, include_perfect,
+        on_stop, start_floor, ceiling,
+    )
     return EnumOutcome(ca, cp, found)
 
 
 def pndn(k, seed=None, sink=None, *, odd_only=False, include_perfect=False,
-         jobs=1, on_stop=None, ceiling=_DEFAULT_CEILING) -> EnumOutcome:
+         on_stop=None, ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Emit every primitive non-deficient number with k prime factors
     (counted with multiplicity) divisible by the deficient seed, seed's
     factors included in the count.
@@ -332,16 +235,16 @@ def pndn(k, seed=None, sink=None, *, odd_only=False, include_perfect=False,
     Perfect completions reach the sink only under include_perfect and are
     never added to count_abundant.
     """
-    return _run(True, k, seed, sink, odd_only, include_perfect, jobs, on_stop, ceiling)
+    return _run(True, k, seed, sink, odd_only, include_perfect, on_stop, ceiling)
 
 
 def pndn_count(k, seed=None, *, odd_only=False, include_perfect=False,
-               jobs=1, ceiling=_DEFAULT_CEILING) -> EnumOutcome:
+               ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Counting twin of pndn: same totals, no records built."""
-    return _run(True, k, seed, None, odd_only, include_perfect, jobs, None, ceiling)
+    return _run(True, k, seed, None, odd_only, include_perfect, None, ceiling)
 
 
-def sfpan(k, seed=None, sink=None, *, odd_only=False, jobs=1, on_stop=None,
+def sfpan(k, seed=None, sink=None, *, odd_only=False, on_stop=None,
           ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Emit every square-free-beyond-the-seed primitive abundant number with
     k distinct primes, the seed's counted too.
@@ -350,10 +253,10 @@ def sfpan(k, seed=None, sink=None, *, odd_only=False, jobs=1, on_stop=None,
     Perfect numbers cannot appear here: the final prime sits strictly below
     the center.
     """
-    return _run(False, k, seed, sink, odd_only, False, jobs, on_stop, ceiling)
+    return _run(False, k, seed, sink, odd_only, False, on_stop, ceiling)
 
 
-def sfpan_count(k, seed=None, *, odd_only=False, jobs=1,
+def sfpan_count(k, seed=None, *, odd_only=False,
                 ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Counting twin of sfpan: same totals, no records built."""
-    return _run(False, k, seed, None, odd_only, False, jobs, None, ceiling)
+    return _run(False, k, seed, None, odd_only, False, None, ceiling)

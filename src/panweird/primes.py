@@ -358,13 +358,7 @@ def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
     return x if is_prime(x, policy) else None
 
 
-def count_primes_in_open_interval(
-    a,
-    b,
-    policy: PrimalityPolicy | None = None,
-    *,
-    ceiling: int = _DEFAULT_CEILING,
-) -> int:
+def count_primes_in_open_interval(a, b, *, ceiling: int = _DEFAULT_CEILING) -> int:
     """Number of primes p with a < p < b; both endpoints excluded."""
     if b > ceiling:
         raise CeilingExceeded("upper endpoint %s above ceiling %d" % (b, ceiling))

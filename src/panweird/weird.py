@@ -311,6 +311,8 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
     primitivity bound, or the max sigma(q^alpha) -/+ 1 floor of the
     square-free search.
     """
+    if general and config.strict_sigma_bound:
+        raise ValueError("strict_sigma_bound applies to the square-free search only")
     policy = config.policy or DEFAULT_POLICY
     seed = config.seed
     levels = config.k - (seed.big_omega if general else seed.omega)

@@ -32,7 +32,6 @@ from panweird import (
     sfpan_count,
     weird_numbers_below,
 )
-from panweird.enumerate import _subtree_task
 
 from known_values import (
     CODEC_WORKED_EXAMPLE,
@@ -225,13 +224,12 @@ def test_criterion_7d_interior_stop_rule_is_safe():
         for prefix, p, kk in events:
             probes = 0
             for q in iter_primes_above(p):
-                ca, cp, found = _subtree_task(
-                    (general, kk - 1, prefix + ((q, 1),), True, False, 10**10)
-                )[:3]
+                shard = Factorization(prefix + ((q, 1),))
                 if general:
-                    assert not found and ca == 0 and cp == 0
+                    out = pndn_count(shard.big_omega + kk - 1, shard, include_perfect=True)
+                    assert not out.found and out.count_abundant == 0 and out.count_perfect == 0
                 else:
-                    assert ca == 0
+                    assert sfpan_count(shard.omega + kk - 1, shard).count_abundant == 0
                 probes += 1
                 if probes == 5:
                     break
@@ -247,4 +245,3 @@ def test_criterion_8_out_of_scale_totals_are_shardable():
     shard = pndn_count(7, seed="3^2*5*7")
     assert shard.found and shard.count_abundant > 0
     assert pndn_count(7, seed="3^2*5*7") == shard
-    assert pndn_count(7, seed="3^2*5*7", jobs=2) == shard

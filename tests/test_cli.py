@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -91,18 +92,29 @@ def test_enumerate_errors(capsys):
                  "--seed", "2^2", "--count-only"]) == 1
     assert main(["enumerate", "--mode", "pndn", "--k", "4",
                  "--ceiling", "10", "--count-only"]) == 3
-    for jobs in ("0", "-3"):
-        assert main(["enumerate", "--mode", "pndn", "--k", "3",
-                     "--jobs", jobs, "--count-only"]) == 1
     capsys.readouterr()
 
 
-def test_enumerate_jobs_output_is_byte_identical(tmp_path):
-    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    assert main(["enumerate", "--mode", "sfpan", "--k", "5", "--out", str(serial)]) == 0
-    assert main(["enumerate", "--mode", "sfpan", "--k", "5", "--jobs", "2",
-                 "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_enumerate_record_files_are_pinned(tmp_path):
+    # sha256 of the record files; any change to the walk order or the line
+    # format shows up here
+    for argv, digest in (
+        (["--mode", "sfpan", "--k", "5"],
+         "0037371cc8b5ab0fa4ff3e1d506a48c8749cb2337de8a0e5bffda79b5918b213"),
+        (["--mode", "pndn", "--k", "5", "--include-perfect"],
+         "3f68f4bcff00388c919f27d26efebd97c7b6f7cd07ae05670f955199f5363442"),
+    ):
+        out = tmp_path / "records.jsonl"
+        assert main(["enumerate", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sfpan_include_perfect_is_rejected_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sf.jsonl"
+    assert main(["enumerate", "--mode", "sfpan", "--k", "3",
+                 "--include-perfect", "--out", str(out)]) == 1
+    assert "--include-perfect" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_weird_search_to_file(tmp_path):
@@ -131,6 +143,16 @@ def test_weird_search_with_squares(capsys):
     rows = {(r["factorization"], int(r["delta"]), r["index_sequence"])
             for r in map(json.loads, capsys.readouterr().out.splitlines())}
     assert (fact, delta, seq) in rows
+
+
+def test_weird_search_squares_excludes_strict_sigma_bound(tmp_path, capsys):
+    out = tmp_path / "pwn.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["weird", "search", "--seed", "2^3", "--k", "4", "--amplitude", "2",
+              "--squares", "--strict-sigma-bound", "--out", str(out)])
+    assert err.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_weird_check(capsys):

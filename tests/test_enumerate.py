@@ -1,8 +1,5 @@
-import os
-
 import pytest
 
-import panweird.enumerate
 from panweird import (
     CeilingExceeded,
     EnumOutcome,
@@ -11,6 +8,8 @@ from panweird import (
     NotDeficient,
     NumberClass,
     abundance,
+    center,
+    deficiency,
     is_primitive_nondeficient_oracle,
     iter_primes_above,
     pndn,
@@ -20,7 +19,6 @@ from panweird import (
     sigma,
 )
 from panweird.arith import MAX_FACTORS
-from panweird.enumerate import _subtree_task
 from panweird.primes import PI_BOUND
 
 from oracles import naive_sigma, primitive_census
@@ -158,40 +156,6 @@ def test_runs_are_deterministic():
     assert collect(sfpan, 5)[0] == collect(sfpan, 5)[0]
 
 
-def test_parallel_runs_match_serial():
-    serial, soutcome = collect(pndn, 5, include_perfect=True)
-    parallel, poutcome = collect(pndn, 5, include_perfect=True, jobs=3)
-    assert parallel == serial
-    assert poutcome == soutcome
-    assert pndn_count(6, jobs=4) == pndn_count(6)
-    assert sfpan_count(5, jobs=2) == sfpan_count(5)
-    assert collect(sfpan, 5, jobs=2) == collect(sfpan, 5)
-    assert pndn_count(6, odd_only=True, jobs=2) == pndn_count(6, odd_only=True)
-    assert collect(pndn, 6, seed="3^2", jobs=2) == collect(pndn, 6, seed="3^2")
-
-
-def test_jobs_validation_and_cap(monkeypatch):
-    for jobs in (0, -3, 1.5, "2", None):
-        with pytest.raises(ValueError):
-            pndn_count(4, jobs=jobs)
-    # a huge request asks the pool for the CPU count; the stub starts no worker
-    asked = []
-
-    class NoPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-            raise RuntimeError("no workers in this test")
-
-    monkeypatch.setattr(panweird.enumerate, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    with pytest.raises(RuntimeError):
-        sfpan_count(4, jobs=10**9)
-    assert asked == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert sfpan_count(4, jobs=10**9) == sfpan_count(4)  # capped to serial
-    assert asked == [3]
-
-
 def test_seed_and_k_validation():
     with pytest.raises(NotDeficient):
         pndn_count(3, seed="2*3")
@@ -223,15 +187,6 @@ def test_ceiling_guards_leaf_scans():
             pndn_count(4, ceiling=ceiling)
 
 
-def test_stop_auditing_is_serial_only():
-    with pytest.raises(ValueError):
-        pndn_count_with_jobs_and_stop()
-
-
-def pndn_count_with_jobs_and_stop():
-    return pndn(3, jobs=2, on_stop=lambda prefix, p, k: None)
-
-
 def test_interior_stops_are_safe():
     # when the walk abandons a prime loop, every larger sibling subtree
     # must be barren too; probe the next few primes past each stop point
@@ -243,13 +198,48 @@ def test_interior_stops_are_safe():
         for prefix, p, k in events[:200]:
             probes = 0
             for q in iter_primes_above(p):
-                ca, cp, found = _subtree_task(
-                    (general, k - 1, prefix + ((q, 1),), True, False, 10**10)
-                )[:3]
+                shard = Factorization(prefix + ((q, 1),))
                 if general:
-                    assert not found and ca == 0 and cp == 0
+                    out = pndn_count(shard.big_omega + k - 1, shard, include_perfect=True)
+                    assert not out.found and out.count_abundant == 0 and out.count_perfect == 0
                 else:
-                    assert ca == 0
+                    assert sfpan_count(shard.omega + k - 1, shard).count_abundant == 0
                 probes += 1
                 if probes == 5:
                     break
+
+
+def walk_children(general, node, odd_only):
+    """Yield (child, is_new_prime) for the walk's children of node, in walk
+    order: the deepened last prime while still deficient (pndn), then every
+    new prime above max(center, last prime); the caller stops the primes."""
+    last = node.factors[-1] if node.factors else (1, 0)
+    if general and node.factors:
+        deeper = Factorization(node.factors[:-1] + ((last[0], last[1] + 1),))
+        if deficiency(deeper) > 0:
+            yield deeper, False
+    start = max(center(node), last[0], 2 if odd_only else 0)
+    for p in iter_primes_above(start):
+        yield Factorization(node.factors + ((p, 1),)), True
+
+
+def test_shard_children_partition_the_count():
+    # seeded counts of a node's children, through the first barren new
+    # prime, add up to the node's own count: shard totals can be summed
+    for general in (True, False):
+        count = pndn_count if general else sfpan_count
+        for seed, odd_only in ((1, False), (1, True), ("2", False), ("3", False)):
+            node = Factorization.coerce(seed)
+            whole = count(6, node, odd_only=odd_only)
+            ca = cp = 0
+            shards = 0
+            for child, new_prime in walk_children(general, node, odd_only):
+                part = count(6, child)
+                ca += part.count_abundant
+                cp += part.count_perfect
+                shards += 1
+                barren = not part.found if general else part.count_abundant == 0
+                if new_prime and barren:
+                    break
+            assert shards > 1
+            assert (ca, cp) == (whole.count_abundant, whole.count_perfect)

@@ -216,6 +216,10 @@ def test_search_config_validation():
         pwn_search_squarefree(SearchConfig(seed=F("2^2"), k=1, amplitude=2))
     with pytest.raises(ValueError):
         pwn_search_general(SearchConfig(seed=F("2^2"), k=2, amplitude=2))
+    # the strict bound is a square-free leaf rule; the general search has none
+    with pytest.raises(ValueError):
+        pwn_search_general(SearchConfig(seed=F("2^2"), k=4, amplitude=2,
+                                        strict_sigma_bound=True))
 
 
 def test_squarefree_blocks_match_catalog():
