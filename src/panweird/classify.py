@@ -71,15 +71,7 @@ def classify_coprime_extension(m: Factorization, p: int, e: int = 1) -> NumberCl
 
 def classify_same_prime_extension(m: Factorization, p: int) -> NumberClass:
     """Class of m*p when p^alpha already divides m exactly."""
-    alpha = m.exponent_of(p)
-    if alpha == 0:
-        raise NotADivisor("%d does not divide %s" % (p, m))
-    d = deficiency(m)
-    if d <= 0:
-        raise NotDeficient("extensions start from a deficient number")
-    s = sigma(m)
-    # delta(m p) has the sign of sigma(m)/sigma(p^alpha) - d(m) p
-    return NumberClass.from_abundance(s // sigma_prime_power(p, alpha) - d * p)
+    return extend_primitive_same(m, p).number_class
 
 
 def max_reduced_center(s: int, d: int, sigpps) -> tuple[int, int]:
@@ -124,9 +116,22 @@ def primitivity_lower_bound(m: Factorization) -> Fraction:
     return Fraction(*max_reduced_center(sigma(m), d, sigpps))
 
 
-def _clears_lower_bound(m: Factorization, num: int, den: int, skip: int | None) -> bool:
-    """Whether num/den > center(m/q) for every prime divisor q != skip."""
-    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors if q != skip]
+def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int, bool]:
+    """Abundance of m*p and its primitivity, for p^alpha exactly dividing m.
+
+    m is deficient with sigma(m) = s and deficiency d, spp = sigma(p^alpha),
+    and others holds sigma(q^beta) of every other prime power of m.  Then
+    delta = s/spp - p*d is the exact abundance of m*p, so
+    sigma(m*p) = 2*m*p + delta.  m*p is primitive when it is non-deficient
+    and p*sigma(p^alpha) clears every center(m/q), q != p.
+    """
+    delta = s // spp - p * d
+    return delta, delta >= 0 and clears_reduced_centers(p * spp, 1, s, d, others)
+
+
+def _clears_lower_bound(m: Factorization, num: int, den: int) -> bool:
+    """Whether num/den > center(m/q) for every prime divisor q."""
+    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors]
     return clears_reduced_centers(num, den, sigma(m), deficiency(m), sigpps)
 
 
@@ -145,7 +150,7 @@ def extend_primitive_coprime(m: Factorization, p: int, e: int = 1) -> ExtensionV
         return ExtensionVerdict(cls, True)
     num = p**e
     den = sigma_prime_power(p, e - 1)
-    if not _clears_lower_bound(m, num, den, None):
+    if not _clears_lower_bound(m, num, den):
         return ExtensionVerdict(cls, False)
     if e > 1:
         # the e-1 prefix must still be deficient
@@ -157,16 +162,16 @@ def extend_primitive_coprime(m: Factorization, p: int, e: int = 1) -> ExtensionV
 
 def extend_primitive_same(m: Factorization, p: int) -> ExtensionVerdict:
     """Class and primitivity of m*p when p already divides m."""
-    cls = classify_same_prime_extension(m, p)
-    if cls is NumberClass.DEFICIENT:
-        return ExtensionVerdict(cls, False)
-    if cls is NumberClass.PERFECT:
-        return ExtensionVerdict(cls, True)
     alpha = m.exponent_of(p)
-    lhs = p * sigma_prime_power(p, alpha)
-    if not _clears_lower_bound(m, lhs, 1, p):
-        return ExtensionVerdict(cls, False)
-    return ExtensionVerdict(cls, True)
+    if alpha == 0:
+        raise NotADivisor("%d does not divide %s" % (p, m))
+    d = deficiency(m)
+    if d <= 0:
+        raise NotDeficient("extensions start from a deficient number")
+    others = [sigma_prime_power(q, beta) for q, beta in m.factors if q != p]
+    delta, primitive = same_prime_extension(
+        sigma(m), d, p, sigma_prime_power(p, alpha), others)
+    return ExtensionVerdict(NumberClass.from_abundance(delta), primitive)
 
 
 def is_primitive_nondeficient_oracle(f: Factorization) -> bool:

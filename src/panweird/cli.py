@@ -342,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--odd", action="store_true", help="skip 2 at the first level")
     p_enum.add_argument("--include-perfect", action="store_true",
                         help="emit perfect completions too (pndn)")
-    p_enum.add_argument("--count-only", action="store_true", help="totals, no records")
-    p_enum.add_argument("--out", default=None, help="record file, '-' for stdout")
+    enum_output = p_enum.add_mutually_exclusive_group()
+    enum_output.add_argument("--count-only", action="store_true", help="totals, no records")
+    enum_output.add_argument("--out", default=None, help="record file, '-' for stdout")
     p_enum.add_argument("--ceiling", type=int, default=_DEFAULT_CEILING,
                         help="largest allowed bound x of a leaf's prime count pi(x), "
                              "from 1 to %d" % PI_BOUND)

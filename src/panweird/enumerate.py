@@ -10,8 +10,9 @@ or reports no completion at all (pndn).  Leaves take one final prime up to
 center(m), above the primitivity lower bound, so every emitted number is
 primitive: removing any single prime leaves a deficient number.
 
-Counting mode replaces each leaf loop with a prime-interval count, so the
-totals come out without touching individual numbers.
+A leaf's totals always come from prime counts over its interval [lo, upper],
+so they come out without touching individual numbers; a record sink only
+adds the loop that lists the interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -19,7 +20,9 @@ run disjoint seed shards as separate processes and add up their totals.
 The recursion state is kept in plain integers: value, sigma, the factor
 stack and sigma of each prime power.  Every predicate is decided by integer
 cross-multiplication; note delta(m*p) = sigma(m) - p*deficiency(m) for a new
-prime p, which makes the leaf trichotomy a single multiply.
+prime p, which makes the leaf trichotomy a single multiply.  When p already
+divides m, classify.same_prime_extension decides both the class and the
+primitivity of m*p.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
-from .classify import NumberClass, clears_reduced_centers, first_above_reduced_centers
+from .classify import NumberClass, first_above_reduced_centers, same_prime_extension
 from .errors import CeilingExceeded, NotDeficient
 from .primes import (
     _DEFAULT_CEILING,
@@ -58,11 +61,13 @@ class EnumRecord:
 
 @dataclass
 class EnumOutcome:
-    """Totals of one run; found mirrors the recursion's stopping signal.
+    """Totals of one run.
 
     found is true when some completion with the requested factor count
-    exists, primitive or not; it is what interior levels use to decide
-    that larger sibling primes cannot work either.
+    exists, primitive or not.  It is the pndn stop signal: an interior pndn
+    scan stops at the first new prime whose subtree has none.  sfpan stops
+    on count_abundant == 0 instead, the subtree having no primitive
+    completion.
     """
 
     count_abundant: int = 0
@@ -70,82 +75,60 @@ class EnumOutcome:
     found: bool = False
 
 
-def _leaf(general, v, s, factors, sigpps, emit, include_perfect, ceiling):
-    """Final level: close with one new prime up to center(m) (pndn) or
-    strictly below it (sfpan), or, in pndn, with the last prime once more."""
+def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
+          start_floor, ceiling):
+    """One level.  The leaf (k == 1) closes with one new prime in [lo, upper]
+    and, in pndn, with the last prime once more; an interior level deepens
+    the last prime (pndn) and then scans new primes above center(m)."""
     d = 2 * v - s
     ca = cp = 0
     found = False
     pr = factors[-1][0] if factors else 1
-    # largest integer p with p <= center(m), or p < center(m) for sfpan
-    upper = s // d if general else (s - 1) // d
-    if upper > ceiling:
-        raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
-    if upper > pr:
-        n_all = count_in_closed(pr + 1, upper)
-        if n_all:
-            found = True
-        lo = pr + 1
-        if factors:
-            # for sfpan, binding only when the stack carries prime powers (seeded runs)
-            lb = first_above_reduced_centers(s, d, sigpps)
-            if lb > lo:
-                lo = lb
-        if lo <= upper:
-            if emit is None:
-                n = n_all - count_in_closed(pr + 1, lo - 1)
+    if k == 1:
+        # largest integer p with p <= center(m), or p < center(m) for sfpan
+        upper = s // d if general else (s - 1) // d
+        if upper > ceiling:
+            raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
+        if upper > pr:
+            n_all = count_in_closed(pr + 1, upper)
+            found = n_all > 0
+            lo = pr + 1
+            if factors:
+                # for sfpan, binding only when the stack carries prime powers (seeded runs)
+                lb = first_above_reduced_centers(s, d, sigpps)
+                if lb > lo:
+                    lo = lb
+            if lo <= upper:
+                ca = n_all - count_in_closed(pr + 1, lo - 1)
                 # never true for sfpan, whose upper sits strictly below the center
-                if n and upper * d == s and is_prime(upper):
-                    cp += 1  # the completion sitting exactly at the center
-                    ca += n - 1
-                else:
-                    ca += n
-            else:
-                base = tuple((q, e) for q, e in factors)
-                for p in primes_in_closed(lo, upper):
-                    delta = s - p * d
-                    if delta > 0:
-                        ca += 1
-                        emit(base + ((p, 1),), delta)
-                    else:
-                        cp += 1
-                        if include_perfect:
-                            emit(base + ((p, 1),), 0)
+                if ca and upper * d == s and is_prime(upper):
+                    ca -= 1
+                    cp = 1  # the completion sitting exactly at the center
+                if emit is not None:
+                    base = tuple((q, e) for q, e in factors)
+                    for p in primes_in_closed(lo, upper):
+                        delta = s - p * d
+                        if delta > 0 or include_perfect:
+                            emit(base + ((p, 1),), delta)
     if general and factors:
         p, e = factors[-1]
         spp = sigpps[-1]
-        q = s // spp
-        delta = q - p * d  # abundance of m*p when p already divides m
-        if delta >= 0:
-            found = True
-            if clears_reduced_centers(p * spp, 1, s, d, sigpps[:-1]):
+        delta, primitive = same_prime_extension(s, d, p, spp, sigpps[:-1])
+        if k == 1:
+            found |= delta >= 0
+            if primitive:
                 if delta > 0:
                     ca += 1
                 else:
                     cp += 1
                 if emit is not None and (delta > 0 or include_perfect):
-                    emit(tuple((x, y) for x, y in factors[:-1]) + ((p, e + 1),), delta)
-    return ca, cp, found
-
-
-def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-          start_floor, ceiling):
-    """Interior level: deepen the last prime (pndn) and scan new primes."""
-    if k == 1:
-        return _leaf(general, v, s, factors, sigpps, emit, include_perfect, ceiling)
-    d = 2 * v - s
-    ca = cp = 0
-    found = False
-    if general and factors:
-        p, e = factors[-1]
-        spp = sigpps[-1]
-        q = s // spp
-        if p * d > q:  # m*p stays deficient; perfect or abundant would be sterile
+                    emit(tuple((q, f) for q, f in factors[:-1]) + ((p, e + 1),), delta)
+        elif delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
             nspp = spp * p + 1
             factors[-1][1] = e + 1
             sigpps[-1] = nspp
             sca, scp, sfound = _walk(
-                general, k - 1, v * p, q * nspp, factors, sigpps,
+                general, k - 1, v * p, 2 * v * p + delta, factors, sigpps,
                 emit, include_perfect, on_stop, 0, ceiling,
             )
             factors[-1][1] = e
@@ -153,12 +136,9 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             ca += sca
             cp += scp
             found |= sfound
-    pr = factors[-1][0] if factors else 1
-    start = s // d  # primes strictly above this are strictly above center(m)
-    if pr > start:
-        start = pr
-    if start_floor > start:
-        start = start_floor
+    if k == 1:
+        return ca, cp, found
+    start = max(s // d, pr, start_floor)  # primes above s // d are above center(m)
     for p in iter_primes_above(start):
         factors.append([p, 1])
         sigpps.append(p + 1)

@@ -358,13 +358,6 @@ def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
     return x if is_prime(x, policy) else None
 
 
-def count_primes_in_open_interval(a, b, *, ceiling: int = _DEFAULT_CEILING) -> int:
-    """Number of primes p with a < p < b; both endpoints excluded."""
-    if b > ceiling:
-        raise CeilingExceeded("upper endpoint %s above ceiling %d" % (b, ceiling))
-    return count_in_closed(int_gt(a), int_lt(b))
-
-
 def iter_primes_above(x, policy: PrimalityPolicy | None = None):
     """Yield primes strictly greater than x in increasing order, forever."""
     p = int_gt(x) - 1

@@ -33,7 +33,7 @@ from .arith import (
     sigma,
     sigma_prime_power,
 )
-from .classify import clears_reduced_centers
+from .classify import clears_reduced_centers, same_prime_extension
 from .errors import (
     InvalidSequence,
     NoSuchPrime,
@@ -343,17 +343,15 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
         if general and pairs:
             p, e = pairs[-1]
             spp = sigpps[-1]
-            q = s // spp
+            delta, primitive = same_prime_extension(s, d, p, spp, sigpps[:-1])
             deeper = pairs[:-1] + ((p, e + 1),)
             deeper_entries = entries[:-1] + [(entries[-1][0], entries[-1][1] + 1)]
             if left == 1:
-                delta = q - p * d
-                if delta > 0 and clears_reduced_centers(p * spp, 1, s, d, sigpps[:-1]):
+                if delta > 0 and primitive:
                     emit(deeper, v * p, delta, deeper_entries)
-            elif p * d > q:  # still deficient with one more p
-                nspp = spp * p + 1
-                rec(left - 1, v * p, q * nspp, deeper, sigpps[:-1] + [nspp],
-                    deeper_entries)
+            elif delta < 0:  # still deficient with one more p
+                rec(left - 1, v * p, 2 * v * p + delta, deeper,
+                    sigpps[:-1] + [spp * p + 1], deeper_entries)
         p = None
         for j in range(1, a + 1):
             if left > 1:

@@ -177,6 +177,10 @@ def test_extension_verdict_examples():
         ExtensionVerdict(NumberClass.ABUNDANT, True)
     assert extend_primitive_same(F("2*5*13*61*67"), 61) == \
         ExtensionVerdict(NumberClass.ABUNDANT, True)
+    # perfect same-prime extensions: 2^2*7, 2^4*31 and 2^6*127
+    for m in ("2*7", "2^3*31", "2^5*127"):
+        assert extend_primitive_same(F(m), 2) == \
+            ExtensionVerdict(NumberClass.PERFECT, True)
 
 
 def test_multiple_of_a_perfect_number_is_not_primitive():

@@ -155,6 +155,16 @@ def test_weird_search_squares_excludes_strict_sigma_bound(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_count_only_excludes_out(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--mode", "pndn", "--k", "3", "--count-only",
+              "--out", str(out)])
+    assert err.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weird_check(capsys):
     for text, expect in [
         ("2*5*7", "abundant, weird, Δ=4"),

@@ -91,23 +91,35 @@ def test_enumeration_matches_census():
             assert {n for n in got if n < limit} == sf_buckets.get(k, set())
 
 
+def _check_twins(extra, seed=None, **kw):
+    # the per-class record tallies check the leaf's prime counts
+    f = F(seed or "1")
+    k = f.big_omega + extra
+    records, outcome = collect(pndn, k, seed=seed, include_perfect=True, **kw)
+    counted = pndn_count(k, seed=seed, **kw)
+    assert counted == outcome
+    assert counted.count_abundant == sum(
+        1 for r in records if r.number_class is NumberClass.ABUNDANT
+    )
+    assert counted.count_perfect == sum(
+        1 for r in records if r.number_class is NumberClass.PERFECT
+    )
+    k = f.omega + extra
+    srecords, soutcome = collect(sfpan, k, seed=seed, **kw)
+    scounted = sfpan_count(k, seed=seed, **kw)
+    assert scounted == soutcome
+    assert scounted.count_abundant == len(srecords)
+    assert scounted.count_perfect == 0
+
+
 def test_counting_twin_matches_enumeration():
-    for k in range(1, 6):
+    for k in range(1, 7):
         for odd in (False, True):
-            records, outcome = collect(pndn, k, include_perfect=True, odd_only=odd)
-            counted = pndn_count(k, odd_only=odd)
-            assert counted == outcome
-            assert counted.count_abundant == sum(
-                1 for r in records if r.number_class is NumberClass.ABUNDANT
-            )
-            assert counted.count_perfect == sum(
-                1 for r in records if r.number_class is NumberClass.PERFECT
-            )
-            srecords, soutcome = collect(sfpan, k, odd_only=odd)
-            scounted = sfpan_count(k, odd_only=odd)
-            assert scounted == soutcome
-            assert scounted.count_abundant == len(srecords)
-            assert scounted.count_perfect == 0
+            _check_twins(k, odd_only=odd)
+    # seeded walks on which the leaf's primitivity lower bound cuts the
+    # interval: pndn for every seed, sfpan for 3^3
+    for seed, extra in (("2^3", 3), ("3^2", 4), ("2^2*13", 3), ("3^3", 4)):
+        _check_twins(extra, seed)
 
 
 def test_record_invariants():
