@@ -52,6 +52,14 @@ class Factorization:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, pairs: tuple) -> "Factorization":
+        """Wrap a tuple of (prime, exponent) int pairs that the walk or the
+        search built itself, skipping the checks of the public constructor."""
+        f = object.__new__(cls)
+        f.factors = pairs
+        return f
+
+    @classmethod
     def from_int(cls, n: int) -> "Factorization":
         """Factor a plain integer; supported up to 2^64 as a convenience."""
         if n < 1:

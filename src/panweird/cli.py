@@ -100,36 +100,26 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
+# Record lines are filled into fixed templates instead of going through
+# json.dumps: no field can need escaping (digits, '*', '^', '[', ']', ',',
+# '-', spaces and the class names), and the key order is the format.
+_ENUM_LINE = ('{"factorization":"%s","class":"%s","delta":"%d","omega":%d,'
+              '"big_omega":%d,"digits":%d}')
+_PWN_LINE = ('{"factorization":"%s","index_sequence":"%s","class":"abundant",'
+             '"delta":"%d","omega":%d,"big_omega":%d,"digits":%d,"certified":%s}')
+
+
 def _enum_record_line(rec) -> str:
     f = rec.factorization
-    return json.dumps(
-        {
-            "factorization": str(f),
-            "class": rec.number_class.value,
-            "delta": str(rec.abundance),
-            "omega": f.omega,
-            "big_omega": f.big_omega,
-            "digits": digits10(f.value),
-        },
-        separators=(",", ":"),
-    )
+    return _ENUM_LINE % (f, rec.number_class.value, rec.abundance,
+                         f.omega, f.big_omega, digits10(f.value))
 
 
 def _pwn_record_line(rec) -> str:
     f = rec.factorization
-    return json.dumps(
-        {
-            "factorization": str(f),
-            "index_sequence": str(rec.index_sequence),
-            "class": "abundant",
-            "delta": str(rec.abundance),
-            "omega": f.omega,
-            "big_omega": f.big_omega,
-            "digits": rec.digits,
-            "certified": rec.certified,
-        },
-        separators=(",", ":"),
-    )
+    return _PWN_LINE % (f, rec.index_sequence, rec.abundance, f.omega,
+                        f.big_omega, rec.digits,
+                        "true" if rec.certified else "false")
 
 
 class _Output:

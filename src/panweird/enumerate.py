@@ -180,7 +180,7 @@ def _prepare(seed, k):
 def _record_emitter(sink):
     def emit(pairs, delta):
         sink(EnumRecord(
-            Factorization(pairs),
+            Factorization._trusted(pairs),
             NumberClass.ABUNDANT if delta > 0 else NumberClass.PERFECT,
             delta,
         ))

@@ -109,6 +109,20 @@ def test_enumerate_record_files_are_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_weird_search_record_files_are_pinned(tmp_path):
+    # sha256 of the two reference search record files: the weirdness test,
+    # the search order and the line format all show up here
+    for argv, digest in (
+        (["--seed", "2^3", "--k", "6", "--amplitude", "6"],
+         "47bc666dcf5daa2f92842da0344420d1f75109c4d1a0c73637be865904e46a47"),
+        (["--seed", "2", "--k", "7", "--amplitude", "4", "--squares"],
+         "d7e78b0e56cf9dcd9ff75f834d7da8be04132a7d14cf554b6f041689870fd4cb"),
+    ):
+        out = tmp_path / "pwn.jsonl"
+        assert main(["weird", "search", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_sfpan_include_perfect_is_rejected_before_any_output(tmp_path, capsys):
     out = tmp_path / "sf.jsonl"
     assert main(["enumerate", "--mode", "sfpan", "--k", "3",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import panweird.weird as weird
 from panweird import (
     Factorization,
     IndexSequence,
@@ -106,6 +107,74 @@ def test_subset_sums_large_targets_use_branch_and_bound():
     assert not subset_sums_to([], 5)
     assert subset_sums_to([1 << 25, 1], (1 << 25) + 1)
     assert not subset_sums_to([1 << 25, 2], (1 << 25) + 1)
+
+
+def _all_subset_sums(vals):
+    sums = {0}
+    for v in vals:
+        sums |= {a + v for a in sums}
+    return sums
+
+
+def _budget_spent(vals, target):
+    desc = sorted((v for v in vals if v <= target), reverse=True)
+    return weird._descend(desc, target, weird._NODE_BUDGET) is None
+
+
+def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
+    # every call the two smoke searches make, replayed with the bitset
+    # deciding each target after 0 or 1 popped nodes
+    calls = []
+    exact = weird.subset_sums_to
+
+    def record(values, target):
+        answer = exact(values, target)
+        calls.append((list(values), target, answer))
+        return answer
+
+    monkeypatch.setattr(weird, "subset_sums_to", record)
+    run_squarefree("2^3", 5, 6)
+    run_general("2", 5, 4)
+    monkeypatch.undo()
+    answers = [answer for _, _, answer in calls]
+    assert len(calls) > 1000 and True in answers and False in answers
+    for budget in (0, 1):
+        monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
+        assert [subset_sums_to(v, t) for v, t, _ in calls] == answers
+
+
+def test_subset_sums_budget_spent_without_a_sum_is_false():
+    # only even values and an odd target: no witness exists, and the
+    # search cannot prove that within the budget
+    evens = list(range(2, 82, 2))
+    assert sum(evens) >= 801 and 801 <= weird._BITSET_LIMIT
+    assert _budget_spent(evens, 801)
+    assert not subset_sums_to(evens, 801)
+
+
+def test_subset_sums_budget_spent_with_a_sum_is_true():
+    # the odd value is the largest, so the search takes it first and then
+    # looks for an odd rest among even values; the sum exists without it
+    vals = list(range(2, 82, 2)) + [101]
+    assert _budget_spent(vals, 800)
+    assert subset_sums_to(vals, 800)
+
+
+def test_subset_sums_random_lists_against_set_sweep(monkeypatch):
+    rng = random.Random(0x5E7)
+    cases = []
+    for _ in range(50):
+        vals = rng.sample(range(1, 1000), rng.randrange(20, 31))
+        sums = _all_subset_sums(vals)
+        total = sum(vals)
+        cases.append((vals, rng.choice(sorted(sums)), True))
+        cases += [(vals, t, t in sums)
+                  for t in (rng.randrange(0, total + 50), total, total + 1)]
+    assert False in [want for _, _, want in cases]
+    for budget in (weird._NODE_BUDGET, 0):
+        monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
+        for vals, target, want in cases:
+            assert subset_sums_to(vals, target) == want
 
 
 def test_is_weird_known_cases():
