@@ -12,7 +12,15 @@ primitive: removing any single prime leaves a deficient number.
 
 A leaf's totals always come from prime counts over its interval [lo, upper],
 so they come out without touching individual numbers; a record sink only
-adds the loop that lists the interval's primes.
+adds the loop that lists the interval's primes.  A leaf parent (two factors
+left) closes its new-prime children in rows of consecutive primes.  A new
+prime above 2*sigma(m)/deficiency(m) always closes a barren leaf, so the
+scan stops by then and the rows end there.  One searchsorted call on the
+prime table answers pi(p), pi(lo - 1) and pi(upper) for every leaf of a row
+whose upper lies in the table; a leaf whose upper lies past it still counts
+with count_in_closed (Lucy's pi), once the in-order scan reaches it, so a
+row neither counts nor raises past the scan's stop.  A lone leaf (the
+deepened last prime, or a seed with one factor left) is a row of one.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -28,6 +36,7 @@ primitivity of m*p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
 from .classify import NumberClass, first_above_reduced_centers, same_prime_extension
@@ -38,6 +47,7 @@ from .primes import (
     count_in_closed,
     is_prime,
     iter_primes_above,
+    prime_table,
     primes_in_closed,
 )
 
@@ -75,55 +85,107 @@ class EnumOutcome:
     found: bool = False
 
 
+_ROW = 256  # leaves per row at most, to bound its memory; most leaf parents fit in one
+
+
+def _close_row(general, prefix, e, others, row, emit, include_perfect, ceiling):
+    """Close a row of sibling leaves in order, through the first barren one.
+
+    Leaf i is m = prefix * p^e with (p, s, d, spp) = row[i]: sigma(m) = s,
+    deficiency d and sigma(p^e) = spp; others holds sigma of each prime
+    power of prefix.  A leaf closes with one new prime in [lo, upper] and,
+    in pndn, with p once more.  Returns the row's (ca, cp, found) and the p
+    of its barren leaf, or None.
+    """
+    omax = max(others, default=0)
+    limit, table = prime_table()
+    leaves = []
+    query = []
+    for p, s, d, spp in row:
+        # largest integer q with q <= center(m), or q < center(m) for sfpan
+        upper = s // d if general else (s - 1) // d
+        lo = p + 1
+        if upper > p:
+            # only the largest sigma(q^alpha) matters; for sfpan the bound binds
+            # only when the stack carries prime powers (seeded runs)
+            lb = first_above_reduced_centers(s, d, (omax, spp))
+            if lb > lo:
+                lo = lb
+            if upper <= limit:
+                # pi(p), pi(lo - 1) and pi(upper); an empty [lo, upper] counts 0
+                query += (p, lo - 1 if lo <= upper else upper, upper)
+        leaves.append((p, s, d, spp, upper, lo))
+    counts = iter(table.searchsorted(query, side="right").reshape(-1, 3).tolist())
+    base = None if emit is None else tuple((q, f) for q, f in prefix)
+    ca = cp = 0
+    found = False
+    for p, s, d, spp, upper, lo in leaves:
+        if upper > ceiling:
+            raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
+        lca = lcp = 0
+        lfound = False
+        if upper > p:
+            if upper <= limit:
+                pi_p, pi_lo, pi_upper = next(counts)
+                lfound = pi_upper > pi_p
+                lca = pi_upper - pi_lo
+            else:
+                n_all = count_in_closed(p + 1, upper)
+                lfound = n_all > 0
+                if lo <= upper:
+                    lca = n_all - count_in_closed(p + 1, lo - 1)
+            # never true for sfpan, whose upper sits strictly below the center
+            if lca and upper * d == s and is_prime(upper):
+                lca -= 1
+                lcp = 1  # the completion sitting exactly at the center
+            if emit is not None and lo <= upper:
+                leaf = base + ((p, e),)
+                for q in primes_in_closed(lo, upper):
+                    delta = s - q * d
+                    if delta > 0 or include_perfect:
+                        emit(leaf + ((q, 1),), delta)
+        if general:
+            delta, primitive = same_prime_extension(s, d, p, spp, others)
+            lfound |= delta >= 0
+            if primitive:
+                if delta > 0:
+                    lca += 1
+                else:
+                    lcp += 1
+                if emit is not None and (delta > 0 or include_perfect):
+                    emit(base + ((p, e + 1),), delta)
+        ca += lca
+        cp += lcp
+        found |= lfound
+        if not lfound if general else lca == 0:
+            return ca, cp, found, p
+    return ca, cp, found, None
+
+
 def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
           start_floor, ceiling):
-    """One level.  The leaf (k == 1) closes with one new prime in [lo, upper]
-    and, in pndn, with the last prime once more; an interior level deepens
-    the last prime (pndn) and then scans new primes above center(m)."""
+    """One level.  A leaf (k == 1) is a row of one; any other level deepens
+    the last prime (pndn) and then scans new primes above center(m) up to
+    the first barren subtree.  At k == 2 those subtrees are leaves, closed
+    in rows."""
     d = 2 * v - s
+    if k == 1:
+        if not factors:
+            return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
+        p, e = factors[-1]
+        ca, cp, found, _ = _close_row(
+            general, factors[:-1], e, sigpps[:-1], [(p, s, d, sigpps[-1])],
+            emit, include_perfect, ceiling,
+        )
+        return ca, cp, found
     ca = cp = 0
     found = False
     pr = factors[-1][0] if factors else 1
-    if k == 1:
-        # largest integer p with p <= center(m), or p < center(m) for sfpan
-        upper = s // d if general else (s - 1) // d
-        if upper > ceiling:
-            raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
-        if upper > pr:
-            n_all = count_in_closed(pr + 1, upper)
-            found = n_all > 0
-            lo = pr + 1
-            if factors:
-                # for sfpan, binding only when the stack carries prime powers (seeded runs)
-                lb = first_above_reduced_centers(s, d, sigpps)
-                if lb > lo:
-                    lo = lb
-            if lo <= upper:
-                ca = n_all - count_in_closed(pr + 1, lo - 1)
-                # never true for sfpan, whose upper sits strictly below the center
-                if ca and upper * d == s and is_prime(upper):
-                    ca -= 1
-                    cp = 1  # the completion sitting exactly at the center
-                if emit is not None:
-                    base = tuple((q, e) for q, e in factors)
-                    for p in primes_in_closed(lo, upper):
-                        delta = s - p * d
-                        if delta > 0 or include_perfect:
-                            emit(base + ((p, 1),), delta)
     if general and factors:
         p, e = factors[-1]
         spp = sigpps[-1]
-        delta, primitive = same_prime_extension(s, d, p, spp, sigpps[:-1])
-        if k == 1:
-            found |= delta >= 0
-            if primitive:
-                if delta > 0:
-                    ca += 1
-                else:
-                    cp += 1
-                if emit is not None and (delta > 0 or include_perfect):
-                    emit(tuple((q, f) for q, f in factors[:-1]) + ((p, e + 1),), delta)
-        elif delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
+        delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
+        if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
             nspp = spp * p + 1
             factors[-1][1] = e + 1
             sigpps[-1] = nspp
@@ -136,26 +198,42 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             ca += sca
             cp += scp
             found |= sfound
-    if k == 1:
-        return ca, cp, found
     start = max(s // d, pr, start_floor)  # primes above s // d are above center(m)
-    for p in iter_primes_above(start):
-        factors.append([p, 1])
-        sigpps.append(p + 1)
-        sca, scp, sfound = _walk(
-            general, k - 1, v * p, s * (p + 1), factors, sigpps,
-            emit, include_perfect, on_stop, 0, ceiling,
-        )
-        factors.pop()
-        sigpps.pop()
-        ca += sca
-        cp += scp
-        found |= sfound
-        barren = not sfound if general else sca == 0
-        if barren:
-            if on_stop is not None:
-                on_stop(tuple((q, e) for q, e in factors), p, k)
-            break
+    primes = iter_primes_above(start)
+    stop = None  # the first prime whose subtree is barren
+    if k == 2:
+        # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
+        # leaf is barren: the last row ends at the first such prime at the latest.
+        bound = 2 * s // d
+        while stop is None:
+            row = []
+            for p in islice(primes, _ROW):
+                row.append((p, s * (p + 1), p * d - s, p + 1))
+                if p > bound:
+                    break
+            sca, scp, sfound, stop = _close_row(
+                general, factors, 1, sigpps, row, emit, include_perfect, ceiling)
+            ca += sca
+            cp += scp
+            found |= sfound
+    else:
+        for p in primes:
+            factors.append([p, 1])
+            sigpps.append(p + 1)
+            sca, scp, sfound = _walk(
+                general, k - 1, v * p, s * (p + 1), factors, sigpps,
+                emit, include_perfect, on_stop, 0, ceiling,
+            )
+            factors.pop()
+            sigpps.pop()
+            ca += sca
+            cp += scp
+            found |= sfound
+            if not sfound if general else sca == 0:
+                stop = p
+                break
+    if on_stop is not None:
+        on_stop(tuple((q, e) for q, e in factors), stop, k)
     return ca, cp, found
 
 

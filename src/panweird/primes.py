@@ -186,6 +186,15 @@ def _table(n: int) -> tuple[int, np.ndarray]:
         return _state
 
 
+def prime_table() -> tuple[int, np.ndarray]:
+    """The (limit, primes) pair as it stands, not grown.
+
+    For x <= limit, prime_pi(x) is table.searchsorted(x, side="right"), so a
+    caller with many bounds answers them in one call.
+    """
+    return _state
+
+
 def prime_pi(x: int) -> int:
     """Number of primes <= x: a table lookup, or Lucy's recurrence past it."""
     if x < 2:

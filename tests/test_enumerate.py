@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from panweird import (
@@ -197,6 +199,41 @@ def test_ceiling_guards_leaf_scans():
     for ceiling in (0, -1, PI_BOUND + 1, 1e10, None):
         with pytest.raises(ValueError):
             pndn_count(4, ceiling=ceiling)
+
+
+def test_reference_shard_reaches_past_the_table():
+    # the benchmark's count-k7 shard: some of its leaf bounds lie past the
+    # 2^26 prime table, so those leaves count through Lucy's pi(x)
+    assert pndn_count(7, seed="2^2*13*17") == EnumOutcome(569_229_409, 0, True)
+
+
+def test_leaves_past_the_table_cap_hit_the_ceiling():
+    # the new primes of 2^25 lie past the table cap, stepped one by one, and
+    # the first of their leaves has a bound above the default ceiling
+    with pytest.raises(CeilingExceeded, match="leaf bound 281475039625215 "):
+        pndn_count(27, seed="2^25")
+    with pytest.raises(CeilingExceeded, match="leaf bound 281475039625214 "):
+        sfpan_count(3, seed="2^25")
+
+
+def test_stop_events_and_ceilings_are_pinned():
+    # sha256 of the on_stop events of k = 3..5, plain and odd, and the
+    # smallest ceiling a k = 5 run passes: a scan stops, and may raise,
+    # only at the leaves it reaches one by one
+    def digest(run):
+        events = []
+        for k in (3, 4, 5):
+            for odd in (False, True):
+                run(k, odd_only=odd,
+                    on_stop=lambda prefix, p, j: events.append((k, odd, prefix, p, j)))
+        return hashlib.sha256(repr(events).encode()).hexdigest()
+
+    assert digest(pndn) == "064c6fea86b63d6b3bb7b847faeceed425bf5d489e1a787342d1e98cb28032e8"
+    assert digest(sfpan) == "22da1e9a393f533910b72e0ab36b61d843525a8f2cece8db706b3e4945e6ea20"
+    for count, ceiling in ((pndn_count, 648), (sfpan_count, 647)):
+        assert count(5, ceiling=ceiling).count_abundant > 0
+        with pytest.raises(CeilingExceeded):
+            count(5, ceiling=ceiling - 1)
 
 
 def test_interior_stops_are_safe():
