@@ -6,12 +6,14 @@ is resolved once, by integer conversion: the smallest integer > a is
 floor(a)+1, the largest integer < b is ceil(b)-1.
 
 The primes up to a limit form one sorted int64 numpy array, the table, grown
-(up to 2^26) by sieving only the new range with one odd-only sieve.
-prime_pi(x) looks x up in the table; past it, nothing is sieved: pi(x) comes
-from Lucy_Hedgehog's recurrence over the table's primes up to isqrt(x), in
-O(x^(3/4)) time and O(sqrt(x)) memory, for x up to PI_BOUND.  A count over
-[lo, hi] is prime_pi(hi) - prime_pi(lo - 1).  Only Python ints leave the
-table.
+(up to 2^26) by sieving only the new range with one odd-only sieve.  Only
+counting grows it: prime_pi(x) looks x up in the table; past it, nothing is
+sieved: pi(x) comes from Lucy_Hedgehog's recurrence over the table's primes
+up to isqrt(x), in O(x^(3/4)) time and O(sqrt(x)) memory, for x up to
+PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
+Stepping (next_prime, kth_prime_*, iter_primes_above) reads the table as it
+stands, grown at most to a small floor; past the table it steps with strong
+tests, exact below 2^64.  Only Python ints leave the table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 
@@ -141,7 +143,8 @@ def certified_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # The prime table: every prime up to a limit, in one sorted int64 array.
 
-_CACHE_CAP = 1 << 26  # the table stops growing here; past it, stepping goes MR
+_CACHE_CAP = 1 << 26  # the table stops growing here; past the table, stepping goes MR
+_TABLE_FLOOR = 1 << 16  # the table's least growth, and all that stepping asks of it
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
 # Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
 # (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
@@ -168,21 +171,33 @@ _state = (2, np.array([2], dtype=np.int64))  # (limit, every prime <= limit), sw
 
 
 def _table(n: int) -> tuple[int, np.ndarray]:
-    """The (limit, primes) pair, first grown (at least doubling) to min(n, cap)."""
+    """The (limit, primes) pair, first grown (at least doubling) to min(n, cap).
+
+    Growth sieves into one buffer sized by Rosser-Schoenfeld's
+    pi(x) < 1.25506 x / ln x; the table is its filled prefix, and the
+    untouched rest is never resident.
+    """
     global _state
     if n <= _state[0] or _state[0] >= _CACHE_CAP:
         return _state
     with _lock:
         limit, table = _state
-        target = min(max(n, 2 * limit, 1 << 16), _CACHE_CAP) if n > limit else limit
+        if n <= limit:
+            return _state
+        target = min(max(n, 2 * limit, _TABLE_FLOOR), _CACHE_CAP)
+        out = np.empty(int(1.25506 * target / log(target)) + 1, dtype=np.int64)
+        k = len(table)
+        out[:k] = table
         while limit < target:
             end = min(target, limit * limit)  # its sieving primes are all in the table
-            parts = [table]
             for lo in range(limit, end, _WINDOW):
-                mask = _sieve_primes(lo, min(lo + _WINDOW, end), table)
-                parts.append(((lo + 1) | 1) + 2 * np.flatnonzero(mask))
-            limit, table = end, np.concatenate(parts)
-        _state = limit, table
+                hits = np.flatnonzero(_sieve_primes(lo, min(lo + _WINDOW, end), out[:k]))
+                new = out[k : k + len(hits)]
+                np.multiply(hits, 2, out=new)
+                new += (lo + 1) | 1
+                k += len(hits)
+            limit = end
+        _state = limit, out[:k]
         return _state
 
 
@@ -308,19 +323,21 @@ def int_lt(x) -> int:
     return x.numerator // x.denominator
 
 
-def _index_above(n: int) -> tuple[np.ndarray, int]:
-    """(table, i): table[i] is the smallest prime > n, unless i == len(table)."""
-    _, table = _table(2 * n + 2)  # a prime lies in (n, 2n + 2] (Bertrand)
-    return table, int(table.searchsorted(max(n, 0), side="right"))
+def _index_above(n: int) -> tuple[np.ndarray, int, int]:
+    """(table, i, m), growing the table to its floor at most: the smallest
+    prime > n is table[i], or, when i == len(table), the smallest prime > m."""
+    limit, table = _table(_TABLE_FLOOR)
+    if n >= limit:
+        return table, len(table), n
+    return table, int(table.searchsorted(max(n, 0), side="right")), limit
 
 
 def next_prime(n: int, policy: PrimalityPolicy | None = None) -> int:
     """Smallest prime strictly greater than n."""
-    if n < _CACHE_CAP:
-        table, i = _index_above(n)
-        if i < len(table):
-            return int(table[i])
-    return _next_prime_step(n, policy)
+    table, i, m = _index_above(n)
+    if i < len(table):
+        return int(table[i])
+    return _next_prime_step(m, policy)
 
 
 def kth_prime_above(x, k: int, policy: PrimalityPolicy | None = None) -> int:
@@ -328,10 +345,11 @@ def kth_prime_above(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     p = int_gt(x) - 1
-    if p < _CACHE_CAP:
-        table, i = _index_above(p)
-        if i + k <= len(table):
-            return int(table[i + k - 1])
+    table, i, m = _index_above(p)
+    if i + k <= len(table):
+        return int(table[i + k - 1])
+    k -= len(table) - i  # the table's primes above p come first, then those above m
+    p = m
     for _ in range(k):
         p = next_prime(p, policy)
     return p
@@ -344,16 +362,18 @@ def kth_prime_below(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     hi = int_lt(x)
     if hi < 2:
         raise NoSuchPrime("no prime below %s" % (x,))
-    if hi <= _CACHE_CAP:
-        _, table = _table(hi)
-        i = int(table.searchsorted(hi, side="right"))
-        if i < k:
-            raise NoSuchPrime("fewer than %d primes below %s" % (k, x))
-        return int(table[i - k])
-    p = hi + 1
-    for _ in range(k):
+    limit, table = _table(_TABLE_FLOOR)
+    p = hi + 1  # the k-th prime below x is the k-th prime below p
+    left = k
+    while left and p > limit + 1:  # the table cannot rule out primes in [limit, p)
         p = _prev_prime_step(p, policy)
-    return p
+        left -= 1
+    if not left:
+        return p
+    i = int(table.searchsorted(p))  # the primes below p
+    if i < left:
+        raise NoSuchPrime("fewer than %d primes below %s" % (k, x))
+    return int(table[i - left])
 
 
 def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
@@ -368,18 +388,21 @@ def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
 
 
 def iter_primes_above(x, policy: PrimalityPolicy | None = None):
-    """Yield primes strictly greater than x in increasing order, forever."""
+    """Yield primes strictly greater than x in increasing order, forever.
+
+    The table is read afresh before each prime or chunk, so once a caller's
+    counting has grown it past the scan, the scan reads it again.
+    """
     p = int_gt(x) - 1
-    while p < _CACHE_CAP:
-        table, i = _index_above(p)
-        if i == len(table):
-            break
-        chunk = table[i : i + 64].tolist()
-        yield from chunk
-        p = chunk[-1]
     while True:
-        p = _next_prime_step(p, policy)
-        yield p
+        table, i, m = _index_above(p)
+        if i < len(table):
+            chunk = table[i : i + 64].tolist()
+            yield from chunk
+            p = chunk[-1]
+        else:
+            p = _next_prime_step(m, policy)
+            yield p
 
 
 def primes_in_closed(lo: int, hi: int) -> list[int]:

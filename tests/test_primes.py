@@ -21,7 +21,7 @@ from panweird import (
     prime_pi,
     primes_in_closed,
 )
-from panweird.primes import PI_BOUND, _CACHE_CAP, count_in_closed, int_gt, int_lt
+from panweird.primes import PI_BOUND, _CACHE_CAP, count_in_closed, int_gt, int_lt, prime_table
 
 from oracles import naive_is_prime
 
@@ -232,14 +232,18 @@ def test_prime_pi_refuses_past_its_bound_before_any_work(monkeypatch):
         count_in_closed(PI_BOUND + 1, PI_BOUND + 100)
 
 
+def _fresh_table(monkeypatch):
+    monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+
+
 def test_fresh_table_first_queried_past_the_cap(monkeypatch):
     want = _pi_answers()
     for first in (10**8 + 7, _CACHE_CAP + 1):
-        monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+        _fresh_table(monkeypatch)
         prime_pi(first)
         assert panweird.primes._state[0] == _CACHE_CAP
         assert _pi_answers() == want
-    monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+    _fresh_table(monkeypatch)
     assert count_in_closed(_CACHE_CAP + 1, _CACHE_CAP + 20000) == want[1][2]
 
 
@@ -254,3 +258,77 @@ def test_table_answers_are_python_ints():
     for _ in range(5):
         p = next_prime(p)
     assert kth_prime_above(10**6, 5) == p
+
+
+STEP_POINTS = (2**16 - 40, 2**16, 2**16 + 1, _CACHE_CAP - 40, _CACHE_CAP, _CACHE_CAP + 1,
+               10**12, 10**12 + 39)
+
+
+def _step_answers():
+    answers = []
+    for x in STEP_POINTS:
+        it = iter_primes_above(x)
+        answers.append((next_prime(x), kth_prime_above(x, 3),
+                        kth_prime_below(Fraction(2 * x + 1, 2), 2), [next(it) for _ in range(20)]))
+    return answers
+
+
+def test_stepping_is_independent_of_the_table(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    want = []
+    for x in STEP_POINTS:
+        above = [x]
+        for _ in range(20):
+            above.append(int(sympy.nextprime(above[-1])))
+        below = int(sympy.prevprime(sympy.prevprime(x + 1)))
+        want.append((above[1], above[3], below, above[1:]))
+    _fresh_table(monkeypatch)
+    assert _step_answers() == want
+    assert prime_table()[0] <= 1 << 16  # stepping grows the table to its floor at most
+    prime_pi(10**8)
+    assert prime_table()[0] == _CACHE_CAP
+    assert _step_answers() == want
+
+
+@pytest.mark.parametrize("order", [(3, 70_000, 2**20 + 1, _CACHE_CAP), (_CACHE_CAP,)])
+def test_table_grows_exactly(monkeypatch, order):
+    sympy = pytest.importorskip("sympy")
+    small = np.array(list(sympy.primerange(2, 10**6)), dtype=np.int64)
+    _fresh_table(monkeypatch)
+    for n in order:
+        limit, table = panweird.primes._table(n)
+        assert limit >= n and prime_table()[1] is table
+        assert table.dtype == np.int64
+        assert np.all(table[1:] > table[:-1]) and table[-1] <= limit
+        cut = min(limit, 10**6)
+        assert np.array_equal(table[table <= cut], small[small <= cut])
+        assert len(table) == int(sympy.primepi(limit))
+    assert limit == _CACHE_CAP and len(table) == 3_957_809
+
+
+def test_prime_scan_returns_to_the_table(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    stepped = []
+    step = panweird.primes._next_prime_step
+
+    def counted_step(n, policy):
+        stepped.append(n)
+        return step(n, policy)
+
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(panweird.primes, "_next_prime_step", counted_step)
+    x = 2**16 - 200
+    it = iter_primes_above(x)
+    head = [next(it) for _ in range(40)]
+    # the floor table serves the primes up to 2^16; every later one is stepped
+    past_floor = sum(p > 2**16 for p in head)
+    assert len(stepped) == past_floor > 0
+    prime_pi(2**18)  # a count grows the table past the scan
+    mid = [next(it) for _ in range(1000)]
+    assert mid[-1] < 2**18 and len(stepped) == past_floor
+    tail = []
+    while not tail or tail[-1] <= 2**18:
+        tail.append(next(it))
+    assert len(stepped) == past_floor + 1  # past the table again
+    seq = head + mid + tail
+    assert seq == list(sympy.primerange(x + 1, seq[-1] + 1))
