@@ -22,7 +22,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log
+from math import gcd, isqrt, log, prod
 
 import numpy as np
 
@@ -45,7 +45,11 @@ _MR_BASE_SETS = (
     (_DETERMINISTIC_BASE_CEILING, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# The primes up to 251 and their product: one gcd screens out every n with
+# a factor among them, and an n below 257^2 that passes it is prime.
+_SMALL_PRIMES = frozenset(p for p in range(2, 252) if all(p % q for q in range(2, p)))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+_SCREEN_EXACT = 257 * 257
 _DEFAULT_CEILING = 5 * 10**10
 
 
@@ -96,11 +100,10 @@ def is_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
     """Primality per the active policy (deterministic below its limit)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < _SCREEN_EXACT:
+        return True
     policy = policy or DEFAULT_POLICY
     d = n - 1
     s = 0

@@ -9,6 +9,9 @@ divisors below delta of a possibly enormous number and runs an exact subset
 sum, witness first: a descending branch and bound with suffix-sum pruning
 looks for a subset, under a node budget when delta is small enough for a
 bitset sweep, and the exact bitset decides only when the budget runs out.
+Its first path is the greedy pass, which takes every value that still fits;
+that path alone decides most of the searches' calls, so it and every later
+path run as a plain loop, and only skipped branches wait on a stack.
 
 Search trees follow the enumeration recursions but replace the open-ended
 prime scans with windows around the center: an interior level tries the
@@ -16,13 +19,20 @@ first `amplitude` primes above center(m), the final level the last
 `amplitude` primes below it.  Window slots shadowed by earlier factors are
 skipped but still spent, so every emitted number has all index magnitudes
 within the amplitude, and widening the amplitude only adds emissions.
+
+The final level closes its leaves in a row: the parent m collects its leaf
+primes, sorts its divisors up to the row's largest delta once, and each
+leaf m*p takes its values by bisection, the divisors e <= delta of m and,
+when p <= delta, the p*e <= delta, instead of listing its own divisors.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .arith import (
     MAX_FACTORS,
@@ -54,7 +64,7 @@ from .primes import (
 )
 
 _BITSET_LIMIT = 1 << 24
-# popped branch-and-bound nodes before a target up to _BITSET_LIMIT falls
+# visited branch-and-bound nodes before a target up to _BITSET_LIMIT falls
 # back to the bitset sweep
 _NODE_BUDGET = 2000
 
@@ -81,36 +91,38 @@ def divisors_up_to(f: Factorization, bound: int) -> list[int]:
 def _descend(desc: list[int], target: int, budget) -> bool | None:
     """Descending branch and bound with suffix-sum pruning over desc, which
     is sorted in decreasing order.  Taking a value is explored before
-    skipping it, so the first path is the greedy pass.  Returns True on a
-    witness, False when the search is exhausted, and None when budget
-    popped nodes were spent first (budget None is unlimited)."""
+    skipping it, so the first path is the greedy pass.  A path goes on in
+    place while it takes values; only the skipped branches wait on the
+    stack.  Returns True on a witness, False when the search is exhausted,
+    and None when budget visited nodes were spent first (budget None is
+    unlimited)."""
     n = len(desc)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + desc[i]
-    stack = [(0, target)]  # pending (index, remaining), remaining > 0
-    popped = 0
-    while stack:
-        if popped == budget:
+    suffix = list(accumulate(reversed(desc), initial=0))[::-1]  # sums of desc[i:]
+    stack = []  # pending (index, remaining), remaining > 0
+    visited = 0
+    i, t = 0, target
+    while True:
+        if visited == budget:
             return None
-        popped += 1
-        i, t = stack.pop()
+        visited += 1
         while i < n and desc[i] > t:
             i += 1
-        if i >= n or suffix[i] < t:
-            continue
-        if suffix[i] == t or desc[i] == t:
-            return True
-        stack.append((i + 1, t))  # skip desc[i]
-        stack.append((i + 1, t - desc[i]))  # take it; explored first
-    return False
+        if i < n and suffix[i] >= t:
+            if suffix[i] == t or desc[i] == t:
+                return True
+            stack.append((i + 1, t))  # skip desc[i], explored later
+            i, t = i + 1, t - desc[i]  # take it, explored next
+        elif stack:
+            i, t = stack.pop()
+        else:
+            return False
 
 
 def subset_sums_to(values: list[int], target: int) -> bool:
     """Whether some subset of the (distinct) values sums exactly to target.
 
     Witness first: the descending branch and bound runs for every target.
-    Up to _BITSET_LIMIT it runs under _NODE_BUDGET popped nodes, and when
+    Up to _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when
     those run out the exact bitset sweep decides; above the limit it runs
     to the end.  True always comes from a witness, False from an exhausted
     search or from the bitset.
@@ -312,10 +324,12 @@ class PwnRecord:
     certified: bool
 
 
-def _weird_pairs(pairs, delta) -> bool:
-    f = Factorization._trusted(pairs)
-    divisors = divisors_up_to(f, delta)
-    return not subset_sums_to(divisors, delta)
+def _weird_pairs(pairs, delta, values=None) -> bool:
+    """Whether the number with these factor pairs and abundance delta is
+    weird; values, when the caller has them, are its divisors up to delta."""
+    if values is None:
+        values = divisors_up_to(Factorization._trusted(pairs), delta)
+    return not subset_sums_to(values, delta)
 
 
 def _certify_pairs(pairs, policy) -> bool:
@@ -349,9 +363,9 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
     want_cert = bool(config.policy and config.policy.certify)
     count = 0
 
-    def emit(pairs, value, delta, entries):
+    def emit(pairs, value, delta, entries, values=None):
         nonlocal count
-        if not _weird_pairs(pairs, delta):
+        if not _weird_pairs(pairs, delta, values):
             return
         count += 1
         if sink is not None:
@@ -377,27 +391,41 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
             elif delta < 0:  # still deficient with one more p
                 rec(left - 1, v * p, 2 * v * p + delta, deeper,
                     sigpps[:-1] + [spp * p + 1], deeper_entries)
-        p = None
-        for j in range(1, a + 1):
-            if left > 1:
-                p = kth_prime_above(c if j == 1 else p, 1, policy)
+        p = c
+        if left > 1:
+            for j in range(1, a + 1):
+                p = kth_prime_above(p, 1, policy)
                 if p <= pr:
                     continue  # slot spent on a prime already behind us
                 rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
                     sigpps + [p + 1], entries + [(j, 1)])
-            else:
-                try:
-                    p = kth_prime_below(c if j == 1 else p, 1, policy)
-                except NoSuchPrime:
-                    break
-                if p <= pr:
-                    break  # deeper slots only get smaller
-                if general:
-                    if not clears_reduced_centers(p, 1, s, d, sigpps):
-                        break  # bound only gets harder as p shrinks
-                elif p < max(sigpps, default=0) + floor_shift:
-                    break
-                emit(pairs + ((p, 1),), v * p, s - p * d, entries + [(-j, 1)])
+            return
+        row = []  # the leaves (slot, p), in slot order
+        for j in range(1, a + 1):
+            try:
+                p = kth_prime_below(p, 1, policy)
+            except NoSuchPrime:
+                break
+            if p <= pr:
+                break  # deeper slots only get smaller
+            if general:
+                if not clears_reduced_centers(p, 1, s, d, sigpps):
+                    break  # bound only gets harder as p shrinks
+            elif p < max(sigpps, default=0) + floor_shift:
+                break
+            row.append((j, p))
+        if not row:
+            return
+        # the leaf v*p has delta s - p*d, largest for the row's last p; its
+        # divisors up to delta are v's divisors e <= delta and, p being
+        # new, the p*e <= delta
+        divs = sorted(divisors_up_to(Factorization._trusted(pairs), s - row[-1][1] * d))
+        for j, p in row:
+            delta = s - p * d
+            values = divs[:bisect_right(divs, delta)]
+            if p <= delta:
+                values += [p * e for e in divs[:bisect_right(divs, delta // p)]]
+            emit(pairs + ((p, 1),), v * p, delta, entries + [(-j, 1)], values)
 
     rec(
         levels, seed.value, sigma(seed), seed.factors,

@@ -245,6 +245,58 @@ def test_convert_to_csv(tmp_path):
     assert table[2] == ["2*5*7", "[1, 1, -1]", "abundant", "4", "3", "3", "2", "true"]
 
 
+def _run_sequence(tmp_path, capsys, fresh):
+    """Outputs of a mixed call sequence; fresh rebuilds the parser per call."""
+    calls = [
+        ["enumerate", "--mode", "pndn", "--k", "4", "--odd", "--count-only"],
+        ["enumerate", "--mode", "pndn", "--k", "4", "--count-only"],
+        ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
+         "--squares", "--out", str(tmp_path / "squares.jsonl")],
+        ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
+         "--squares", "--strict-sigma-bound"],  # usage error
+        ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
+         "--out", str(tmp_path / "plain.jsonl")],
+        ["enumerate", "--mode", "sfpan", "--k", "4", "--count-only"],
+    ]
+    tmp_path.mkdir()
+    outputs = []
+    for argv in calls:
+        if fresh:
+            cli._parser = None
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        manifest = json.loads(out) if out else {}
+        for key in ("started", "finished", "runtime_seconds"):
+            manifest.pop(key, None)
+        records = [(tmp_path / name).read_bytes()
+                   for name in ("squares.jsonl", "plain.jsonl")
+                   if (tmp_path / name).exists()]
+        outputs.append((code, manifest, records))
+    return outputs
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = _run_sequence(tmp_path / "reused", capsys, fresh=False)
+    parser = cli._parser
+    assert parser is not None
+    main(["weird", "encode", "2*5*7"])
+    assert capsys.readouterr().out == "[1, 1, -1]\n"
+    assert cli._parser is parser
+    fresh = _run_sequence(tmp_path / "fresh", capsys, fresh=True)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 0]
+    assert reused[0][1]["config"]["odd"] and not reused[1][1]["config"]["odd"]
+    assert reused[2][1] == {} and reused[2][2][0]
+    assert reused == fresh
+    # build_parser still returns a new parser each call
+    assert build_parser() is not build_parser()
+    argv = ["weird", "search", "--k", "5", "--amplitude", "4"]
+    assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
 def test_policy_from_environment(monkeypatch):
     monkeypatch.setenv("PANWEIRD_DET_LIMIT", str(1 << 32))
     monkeypatch.setenv("PANWEIRD_MR_ROUNDS", "5")

@@ -44,6 +44,27 @@ def test_is_prime_on_strong_pseudoprime_bait():
         assert is_prime(n)
 
 
+def test_is_prime_gcd_screen_against_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    screened = [p for p in range(2, 252) if isprime(p)]
+    assert len(screened) == 54
+    mid = [p for p in screened if p >= 53]
+    cases = list(range(-3, 1 << 17))  # past 257^2, where the screen alone stops deciding
+    cases += [p * q for i, p in enumerate(mid) for q in mid[i:]]  # squares too
+    # Carmichael numbers: the gcd rejects the first ones; the Chernick
+    # numbers (6k+1)(12k+1)(18k+1) for k = 45, 51, 55 have no factor below
+    # 271 and reach the strong tests
+    cases += [561, 41041, 825265, 321197185, 5394826801, 232250619601,
+              118901521, 172947529, 216821881]
+    rng = random.Random(0x6CD)
+    cases += [rng.getrandbits(rng.randrange(20, 65)) | 1 for _ in range(3000)]
+    cases += [rng.getrandbits(rng.randrange(65, 130)) | 1 for _ in range(300)]
+    cases += [next_prime(rng.getrandbits(rng.randrange(20, 80))) for _ in range(100)]
+    for n in cases:
+        assert is_prime(n) == isprime(n), n
+    assert all(is_prime(p) for p in screened)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         PrimalityPolicy(deterministic_limit=2**31, probabilistic_rounds=8)

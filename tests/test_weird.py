@@ -138,9 +138,36 @@ def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
     monkeypatch.undo()
     answers = [answer for _, _, answer in calls]
     assert len(calls) > 1000 and True in answers and False in answers
+    # at budget 0 the branch and bound visits no node, so every target
+    # above 0 goes to the bitset
+    for values, target, _ in calls:
+        assert target <= weird._BITSET_LIMIT  # so _NODE_BUDGET applies
+        if target > 0:
+            desc = sorted((v for v in values if v <= target), reverse=True)
+            assert weird._descend(desc, target, 0) is None
     for budget in (0, 1):
         monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
         assert [subset_sums_to(v, t) for v, t, _ in calls] == answers
+
+
+def test_search_leaf_rows_match_divisors_up_to(monkeypatch):
+    # every leaf of the two smoke searches takes its values from its
+    # parent's sorted divisors; they must be its divisors up to delta
+    leaves = []
+    weird_pairs = weird._weird_pairs
+
+    def record(pairs, delta, values=None):
+        if values is not None:
+            leaves.append((pairs, delta, list(values)))
+        return weird_pairs(pairs, delta, values)
+
+    monkeypatch.setattr(weird, "_weird_pairs", record)
+    found = run_squarefree("2^3", 5, 6) + run_general("2", 5, 4)
+    assert found and len(leaves) > 1000
+    for pairs, delta, values in leaves:
+        want = divisors_up_to(Factorization._trusted(pairs), delta)
+        assert len(values) == len(set(values)) and set(values) == set(want)
+        assert delta == abundance(Factorization._trusted(pairs))
 
 
 def test_subset_sums_budget_spent_without_a_sum_is_false():
