@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import primes as _primes
-from .errors import NotADivisor, NotCoprime, NotDeficient, ParseError
+from .errors import NotADivisor, NotDeficient, ParseError
 
 _FACTOR_LIMIT = 1 << 64
 
@@ -27,6 +27,33 @@ def sigma_prime_power(p: int, e: int) -> int:
     if e < 0:
         raise ValueError("negative exponent")
     return (p ** (e + 1) - 1) // (p - 1)
+
+
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    """The (base, exponent) pairs of 'p1^e1*p2*...' ('1' gives none), with
+    bases strictly increasing from 2 and exponents positive; the bases are
+    not tested for primality."""
+    text = text.strip()
+    if text == "1":
+        return []
+    if not text:
+        raise ParseError("empty factorization")
+    pairs = []
+    last = 1
+    for token in text.split("*"):
+        base, caret, exp = token.partition("^")
+        try:
+            p = int(base)
+            e = int(exp) if caret else 1
+        except ValueError:
+            raise ParseError("bad factor %r" % token) from None
+        if p <= last:
+            raise ParseError("primes must be strictly increasing: %r" % text)
+        if e < 1:
+            raise ParseError("exponents must be positive: %r" % text)
+        pairs.append((p, e))
+        last = p
+    return pairs
 
 
 class Factorization:
@@ -69,42 +96,23 @@ class Factorization:
         return cls(sorted(_factorize(n).items()))
 
     @classmethod
-    def parse(cls, text: str, policy=None) -> "Factorization":
+    def parse(cls, text: str) -> "Factorization":
         """Parse 'p1^e1*p2*...' (or '1'); primes must increase and be prime."""
-        text = text.strip()
-        if text == "1":
-            return cls()
-        if not text:
-            raise ParseError("empty factorization")
-        pairs = []
-        for token in text.split("*"):
-            base, caret, exp = token.partition("^")
-            try:
-                p = int(base)
-                e = int(exp) if caret else 1
-            except ValueError:
-                raise ParseError("bad factor %r" % token) from None
-            pairs.append((p, e))
-        last = 1
-        for p, e in pairs:
-            if p <= last:
-                raise ParseError("primes must be strictly increasing: %r" % text)
-            if e < 1:
-                raise ParseError("exponents must be positive: %r" % text)
-            if not _primes.is_prime(p, policy):
+        pairs = _parse_pairs(text)
+        for p, _ in pairs:
+            if not _primes.is_prime(p):
                 raise ParseError("%d is not prime" % p)
-            last = p
         return cls(pairs)
 
     @classmethod
-    def coerce(cls, obj, policy=None) -> "Factorization":
+    def coerce(cls, obj) -> "Factorization":
         """Accept a Factorization, an integer, or factorization text."""
         if isinstance(obj, cls):
             return obj
         if isinstance(obj, int):
             return cls.from_int(obj)
         if isinstance(obj, str):
-            return cls.parse(obj, policy)
+            return cls.parse(obj)
         raise TypeError("cannot interpret %r as a factorization" % (obj,))
 
     # -- views --------------------------------------------------------------
@@ -227,23 +235,6 @@ def center(f: Factorization) -> Fraction:
     if d <= 0:
         raise NotDeficient("center is defined for deficient numbers only")
     return Fraction(sigma(f), d)
-
-
-def deficiency_after_coprime_extension(m: Factorization, p: int, e: int = 1) -> int:
-    """deficiency(m * p^e) for p coprime to m, without building the product."""
-    if e < 1:
-        raise ValueError("exponents must be positive")
-    if m.exponent_of(p):
-        raise NotCoprime("%d already divides %s" % (p, m))
-    return deficiency(m) * p**e - sigma(m) * sigma_prime_power(p, e - 1)
-
-
-def deficiency_after_same_prime_extension(m: Factorization, p: int) -> int:
-    """deficiency(m * p) when p already divides m exactly alpha times."""
-    alpha = m.exponent_of(p)
-    if alpha == 0:
-        raise NotADivisor("%d does not divide %s" % (p, m))
-    return deficiency(m) * p - sigma(m) // sigma_prime_power(p, alpha)
 
 
 def digits10(n: int) -> int:

@@ -23,17 +23,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .arith import Factorization, abundance, digits10
+from .arith import Factorization, _parse_pairs, abundance, digits10
 from .classify import NumberClass, classify
 from .enumerate import pndn, sfpan
 from .errors import CeilingExceeded, PanweirdError, ParseError
-from .primes import (
-    _DEFAULT_CEILING,
-    PI_BOUND,
-    PrimalityPolicy,
-    certifiable,
-    certified_prime,
-)
+from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime
 from .weird import (
     IndexSequence,
     SearchConfig,
@@ -43,11 +37,6 @@ from .weird import (
     pwn_search_general,
     pwn_search_squarefree,
 )
-
-_ENV_DET_LIMIT = "PANWEIRD_DET_LIMIT"
-_ENV_MR_ROUNDS = "PANWEIRD_MR_ROUNDS"
-_ENV_CERTIFY = "PANWEIRD_CERTIFY"
-
 
 @dataclass
 class RunManifest:
@@ -83,17 +72,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         raise SystemExit(1)
-
-
-def _policy_from(args) -> PrimalityPolicy:
-    det = args.det_limit
-    if det is None:
-        det = int(os.environ.get(_ENV_DET_LIMIT, 1 << 64))
-    rounds = args.mr_rounds
-    if rounds is None:
-        rounds = int(os.environ.get(_ENV_MR_ROUNDS, 24))
-    certify = args.certify or os.environ.get(_ENV_CERTIFY, "").lower() in ("1", "true", "yes")
-    return PrimalityPolicy(det, rounds, certify)
 
 
 def _now() -> str:
@@ -180,9 +158,8 @@ def cmd_enumerate(args) -> int:
     if args.include_perfect and args.mode != "pndn":
         sys.stderr.write("--include-perfect applies to --mode pndn only\n")
         return 1
-    policy = _policy_from(args)
     try:
-        seed = Factorization.parse(args.seed, policy)
+        seed = Factorization.parse(args.seed)
     except ParseError as exc:
         sys.stderr.write("invalid seed: %s\n" % exc)
         return 1
@@ -215,9 +192,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_weird_search(args) -> int:
-    policy = _policy_from(args)
     try:
-        seed = Factorization.parse(args.seed, policy)
+        seed = Factorization.parse(args.seed)
     except ParseError as exc:
         sys.stderr.write("invalid seed: %s\n" % exc)
         return 1
@@ -226,7 +202,7 @@ def cmd_weird_search(args) -> int:
         k=args.k,
         amplitude=args.amplitude,
         strict_sigma_bound=args.strict_sigma_bound,
-        policy=policy,
+        certify=args.certify,
     )
     manifest = RunManifest(
         command="weird search",
@@ -236,6 +212,7 @@ def cmd_weird_search(args) -> int:
             "amplitude": args.amplitude,
             "squares": args.squares,
             "strict_sigma_bound": args.strict_sigma_bound,
+            "certify": args.certify,
         },
         started=_now(),
     )
@@ -246,8 +223,7 @@ def cmd_weird_search(args) -> int:
 
 
 def cmd_weird_check(args) -> int:
-    policy = _policy_from(args)
-    f = Factorization.parse(args.factorization, policy)
+    f = Factorization.parse(args.factorization)
     cls = classify(f)
     delta = abundance(f)
     weird = cls is NumberClass.ABUNDANT and is_weird(f)
@@ -256,21 +232,18 @@ def cmd_weird_check(args) -> int:
 
 
 def cmd_weird_encode(args) -> int:
-    policy = _policy_from(args)
-    f = Factorization.parse(args.factorization, policy)
-    print(encode_index_sequence(f, policy))
+    f = Factorization.parse(args.factorization)
+    print(encode_index_sequence(f))
     return 0
 
 
 def cmd_weird_decode(args) -> int:
-    policy = _policy_from(args)
     seq = IndexSequence.parse(args.sequence)
-    print(decode_index_sequence(seq, policy))
+    print(decode_index_sequence(seq))
     return 0
 
 
 def cmd_weird_certify(args) -> int:
-    policy = _policy_from(args)
     checked = skipped = bad = 0
     with open(args.infile) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -280,16 +253,22 @@ def cmd_weird_certify(args) -> int:
             rec = json.loads(line)
             if not isinstance(rec, dict) or "factorization" not in rec:
                 raise ParseError("line %d: record has no factorization" % lineno)
-            f = Factorization.parse(rec["factorization"])
-            for p, _ in f.factors:
+            text = rec["factorization"]
+            if not isinstance(text, str):
+                raise ParseError("line %d: factorization is not a string" % lineno)
+            try:
+                pairs = _parse_pairs(text)
+            except ParseError as exc:
+                raise ParseError("line %d: %s" % (lineno, exc)) from None
+            for p, _ in pairs:
                 if not certifiable(p):
                     skipped += 1
                     sys.stderr.write("cannot certify %d (too large)\n" % p)
-                elif certified_prime(p, policy):
+                elif is_prime(p):
                     checked += 1
                 else:
                     bad += 1
-                    sys.stderr.write("pseudo-prime failure: %d in %s\n" % (p, rec["factorization"]))
+                    sys.stderr.write("not prime: %d in %s\n" % (p, text))
     print("certified %d primes, %d skipped, %d failures" % (checked, skipped, bad))
     return 2 if bad else 0
 
@@ -299,28 +278,27 @@ def cmd_convert(args) -> int:
         "factorization", "index_sequence", "class", "delta",
         "omega", "big_omega", "digits", "certified",
     ]
-    with open(args.infile) as fh, open(args.out, "w", newline="") as outfh:
+    partial = args.out + ".partial"
+    with open(args.infile) as fh, open(partial, "w", newline="") as outfh:
         writer = csv.DictWriter(outfh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                rec = json.loads(line)
-                for key, value in rec.items():
-                    if isinstance(value, bool):
-                        rec[key] = "true" if value else "false"
-                writer.writerow(rec)
+            if not line:
+                continue
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ParseError("line %d: record is not a JSON object" % lineno)
+            for key, value in rec.items():
+                if isinstance(value, bool):
+                    rec[key] = "true" if value else "false"
+            writer.writerow(rec)
+    os.replace(partial, args.out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="panweird", description=__doc__.splitlines()[0])
-    parser.add_argument("--det-limit", type=int, default=None,
-                        help="deterministic primality below this bound (default 2^64)")
-    parser.add_argument("--mr-rounds", type=int, default=None,
-                        help="random-base rounds above the deterministic limit")
-    parser.add_argument("--certify", action="store_true",
-                        help="re-check output primes deterministically where possible")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="walk primitive non-deficient numbers")
@@ -354,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="allow deepening prime exponents")
     search_mode.add_argument("--strict-sigma-bound", action="store_true",
                              help="tighter leaf threshold in the square-free search")
+    p_search.add_argument("--certify", action="store_true",
+                          help="mark records certified when every prime is proven (below 3.3e24)")
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=cmd_weird_search)
 

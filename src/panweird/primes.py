@@ -13,14 +13,13 @@ up to isqrt(x), in O(x^(3/4)) time and O(sqrt(x)) memory, for x up to
 PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
 Stepping (next_prime, kth_prime_*, iter_primes_above) reads the table as it
 stands, grown at most to a small floor; past the table it steps with strong
-tests, exact below 2^64.  Only Python ints leave the table.
+tests, exact below 3.3 * 10^24.  Only Python ints leave the table.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import CeilingExceeded, NoSuchPrime
 
 # Largest bound for which a known fixed Miller-Rabin base set is proven
-# deterministic (first 13 primes).
+# deterministic (the first 13 primes; Sorenson and Webster, 2015).
 _DETERMINISTIC_BASE_CEILING = 3_317_044_064_679_887_385_961_981
 
 # (bound, bases): n below bound is correctly decided by these witnesses.
@@ -51,35 +50,8 @@ _SMALL_PRIMES = frozenset(p for p in range(2, 252) if all(p % q for q in range(2
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _SCREEN_EXACT = 257 * 257
 _DEFAULT_CEILING = 5 * 10**10
-
-
-@dataclass(frozen=True)
-class PrimalityPolicy:
-    """How primality is decided.
-
-    Below deterministic_limit a fixed proven witness set is used; above it,
-    a base-2 strong test plus probabilistic_rounds random-base rounds.  The
-    random bases are derived from the candidate itself so runs are
-    reproducible.  certify requests a deterministic re-check pass on final
-    outputs where possible.
-    """
-
-    deterministic_limit: int = 1 << 64
-    probabilistic_rounds: int = 24
-    certify: bool = False
-
-    def __post_init__(self):
-        if self.deterministic_limit < 1 << 32:
-            raise ValueError("deterministic_limit must be at least 2^32")
-        if self.deterministic_limit > _DETERMINISTIC_BASE_CEILING:
-            raise ValueError(
-                "no proven witness set beyond %d" % _DETERMINISTIC_BASE_CEILING
-            )
-        if self.probabilistic_rounds < 1:
-            raise ValueError("probabilistic_rounds must be at least 1")
-
-
-DEFAULT_POLICY = PrimalityPolicy()
+# Strong rounds after base 2 for n at or above _DETERMINISTIC_BASE_CEILING.
+_ROUNDS_ABOVE_CEILING = 24
 
 
 def _is_strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
@@ -96,31 +68,32 @@ def _is_strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
-    """Primality per the active policy (deterministic below its limit)."""
+def is_prime(n: int) -> bool:
+    """Primality by one fixed rule.
+
+    Below _DETERMINISTIC_BASE_CEILING the proven witness sets decide n
+    exactly.  Above it, n passes a strong base-2 test and
+    _ROUNDS_ABOVE_CEILING more strong rounds whose bases are derived from n,
+    so every run reaches the same verdict.
+    """
     if n < 2:
         return False
     if gcd(n, _SMALL_PRODUCT) != 1:
         return n in _SMALL_PRIMES
     if n < _SCREEN_EXACT:
         return True
-    policy = policy or DEFAULT_POLICY
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < policy.deterministic_limit:
-        bases = _MR_BASE_SETS[-1][1]
-        for bound, cand in _MR_BASE_SETS:
-            if n < bound:
-                bases = cand
-                break
-        return all(_is_strong_probable_prime(n, a, d, s) for a in bases)
+    for bound, bases in _MR_BASE_SETS:
+        if n < bound:
+            return all(_is_strong_probable_prime(n, a, d, s) for a in bases)
     if not _is_strong_probable_prime(n, 2, d, s):
         return False
     rng = random.Random(n ^ 0x5EED0F9E11E5)
-    for _ in range(policy.probabilistic_rounds):
+    for _ in range(_ROUNDS_ABOVE_CEILING):
         a = rng.randrange(3, n - 1)
         if not _is_strong_probable_prime(n, a, d, s):
             return False
@@ -128,19 +101,8 @@ def is_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
 
 
 def certifiable(n: int) -> bool:
-    """Whether a deterministic verdict for n is available here."""
+    """Whether is_prime decides n deterministically."""
     return n < _DETERMINISTIC_BASE_CEILING
-
-
-def certified_prime(n: int, policy: PrimalityPolicy | None = None) -> bool:
-    """Deterministic verdict; False when n is too large to certify here.
-
-    This is the re-check pass behind the certify flag: it ignores the
-    probabilistic path entirely.
-    """
-    if not certifiable(n):
-        return False
-    return is_prime(n, PrimalityPolicy(deterministic_limit=_DETERMINISTIC_BASE_CEILING))
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +241,19 @@ def count_in_closed(lo: int, hi: int) -> int:
     return prime_pi(hi) - prime_pi(lo - 1)
 
 
-def _next_prime_step(n: int, policy: PrimalityPolicy | None) -> int:
+def _next_prime_step(n: int) -> int:
     """Smallest prime > n by direct testing (for ranges past the cache)."""
     if n < 2:
         return 2
     if n == 2:
         return 3
     c = n + 2 if n % 2 else n + 1
-    while not is_prime(c, policy):
+    while not is_prime(c):
         c += 2
     return c
 
 
-def _prev_prime_step(n: int, policy: PrimalityPolicy | None) -> int:
+def _prev_prime_step(n: int) -> int:
     """Largest prime < n; NoSuchPrime when there is none."""
     if n <= 2:
         raise NoSuchPrime("no prime below %d" % n)
@@ -299,7 +261,7 @@ def _prev_prime_step(n: int, policy: PrimalityPolicy | None) -> int:
         return 2
     c = n - 2 if n % 2 else n - 1
     while c >= 3:
-        if is_prime(c, policy):
+        if is_prime(c):
             return c
         c -= 2
     return 2
@@ -335,15 +297,15 @@ def _index_above(n: int) -> tuple[np.ndarray, int, int]:
     return table, int(table.searchsorted(max(n, 0), side="right")), limit
 
 
-def next_prime(n: int, policy: PrimalityPolicy | None = None) -> int:
+def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
     table, i, m = _index_above(n)
     if i < len(table):
         return int(table[i])
-    return _next_prime_step(m, policy)
+    return _next_prime_step(m)
 
 
-def kth_prime_above(x, k: int, policy: PrimalityPolicy | None = None) -> int:
+def kth_prime_above(x, k: int) -> int:
     """The k-th prime strictly greater than x (k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -354,11 +316,11 @@ def kth_prime_above(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     k -= len(table) - i  # the table's primes above p come first, then those above m
     p = m
     for _ in range(k):
-        p = next_prime(p, policy)
+        p = next_prime(p)
     return p
 
 
-def kth_prime_below(x, k: int, policy: PrimalityPolicy | None = None) -> int:
+def kth_prime_below(x, k: int) -> int:
     """The k-th prime strictly less than x (k >= 1); NoSuchPrime if none."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -369,7 +331,7 @@ def kth_prime_below(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     p = hi + 1  # the k-th prime below x is the k-th prime below p
     left = k
     while left and p > limit + 1:  # the table cannot rule out primes in [limit, p)
-        p = _prev_prime_step(p, policy)
+        p = _prev_prime_step(p)
         left -= 1
     if not left:
         return p
@@ -379,7 +341,7 @@ def kth_prime_below(x, k: int, policy: PrimalityPolicy | None = None) -> int:
     return int(table[i - left])
 
 
-def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
+def prime_at_or_zero(x):
     """x itself when x is an integral prime, else None."""
     if isinstance(x, Fraction):
         if x.denominator != 1:
@@ -387,10 +349,10 @@ def prime_at_or_zero(x, policy: PrimalityPolicy | None = None):
         x = x.numerator
     if not isinstance(x, int):
         return None
-    return x if is_prime(x, policy) else None
+    return x if is_prime(x) else None
 
 
-def iter_primes_above(x, policy: PrimalityPolicy | None = None):
+def iter_primes_above(x):
     """Yield primes strictly greater than x in increasing order, forever.
 
     The table is read afresh before each prime or chunk, so once a caller's
@@ -404,7 +366,7 @@ def iter_primes_above(x, policy: PrimalityPolicy | None = None):
             yield from chunk
             p = chunk[-1]
         else:
-            p = _next_prime_step(m, policy)
+            p = _next_prime_step(m)
             yield p
 
 

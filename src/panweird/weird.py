@@ -54,10 +54,8 @@ from .errors import (
     PrefixNotDeficient,
 )
 from .primes import (
-    DEFAULT_POLICY,
-    PrimalityPolicy,
     certifiable,
-    certified_prime,
+    is_prime,
     kth_prime_above,
     kth_prime_below,
     prime_at_or_zero,
@@ -215,9 +213,7 @@ class IndexSequence:
         )
 
 
-def encode_index_sequence(
-    f: Factorization, policy: PrimalityPolicy | None = None
-) -> IndexSequence:
+def encode_index_sequence(f: Factorization) -> IndexSequence:
     """Index sequence of f; every proper prefix must be deficient."""
     if not f.factors:
         raise InvalidSequence("1 has no index sequence")
@@ -233,15 +229,15 @@ def encode_index_sequence(
             idx = 0
         elif p * d > s:  # p above the center, count upward
             idx = 1
-            q = kth_prime_above(Fraction(s, d), 1, policy)
+            q = kth_prime_above(Fraction(s, d), 1)
             while q < p:
-                q = kth_prime_above(q, 1, policy)
+                q = kth_prime_above(q, 1)
                 idx += 1
         else:  # below the center, count downward
             idx = -1
-            q = kth_prime_below(Fraction(s, d), 1, policy)
+            q = kth_prime_below(Fraction(s, d), 1)
             while q > p:
-                q = kth_prime_below(q, 1, policy)
+                q = kth_prime_below(q, 1)
                 idx -= 1
         entries.append((idx, e))
         v *= p**e
@@ -249,9 +245,7 @@ def encode_index_sequence(
     return IndexSequence(tuple(entries))
 
 
-def decode_index_sequence(
-    seq, policy: PrimalityPolicy | None = None
-) -> Factorization:
+def decode_index_sequence(seq) -> Factorization:
     """Rebuild the factorization an index sequence denotes."""
     if isinstance(seq, str):
         seq = IndexSequence.parse(seq)
@@ -264,14 +258,14 @@ def decode_index_sequence(
             raise InvalidSequence("interior prefix is not deficient")
         c = Fraction(s, d)
         if idx == 0:
-            p = prime_at_or_zero(c, policy)
+            p = prime_at_or_zero(c)
             if p is None:
                 raise InvalidSequence("no prime sits at center %s" % c)
         elif idx > 0:
-            p = kth_prime_above(c, idx, policy)
+            p = kth_prime_above(c, idx)
         else:
             try:
-                p = kth_prime_below(c, -idx, policy)
+                p = kth_prime_below(c, -idx)
             except NoSuchPrime:
                 raise InvalidSequence("not enough primes below center %s" % c) from None
         if p <= prev:
@@ -293,14 +287,16 @@ class SearchConfig:
     k is the total factor count of emitted numbers, the seed's factors
     included: distinct primes for the square-free search, prime factors with
     multiplicity for the general one.  amplitude caps how far a chosen prime
-    may sit from the running center, in primes.
+    may sit from the running center, in primes.  certify marks a record
+    certified when is_prime decides each of its primes deterministically
+    and finds it prime.
     """
 
     seed: Factorization = ONE
     k: int = 3
     amplitude: int = 1
     strict_sigma_bound: bool = False
-    policy: PrimalityPolicy | None = None
+    certify: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -332,14 +328,10 @@ def _weird_pairs(pairs, delta, values=None) -> bool:
     return not subset_sums_to(values, delta)
 
 
-def _certify_pairs(pairs, policy) -> bool:
-    return all(certifiable(p) and certified_prime(p, policy) for p, _ in pairs)
-
-
-def _seed_entries(seed: Factorization, policy) -> list[tuple[int, int]]:
+def _seed_entries(seed: Factorization) -> list[tuple[int, int]]:
     if not seed.factors:
         return []
-    return list(encode_index_sequence(seed, policy).entries)
+    return list(encode_index_sequence(seed).entries)
 
 
 def _search(config: SearchConfig, sink, general: bool) -> int:
@@ -352,7 +344,6 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
     """
     if general and config.strict_sigma_bound:
         raise ValueError("strict_sigma_bound applies to the square-free search only")
-    policy = config.policy or DEFAULT_POLICY
     seed = config.seed
     levels = config.k - (seed.big_omega if general else seed.omega)
     if levels < 1:
@@ -360,7 +351,6 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
                          % ("factor" if general else "distinct prime"))
     a = config.amplitude
     floor_shift = 1 if config.strict_sigma_bound else -1
-    want_cert = bool(config.policy and config.policy.certify)
     count = 0
 
     def emit(pairs, value, delta, entries, values=None):
@@ -372,7 +362,7 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
             sink(PwnRecord(
                 Factorization._trusted(pairs), IndexSequence(tuple(entries)), delta,
                 digits10(value),
-                want_cert and _certify_pairs(pairs, policy),
+                config.certify and all(certifiable(q) and is_prime(q) for q, _ in pairs),
             ))
 
     def rec(left, v, s, pairs, sigpps, entries):
@@ -394,7 +384,7 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
         p = c
         if left > 1:
             for j in range(1, a + 1):
-                p = kth_prime_above(p, 1, policy)
+                p = kth_prime_above(p, 1)
                 if p <= pr:
                     continue  # slot spent on a prime already behind us
                 rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
@@ -403,7 +393,7 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
         row = []  # the leaves (slot, p), in slot order
         for j in range(1, a + 1):
             try:
-                p = kth_prime_below(p, 1, policy)
+                p = kth_prime_below(p, 1)
             except NoSuchPrime:
                 break
             if p <= pr:
@@ -430,7 +420,7 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
     rec(
         levels, seed.value, sigma(seed), seed.factors,
         [sigma_prime_power(p, e) for p, e in seed.factors],
-        _seed_entries(seed, policy),
+        _seed_entries(seed),
     )
     return count
 

@@ -7,14 +7,11 @@ from panweird import (
     ONE,
     Factorization,
     NotADivisor,
-    NotCoprime,
     NotDeficient,
     ParseError,
     abundance,
     center,
     deficiency,
-    deficiency_after_coprime_extension,
-    deficiency_after_same_prime_extension,
     digits10,
     sigma,
     sigma_prime_power,
@@ -154,47 +151,6 @@ def test_times_and_divide_prime():
     assert F("2*5").divide_prime(2) == F("5")
     with pytest.raises(NotADivisor):
         F("2*5").divide_prime(3)
-
-
-def test_coprime_extension_deficiency_examples():
-    assert deficiency_after_coprime_extension(F("2*5"), 7, 1) == -4
-    assert deficiency_after_coprime_extension(F("2*5"), 11, 1) == 4
-    assert deficiency_after_coprime_extension(ONE, 2, 1) == 1
-
-
-def test_coprime_extension_deficiency_matches_direct():
-    rng = random.Random(0xADD17)
-    primes = [2, 3, 5, 7, 11, 13, 101, 997]
-    done = 0
-    while done < 200:
-        m = Factorization.from_int(rng.randrange(1, 10**5))
-        p = rng.choice(primes)
-        e = rng.randrange(1, 4)
-        if m.exponent_of(p):
-            with pytest.raises(NotCoprime):
-                deficiency_after_coprime_extension(m, p, e)
-            continue
-        grown = m
-        for _ in range(e):
-            grown = grown.times_prime(p)
-        assert deficiency_after_coprime_extension(m, p, e) == deficiency(grown)
-        done += 1
-
-
-def test_same_prime_extension_deficiency():
-    assert deficiency_after_same_prime_extension(F("2*5"), 5) == 7
-    assert deficiency_after_same_prime_extension(F("2^2"), 2) == 1
-    assert deficiency_after_same_prime_extension(F("2*5*13*61*67"), 61) < 0
-    with pytest.raises(NotADivisor):
-        deficiency_after_same_prime_extension(F("2*5"), 3)
-    rng = random.Random(0x5A3E)
-    done = 0
-    while done < 100:
-        m = Factorization.from_int(rng.randrange(2, 10**5))
-        p = m.factors[rng.randrange(len(m.factors))][0]
-        assert deficiency_after_same_prime_extension(m, p) == \
-            deficiency(m.times_prime(p))
-        done += 1
 
 
 def test_digits10_boundaries():

@@ -27,7 +27,7 @@ from panweird import (
     sigma,
     sigma_prime_power,
 )
-from panweird.classify import first_above_reduced_centers
+from panweird.classify import first_above_reduced_centers, same_prime_extension
 
 F = Factorization.parse
 
@@ -104,6 +104,22 @@ def test_same_prime_extension_matches_direct_classification():
         m = random_deficient(rng)
         p = rng.choice(m.factors)[0]
         assert classify_same_prime_extension(m, p) is classify(m.times_prime(p))
+
+
+def test_same_prime_extension_abundance_matches_direct():
+    def delta(m, p):
+        others = [sigma_prime_power(q, b) for q, b in m.factors if q != p]
+        spp = sigma_prime_power(p, m.exponent_of(p))
+        return same_prime_extension(sigma(m), deficiency(m), p, spp, others)[0]
+
+    assert delta(F("2*5"), 5) == -7
+    assert delta(F("2^2"), 2) == -1
+    assert delta(F("2*5*13*61*67"), 61) > 0
+    rng = random.Random(0x5A3E)
+    for _ in range(100):
+        m = random_deficient(rng)
+        p = rng.choice(m.factors)[0]
+        assert delta(m, p) == abundance(m.times_prime(p))
 
 
 def test_same_prime_extension_rejects_bad_inputs():

@@ -207,21 +207,26 @@ def test_weird_certify(tmp_path, capsys, monkeypatch):
             fh.write(json.dumps({"factorization": fact}) + "\n")
     assert main(["weird", "certify", "--in", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "certified 6 primes, 0 skipped, 0 failures"
-    monkeypatch.setattr(cli, "certified_prime", lambda p, policy: p != 19)
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"factorization": "2*5*49"}) + "\n")
     assert main(["weird", "certify", "--in", str(path)]) == 2
-    assert "1 failures" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert out.strip() == "certified 8 primes, 0 skipped, 1 failures"
+    assert "49" in err
     monkeypatch.setattr(cli, "certifiable", lambda p: p < 11)
     assert main(["weird", "certify", "--in", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "certified 4 primes, 2 skipped, 0 failures"
+    assert capsys.readouterr().out.strip() == "certified 6 primes, 3 skipped, 0 failures"
 
 
 def test_weird_certify_rejects_record_without_factorization(tmp_path, capsys):
+    # no factorization, a non-string one, and one with decreasing bases
     path = tmp_path / "records.jsonl"
-    path.write_text(json.dumps({"factorization": "2*5*7"}) + "\n\n"
-                    + json.dumps({"delta": "4"}) + "\n")
-    assert main(["weird", "certify", "--in", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "line 3" in err and "factorization" in err
+    for bad in ({"delta": "4"}, {"factorization": 70}, {"factorization": "7*5"}):
+        path.write_text(json.dumps({"factorization": "2*5*7"}) + "\n\n"
+                        + json.dumps(bad) + "\n")
+        assert main(["weird", "certify", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input: line 3: ")
 
 
 def test_convert_to_csv(tmp_path):
@@ -243,6 +248,16 @@ def test_convert_to_csv(tmp_path):
     assert table[0] == PWN_KEYS
     assert table[1] == ["2^2*5", "", "abundant", "2", "2", "3", "2", ""]
     assert table[2] == ["2*5*7", "[1, 1, -1]", "abundant", "4", "3", "3", "2", "true"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", "records.jsonl"]
+
+
+def test_convert_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
+    src = tmp_path / "records.jsonl"
+    src.write_text(json.dumps({"factorization": "2*5*7"}) + "\n[1]\n")
+    out = tmp_path / "out.csv"
+    assert main(["convert", "--in", str(src), "--out", str(out)]) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_sequence(tmp_path, capsys, fresh):
@@ -297,22 +312,27 @@ def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
-def test_policy_from_environment(monkeypatch):
-    monkeypatch.setenv("PANWEIRD_DET_LIMIT", str(1 << 32))
-    monkeypatch.setenv("PANWEIRD_MR_ROUNDS", "5")
-    monkeypatch.setenv("PANWEIRD_CERTIFY", "1")
-    args = build_parser().parse_args(["weird", "check", "2*5*7"])
-    policy = cli._policy_from(args)
-    assert policy.deterministic_limit == 1 << 32
-    assert policy.probabilistic_rounds == 5
-    assert policy.certify is True
-    # explicit flags beat the environment
-    args = build_parser().parse_args(
-        ["--det-limit", str(1 << 40), "--mr-rounds", "2", "weird", "check", "2*5*7"]
-    )
-    policy = cli._policy_from(args)
-    assert policy.deterministic_limit == 1 << 40
-    assert policy.probabilistic_rounds == 2
+def test_primality_options_are_gone(capsys):
+    for argv in (["--det-limit", str(1 << 40), "weird", "check", "2*5*7"],
+                 ["--mr-rounds", "2", "weird", "check", "2*5*7"],
+                 ["--certify", "enumerate", "--mode", "pndn", "--k", "3", "--count-only"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_weird_search_certify_marks_records(tmp_path):
+    argv = ["weird", "search", "--seed", "2^3", "--k", "5", "--amplitude", "6"]
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--certify", "--out", str(marked)]) == 0
+    lines = plain.read_text().splitlines()
+    assert lines and all(line.endswith('"certified":false}') for line in lines)
+    assert marked.read_text().splitlines() == [
+        line.replace('"certified":false}', '"certified":true}') for line in lines]
+    manifest = json.loads((tmp_path / "marked.jsonl.manifest.json").read_text())
+    assert manifest["config"]["certify"] is True
 
 
 def test_ceiling_hit_leaves_only_a_partial_file(tmp_path, capsys):

@@ -6,12 +6,9 @@ import pytest
 
 import panweird.primes
 from panweird import (
-    DEFAULT_POLICY,
     CeilingExceeded,
     NoSuchPrime,
-    PrimalityPolicy,
     certifiable,
-    certified_prime,
     is_prime,
     iter_primes_above,
     kth_prime_above,
@@ -21,7 +18,15 @@ from panweird import (
     prime_pi,
     primes_in_closed,
 )
-from panweird.primes import PI_BOUND, _CACHE_CAP, count_in_closed, int_gt, int_lt, prime_table
+from panweird.primes import (
+    _CACHE_CAP,
+    _DETERMINISTIC_BASE_CEILING,
+    PI_BOUND,
+    count_in_closed,
+    int_gt,
+    int_lt,
+    prime_table,
+)
 
 from oracles import naive_is_prime
 
@@ -37,8 +42,11 @@ def test_is_prime_matches_trial_division():
 
 
 def test_is_prime_on_strong_pseudoprime_bait():
-    # composites that fool single-base or Fermat-style tests
-    for n in (341, 561, 2047, 41041, 3215031751, 3825123056546413051):
+    # composites that fool single-base or Fermat-style tests, and the least
+    # strong pseudoprimes to the first 12 and 13 prime bases; the second is
+    # the ceiling itself, so the rounds above it must catch it
+    for n in (341, 561, 2047, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461, 3317044064679887385961981):
         assert not is_prime(n)
     for n in (2**61 - 1, 563915507, 97919, 10965542434977103):
         assert is_prime(n)
@@ -60,35 +68,30 @@ def test_is_prime_gcd_screen_against_sympy():
     cases += [rng.getrandbits(rng.randrange(20, 65)) | 1 for _ in range(3000)]
     cases += [rng.getrandbits(rng.randrange(65, 130)) | 1 for _ in range(300)]
     cases += [next_prime(rng.getrandbits(rng.randrange(20, 80))) for _ in range(100)]
+    # the witness sets between 2^64 and the ceiling, and the rounds past it
+    ceiling = _DETERMINISTIC_BASE_CEILING
+    cases += [rng.randrange(2**64, ceiling) | 1 for _ in range(2000)]
+    cases += [next_prime(rng.randrange(2**64, ceiling)) for _ in range(50)]
+    cases += list(range(ceiling - 200, ceiling + 2000))
     for n in cases:
         assert is_prime(n) == isprime(n), n
     assert all(is_prime(p) for p in screened)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        PrimalityPolicy(deterministic_limit=2**31, probabilistic_rounds=8)
-    with pytest.raises(ValueError):
-        PrimalityPolicy(deterministic_limit=10**40, probabilistic_rounds=8)
-    with pytest.raises(ValueError):
-        PrimalityPolicy(deterministic_limit=2**64, probabilistic_rounds=0)
-    assert DEFAULT_POLICY.deterministic_limit == 2**64
-
-
 def test_probabilistic_path_is_reproducible():
-    policy = PrimalityPolicy(deterministic_limit=2**32, probabilistic_rounds=6)
-    p = 4294967311           # first prime above 2^32
-    c = 4294967311 * 4294967357
+    p = 3317044064679887385962123        # first prime above the ceiling
+    c = 2199023255579 * 3298534883417    # a semiprime above it
+    assert not certifiable(p) and not certifiable(c)
     for _ in range(3):
-        assert is_prime(p, policy)
-        assert not is_prime(c, policy)
+        assert is_prime(p)
+        assert not is_prime(c)
 
 
 def test_certification_agrees_on_small_primes():
     for p in SMALL_PRIMES + [563915507, 2**61 - 1]:
-        assert certifiable(p)
-        assert certified_prime(p) == is_prime(p)
-    assert not certified_prime(561)
+        assert certifiable(p) and is_prime(p)
+    assert certifiable(_DETERMINISTIC_BASE_CEILING - 1)
+    assert not certifiable(_DETERMINISTIC_BASE_CEILING)
 
 
 def test_next_prime_and_strictness():
@@ -332,9 +335,9 @@ def test_prime_scan_returns_to_the_table(monkeypatch):
     stepped = []
     step = panweird.primes._next_prime_step
 
-    def counted_step(n, policy):
+    def counted_step(n):
         stepped.append(n)
-        return step(n, policy)
+        return step(n)
 
     _fresh_table(monkeypatch)
     monkeypatch.setattr(panweird.primes, "_next_prime_step", counted_step)
