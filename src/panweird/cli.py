@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .arith import Factorization, _parse_pairs, abundance, digits10
 from .classify import NumberClass, classify
@@ -52,19 +52,7 @@ class RunManifest:
     records: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config": self.config,
-                "started": self.started,
-                "finished": self.finished,
-                "runtime_seconds": self.runtime_seconds,
-                "status": self.status,
-                "totals": self.totals,
-                "records": self.records,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)  # field order is key order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,8 +143,9 @@ class _Output:
 
 
 def cmd_enumerate(args) -> int:
-    if args.include_perfect and args.mode != "pndn":
-        sys.stderr.write("--include-perfect applies to --mode pndn only\n")
+    if args.include_perfect and (args.mode != "pndn" or args.count_only):
+        sys.stderr.write("--include-perfect selects pndn records: not with "
+                         "--mode sfpan or --count-only\n")
         return 1
     try:
         seed = Factorization.parse(args.seed)
@@ -201,7 +190,6 @@ def cmd_weird_search(args) -> int:
         seed=seed,
         k=args.k,
         amplitude=args.amplitude,
-        strict_sigma_bound=args.strict_sigma_bound,
         certify=args.certify,
     )
     manifest = RunManifest(
@@ -211,7 +199,6 @@ def cmd_weird_search(args) -> int:
             "k": args.k,
             "amplitude": args.amplitude,
             "squares": args.squares,
-            "strict_sigma_bound": args.strict_sigma_bound,
             "certify": args.certify,
         },
         started=_now(),
@@ -243,15 +230,27 @@ def cmd_weird_decode(args) -> int:
     return 0
 
 
+def _read_records(fh):
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object raises ParseError naming it."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError("line %d: %s at column %d"
+                             % (lineno, exc.msg, exc.colno)) from None
+        if not isinstance(rec, dict):
+            raise ParseError("line %d: record is not a JSON object" % lineno)
+        yield lineno, rec
+
+
 def cmd_weird_certify(args) -> int:
     checked = skipped = bad = 0
     with open(args.infile) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or "factorization" not in rec:
+        for lineno, rec in _read_records(fh):
+            if "factorization" not in rec:
                 raise ParseError("line %d: record has no factorization" % lineno)
             text = rec["factorization"]
             if not isinstance(text, str):
@@ -282,13 +281,7 @@ def cmd_convert(args) -> int:
     with open(args.infile) as fh, open(partial, "w", newline="") as outfh:
         writer = csv.DictWriter(outfh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ParseError("line %d: record is not a JSON object" % lineno)
+        for _, rec in _read_records(fh):
             for key, value in rec.items():
                 if isinstance(value, bool):
                     rec[key] = "true" if value else "false"
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--seed", default="1", help="deficient seed factorization")
     p_enum.add_argument("--odd", action="store_true", help="skip 2 at the first level")
     p_enum.add_argument("--include-perfect", action="store_true",
-                        help="emit perfect completions too (pndn)")
+                        help="write perfect completions too (pndn records)")
     enum_output = p_enum.add_mutually_exclusive_group()
     enum_output.add_argument("--count-only", action="store_true", help="totals, no records")
     enum_output.add_argument("--out", default=None, help="record file, '-' for stdout")
@@ -327,11 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="total factor count of results, seed included")
     p_search.add_argument("--amplitude", type=int, required=True,
                           help="how many primes around each center to try")
-    search_mode = p_search.add_mutually_exclusive_group()
-    search_mode.add_argument("--squares", action="store_true",
-                             help="allow deepening prime exponents")
-    search_mode.add_argument("--strict-sigma-bound", action="store_true",
-                             help="tighter leaf threshold in the square-free search")
+    p_search.add_argument("--squares", action="store_true",
+                          help="allow deepening prime exponents")
     p_search.add_argument("--certify", action="store_true",
                           help="mark records certified when every prime is proven (below 3.3e24)")
     p_search.add_argument("--out", default=None)

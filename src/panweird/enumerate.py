@@ -10,17 +10,23 @@ or reports no completion at all (pndn).  Leaves take one final prime up to
 center(m), above the primitivity lower bound, so every emitted number is
 primitive: removing any single prime leaves a deficient number.
 
-A leaf's totals always come from prime counts over its interval [lo, upper],
-so they come out without touching individual numbers; a record sink only
-adds the loop that lists the interval's primes.  A leaf parent (two factors
-left) closes its new-prime children in rows of consecutive primes.  A new
-prime above 2*sigma(m)/deficiency(m) always closes a barren leaf, so the
-scan stops by then and the rows end there.  One searchsorted call on the
-prime table answers pi(p), pi(lo - 1) and pi(upper) for every leaf of a row
-whose upper lies in the table; a leaf whose upper lies past it still counts
-with count_in_closed (Lucy's pi), once the in-order scan reaches it, so a
-row neither counts nor raises past the scan's stop.  A lone leaf (the
-deepened last prime, or a seed with one factor left) is a row of one.
+pndn and sfpan are the only entry points, one per recursion.  A leaf's
+totals always come from prime counts over its interval [lo, upper], so
+they come out without touching individual numbers: called without a sink,
+either walk counts and builds no records, and a sink only adds the loop
+that lists the interval's primes.  The walk emits every completion, perfect
+ones included; whether those reach the sink is decided once, in
+_record_emitter.
+
+A leaf parent (two factors left) closes its new-prime children in rows of
+consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
+closes a barren leaf, so the scan stops by then and the rows end there.
+One searchsorted call on the prime table answers pi(p), pi(lo - 1) and
+pi(upper) for every leaf of a row whose upper lies in the table; a leaf
+whose upper lies past it still counts with count_in_closed (Lucy's pi),
+once the in-order scan reaches it, so a row neither counts nor raises past
+the scan's stop.  A lone leaf (the deepened last prime, or a seed with one
+factor left) is a row of one.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -88,7 +94,7 @@ class EnumOutcome:
 _ROW = 256  # leaves per row at most, to bound its memory; most leaf parents fit in one
 
 
-def _close_row(general, prefix, e, others, row, emit, include_perfect, ceiling):
+def _close_row(general, prefix, e, others, row, emit, ceiling):
     """Close a row of sibling leaves in order, through the first barren one.
 
     Leaf i is m = prefix * p^e with (p, s, d, spp) = row[i]: sigma(m) = s,
@@ -141,9 +147,7 @@ def _close_row(general, prefix, e, others, row, emit, include_perfect, ceiling):
             if emit is not None and lo <= upper:
                 leaf = base + ((p, e),)
                 for q in primes_in_closed(lo, upper):
-                    delta = s - q * d
-                    if delta > 0 or include_perfect:
-                        emit(leaf + ((q, 1),), delta)
+                    emit(leaf + ((q, 1),), s - q * d)  # q <= s // d: delta >= 0
         if general:
             delta, primitive = same_prime_extension(s, d, p, spp, others)
             lfound |= delta >= 0
@@ -152,7 +156,7 @@ def _close_row(general, prefix, e, others, row, emit, include_perfect, ceiling):
                     lca += 1
                 else:
                     lcp += 1
-                if emit is not None and (delta > 0 or include_perfect):
+                if emit is not None:
                     emit(base + ((p, e + 1),), delta)
         ca += lca
         cp += lcp
@@ -162,8 +166,7 @@ def _close_row(general, prefix, e, others, row, emit, include_perfect, ceiling):
     return ca, cp, found, None
 
 
-def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
-          start_floor, ceiling):
+def _walk(general, k, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling):
     """One level.  A leaf (k == 1) is a row of one; any other level deepens
     the last prime (pndn) and then scans new primes above center(m) up to
     the first barren subtree.  At k == 2 those subtrees are leaves, closed
@@ -175,7 +178,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
         p, e = factors[-1]
         ca, cp, found, _ = _close_row(
             general, factors[:-1], e, sigpps[:-1], [(p, s, d, sigpps[-1])],
-            emit, include_perfect, ceiling,
+            emit, ceiling,
         )
         return ca, cp, found
     ca = cp = 0
@@ -191,7 +194,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             sigpps[-1] = nspp
             sca, scp, sfound = _walk(
                 general, k - 1, v * p, 2 * v * p + delta, factors, sigpps,
-                emit, include_perfect, on_stop, 0, ceiling,
+                emit, on_stop, 0, ceiling,
             )
             factors[-1][1] = e
             sigpps[-1] = spp
@@ -212,7 +215,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
                 if p > bound:
                     break
             sca, scp, sfound, stop = _close_row(
-                general, factors, 1, sigpps, row, emit, include_perfect, ceiling)
+                general, factors, 1, sigpps, row, emit, ceiling)
             ca += sca
             cp += scp
             found |= sfound
@@ -222,7 +225,7 @@ def _walk(general, k, v, s, factors, sigpps, emit, include_perfect, on_stop,
             sigpps.append(p + 1)
             sca, scp, sfound = _walk(
                 general, k - 1, v * p, s * (p + 1), factors, sigpps,
-                emit, include_perfect, on_stop, 0, ceiling,
+                emit, on_stop, 0, ceiling,
             )
             factors.pop()
             sigpps.pop()
@@ -255,13 +258,17 @@ def _prepare(seed, k):
     return v, s, factors, sigpps
 
 
-def _record_emitter(sink):
+def _record_emitter(sink, include_perfect):
+    """The walk's emit for a record sink.  The walk emits every completion,
+    each with delta >= 0; perfect ones (delta 0) reach the sink only under
+    include_perfect."""
     def emit(pairs, delta):
-        sink(EnumRecord(
-            Factorization._trusted(pairs),
-            NumberClass.ABUNDANT if delta > 0 else NumberClass.PERFECT,
-            delta,
-        ))
+        if delta > 0 or include_perfect:
+            sink(EnumRecord(
+                Factorization._trusted(pairs),
+                NumberClass.ABUNDANT if delta > 0 else NumberClass.PERFECT,
+                delta,
+            ))
     return emit
 
 
@@ -276,11 +283,9 @@ def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
     if odd_only and factors and factors[0][0] == 2:
         raise ValueError("odd_only conflicts with an even seed")
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
-    emit = _record_emitter(sink) if sink is not None else None
+    emit = None if sink is None else _record_emitter(sink, include_perfect)
     ca, cp, found = _walk(
-        general, left, v, s, factors, sigpps, emit, include_perfect,
-        on_stop, start_floor, ceiling,
-    )
+        general, left, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling)
     return EnumOutcome(ca, cp, found)
 
 
@@ -288,7 +293,8 @@ def pndn(k, seed=None, sink=None, *, odd_only=False, include_perfect=False,
          on_stop=None, ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Emit every primitive non-deficient number with k prime factors
     (counted with multiplicity) divisible by the deficient seed, seed's
-    factors included in the count.
+    factors included in the count.  Without a sink the walk only counts and
+    builds no records.
 
     Perfect completions reach the sink only under include_perfect and are
     never added to count_abundant.
@@ -296,25 +302,14 @@ def pndn(k, seed=None, sink=None, *, odd_only=False, include_perfect=False,
     return _run(True, k, seed, sink, odd_only, include_perfect, on_stop, ceiling)
 
 
-def pndn_count(k, seed=None, *, odd_only=False, include_perfect=False,
-               ceiling=_DEFAULT_CEILING) -> EnumOutcome:
-    """Counting twin of pndn: same totals, no records built."""
-    return _run(True, k, seed, None, odd_only, include_perfect, None, ceiling)
-
-
 def sfpan(k, seed=None, sink=None, *, odd_only=False, on_stop=None,
           ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Emit every square-free-beyond-the-seed primitive abundant number with
-    k distinct primes, the seed's counted too.
+    k distinct primes, the seed's counted too.  Without a sink the walk only
+    counts and builds no records.
 
     The seed may carry prime powers; the new primes are distinct and larger.
     Perfect numbers cannot appear here: the final prime sits strictly below
     the center.
     """
     return _run(False, k, seed, sink, odd_only, False, on_stop, ceiling)
-
-
-def sfpan_count(k, seed=None, *, odd_only=False,
-                ceiling=_DEFAULT_CEILING) -> EnumOutcome:
-    """Counting twin of sfpan: same totals, no records built."""
-    return _run(False, k, seed, None, odd_only, False, None, ceiling)

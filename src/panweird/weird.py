@@ -289,13 +289,13 @@ class SearchConfig:
     multiplicity for the general one.  amplitude caps how far a chosen prime
     may sit from the running center, in primes.  certify marks a record
     certified when is_prime decides each of its primes deterministically
-    and finds it prime.
+    and finds it prime.  Each search fixes its own leaf rule; see
+    pwn_search_squarefree and pwn_search_general.
     """
 
     seed: Factorization = ONE
     k: int = 3
     amplitude: int = 1
-    strict_sigma_bound: bool = False
     certify: bool = False
 
     def __post_init__(self):
@@ -339,18 +339,15 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
 
     The mode decides the factor count (with multiplicity or distinct), the
     interior step that deepens the last prime, and the leaf rule: the exact
-    primitivity bound, or the max sigma(q^alpha) -/+ 1 floor of the
+    primitivity bound, or the max sigma(q^alpha) - 1 floor of the
     square-free search.
     """
-    if general and config.strict_sigma_bound:
-        raise ValueError("strict_sigma_bound applies to the square-free search only")
     seed = config.seed
     levels = config.k - (seed.big_omega if general else seed.omega)
     if levels < 1:
         raise ValueError("k must exceed the seed's %s count"
                          % ("factor" if general else "distinct prime"))
     a = config.amplitude
-    floor_shift = 1 if config.strict_sigma_bound else -1
     count = 0
 
     def emit(pairs, value, delta, entries, values=None):
@@ -401,7 +398,7 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
             if general:
                 if not clears_reduced_centers(p, 1, s, d, sigpps):
                     break  # bound only gets harder as p shrinks
-            elif p < max(sigpps, default=0) + floor_shift:
+            elif p < max(sigpps, default=0) - 1:
                 break
             row.append((j, p))
         if not row:
@@ -430,9 +427,7 @@ def pwn_search_squarefree(config: SearchConfig, sink=None) -> int:
 
     Emitted numbers have config.k distinct primes in total.  Leaf primes are
     kept at or above max(sigma(q^alpha)) - 1 over the factors carried so far,
-    which is enough for primitivity; with strict_sigma_bound the threshold
-    tightens to strictly above max(sigma(q^alpha)), trading a sufficient
-    bound for a narrower sweep.  Returns the number of emissions.
+    which is enough for primitivity.  Returns the number of emissions.
     """
     return _search(config, sink, False)
 

@@ -26,10 +26,8 @@ from panweird import (
     iter_primes_above,
     kth_prime_above,
     pndn,
-    pndn_count,
     pwn_search_squarefree,
     sfpan,
-    sfpan_count,
     weird_numbers_below,
 )
 
@@ -53,19 +51,19 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def test_criterion_1_squarefree_count_table():
-    got = [sfpan_count(k).count_abundant for k in range(1, 7)]
+    got = [sfpan(k).count_abundant for k in range(1, 7)]
     assert got == SFPAN_COUNTS
     for k, want in SFPAN_ODD_COUNTS.items():
-        assert sfpan_count(k, odd_only=True).count_abundant == want
+        assert sfpan(k, odd_only=True).count_abundant == want
 
 
 def test_criterion_2_general_count_table():
     for k in range(1, 7):
-        outcome = pndn_count(k)
+        outcome = pndn(k)
         assert outcome.count_abundant == PNDN_COUNTS[k - 1]
         assert outcome.count_perfect == PERFECT_COUNTS[k]
     for k, want in PNDN_ODD_COUNTS.items():
-        assert pndn_count(k, odd_only=True).count_abundant == want
+        assert pndn(k, odd_only=True).count_abundant == want
 
 
 def test_criterion_3_squarefree_search_blocks():
@@ -226,10 +224,10 @@ def test_criterion_7d_interior_stop_rule_is_safe():
             for q in iter_primes_above(p):
                 shard = Factorization(prefix + ((q, 1),))
                 if general:
-                    out = pndn_count(shard.big_omega + kk - 1, shard, include_perfect=True)
+                    out = pndn(shard.big_omega + kk - 1, shard)
                     assert not out.found and out.count_abundant == 0 and out.count_perfect == 0
                 else:
-                    assert sfpan_count(shard.omega + kk - 1, shard).count_abundant == 0
+                    assert sfpan(shard.omega + kk - 1, shard).count_abundant == 0
                 probes += 1
                 if probes == 5:
                     break
@@ -239,9 +237,9 @@ def test_criterion_8_out_of_scale_totals_are_shardable():
     # the published seven-factor totals, each from one run of the walk
     assert OUT_OF_SCALE["squarefree_omega_7"] == 12_566_567_699
     assert OUT_OF_SCALE["general_big_omega_7"] == 13_232_731_828
-    assert sfpan_count(7).count_abundant == OUT_OF_SCALE["squarefree_omega_7"]
-    assert pndn_count(7).count_abundant == OUT_OF_SCALE["general_big_omega_7"]
+    assert sfpan(7).count_abundant == OUT_OF_SCALE["squarefree_omega_7"]
+    assert pndn(7).count_abundant == OUT_OF_SCALE["general_big_omega_7"]
     # a seed pins the walk to one subtree of that run, and finishes
-    shard = pndn_count(7, seed="3^2*5*7")
+    shard = pndn(7, seed="3^2*5*7")
     assert shard.found and shard.count_abundant > 0
-    assert pndn_count(7, seed="3^2*5*7") == shard
+    assert pndn(7, seed="3^2*5*7") == shard

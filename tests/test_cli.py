@@ -27,6 +27,10 @@ def read_jsonl(path):
 def test_enumerate_count_only(capsys):
     assert main(["enumerate", "--mode", "pndn", "--k", "5", "--count-only"]) == 0
     manifest = json.loads(capsys.readouterr().out)
+    assert list(manifest) == ["command", "config", "started", "finished",
+                              "runtime_seconds", "status", "totals", "records"]
+    assert list(manifest["config"]) == ["mode", "k", "seed", "odd", "include_perfect",
+                                        "count_only", "ceiling"]
     assert manifest["command"] == "enumerate"
     assert manifest["config"]["mode"] == "pndn"
     assert manifest["config"]["k"] == 5
@@ -124,11 +128,14 @@ def test_weird_search_record_files_are_pinned(tmp_path):
 
 
 def test_sfpan_include_perfect_is_rejected_before_any_output(tmp_path, capsys):
+    # sfpan has no perfect completions, and --count-only writes no records
     out = tmp_path / "sf.jsonl"
-    assert main(["enumerate", "--mode", "sfpan", "--k", "3",
-                 "--include-perfect", "--out", str(out)]) == 1
-    assert "--include-perfect" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for argv in (["--mode", "sfpan", "--k", "3", "--include-perfect", "--out", str(out)],
+                 ["--mode", "pndn", "--k", "3", "--include-perfect", "--count-only"]):
+        assert main(["enumerate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "--include-perfect" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_weird_search_to_file(tmp_path):
@@ -160,13 +167,15 @@ def test_weird_search_with_squares(capsys):
 
 
 def test_weird_search_squares_excludes_strict_sigma_bound(tmp_path, capsys):
+    # --strict-sigma-bound is removed, so it is rejected with or without --squares
     out = tmp_path / "pwn.jsonl"
-    with pytest.raises(SystemExit) as err:
-        main(["weird", "search", "--seed", "2^3", "--k", "4", "--amplitude", "2",
-              "--squares", "--strict-sigma-bound", "--out", str(out)])
-    assert err.value.code == 1
-    assert "not allowed with" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for extra in (["--squares"], []):
+        with pytest.raises(SystemExit) as err:
+            main(["weird", "search", "--seed", "2^3", "--k", "4", "--amplitude", "2",
+                  *extra, "--strict-sigma-bound", "--out", str(out)])
+        assert err.value.code == 1
+        assert "--strict-sigma-bound" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_enumerate_count_only_excludes_out(tmp_path, capsys):
@@ -221,9 +230,10 @@ def test_weird_certify(tmp_path, capsys, monkeypatch):
 def test_weird_certify_rejects_record_without_factorization(tmp_path, capsys):
     # no factorization, a non-string one, and one with decreasing bases
     path = tmp_path / "records.jsonl"
-    for bad in ({"delta": "4"}, {"factorization": 70}, {"factorization": "7*5"}):
-        path.write_text(json.dumps({"factorization": "2*5*7"}) + "\n\n"
-                        + json.dumps(bad) + "\n")
+    # and a line that is not JSON at all
+    for bad in ('{"delta": "4"}', '{"factorization": 70}', '{"factorization": "7*5"}',
+                "{bad json"):
+        path.write_text(json.dumps({"factorization": "2*5*7"}) + "\n\n" + bad + "\n")
         assert main(["weird", "certify", "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input: line 3: ")
@@ -253,11 +263,12 @@ def test_convert_to_csv(tmp_path):
 
 def test_convert_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
     src = tmp_path / "records.jsonl"
-    src.write_text(json.dumps({"factorization": "2*5*7"}) + "\n[1]\n")
     out = tmp_path / "out.csv"
-    assert main(["convert", "--in", str(src), "--out", str(out)]) == 1
-    assert "line 2" in capsys.readouterr().err
-    assert not out.exists()
+    for bad in ("[1]", "{bad json"):
+        src.write_text(json.dumps({"factorization": "2*5*7"}) + "\n" + bad + "\n")
+        assert main(["convert", "--in", str(src), "--out", str(out)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _run_sequence(tmp_path, capsys, fresh):
@@ -268,7 +279,7 @@ def _run_sequence(tmp_path, capsys, fresh):
         ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
          "--squares", "--out", str(tmp_path / "squares.jsonl")],
         ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
-         "--squares", "--strict-sigma-bound"],  # usage error
+         "--squares", "--strict-sigma-bound"],  # usage error: a removed option
         ["weird", "search", "--seed", "2", "--k", "5", "--amplitude", "4",
          "--out", str(tmp_path / "plain.jsonl")],
         ["enumerate", "--mode", "sfpan", "--k", "4", "--count-only"],

@@ -15,9 +15,7 @@ from panweird import (
     is_primitive_nondeficient_oracle,
     iter_primes_above,
     pndn,
-    pndn_count,
     sfpan,
-    sfpan_count,
     sigma,
 )
 from panweird.arith import MAX_FACTORS
@@ -56,8 +54,8 @@ def test_three_factor_records_exactly():
 
 
 def test_single_factor_runs_are_empty():
-    assert pndn_count(1) == EnumOutcome(0, 0, False)
-    assert sfpan_count(1) == EnumOutcome(0, 0, False)
+    assert pndn(1) == EnumOutcome(0, 0, False)
+    assert sfpan(1) == EnumOutcome(0, 0, False)
 
 
 def test_enumeration_matches_census():
@@ -98,7 +96,7 @@ def _check_twins(extra, seed=None, **kw):
     f = F(seed or "1")
     k = f.big_omega + extra
     records, outcome = collect(pndn, k, seed=seed, include_perfect=True, **kw)
-    counted = pndn_count(k, seed=seed, **kw)
+    counted = pndn(k, seed=seed, **kw)
     assert counted == outcome
     assert counted.count_abundant == sum(
         1 for r in records if r.number_class is NumberClass.ABUNDANT
@@ -108,7 +106,7 @@ def _check_twins(extra, seed=None, **kw):
     )
     k = f.omega + extra
     srecords, soutcome = collect(sfpan, k, seed=seed, **kw)
-    scounted = sfpan_count(k, seed=seed, **kw)
+    scounted = sfpan(k, seed=seed, **kw)
     assert scounted == soutcome
     assert scounted.count_abundant == len(srecords)
     assert scounted.count_perfect == 0
@@ -161,7 +159,7 @@ def test_odd_only_filters_even_numbers():
     records, outcome = collect(pndn, 5, odd_only=True)
     assert outcome.count_abundant == len(records) == 121
     assert all(r.factorization.factors[0][0] > 2 for r in records)
-    assert sfpan_count(5, odd_only=True).count_abundant == 87
+    assert sfpan(5, odd_only=True).count_abundant == 87
 
 
 def test_runs_are_deterministic():
@@ -172,48 +170,48 @@ def test_runs_are_deterministic():
 
 def test_seed_and_k_validation():
     with pytest.raises(NotDeficient):
-        pndn_count(3, seed="2*3")
+        pndn(3, seed="2*3")
     with pytest.raises(NotDeficient):
-        sfpan_count(3, seed="2*5*7")
+        sfpan(3, seed="2*5*7")
     with pytest.raises(ValueError):
-        pndn_count(0)
+        pndn(0)
     with pytest.raises(ValueError):
-        pndn_count("3")
+        pndn("3")
     with pytest.raises(ValueError):
-        sfpan_count(MAX_FACTORS + 1)
+        sfpan(MAX_FACTORS + 1)
     # k counts the seed's factors, so it must leave room for new primes
     with pytest.raises(ValueError):
-        pndn_count(2, seed="2^2")
+        pndn(2, seed="2^2")
     with pytest.raises(ValueError):
-        sfpan_count(1, seed="3^2")
+        sfpan(1, seed="3^2")
     with pytest.raises(ValueError):
-        pndn_count(4, seed="2^2", odd_only=True)
+        pndn(4, seed="2^2", odd_only=True)
 
 
 def test_ceiling_guards_leaf_scans():
     with pytest.raises(CeilingExceeded):
-        pndn_count(4, ceiling=10)
+        pndn(4, ceiling=10)
     with pytest.raises(CeilingExceeded):
-        sfpan_count(4, ceiling=10)
+        sfpan(4, ceiling=10)
     # a ceiling prime_pi cannot honour is refused before the walk
     for ceiling in (0, -1, PI_BOUND + 1, 1e10, None):
         with pytest.raises(ValueError):
-            pndn_count(4, ceiling=ceiling)
+            pndn(4, ceiling=ceiling)
 
 
 def test_reference_shard_reaches_past_the_table():
     # the benchmark's count-k7 shard: some of its leaf bounds lie past the
     # 2^26 prime table, so those leaves count through Lucy's pi(x)
-    assert pndn_count(7, seed="2^2*13*17") == EnumOutcome(569_229_409, 0, True)
+    assert pndn(7, seed="2^2*13*17") == EnumOutcome(569_229_409, 0, True)
 
 
 def test_leaves_past_the_table_cap_hit_the_ceiling():
     # the new primes of 2^25 lie past the table cap, stepped one by one, and
     # the first of their leaves has a bound above the default ceiling
     with pytest.raises(CeilingExceeded, match="leaf bound 281475039625215 "):
-        pndn_count(27, seed="2^25")
+        pndn(27, seed="2^25")
     with pytest.raises(CeilingExceeded, match="leaf bound 281475039625214 "):
-        sfpan_count(3, seed="2^25")
+        sfpan(3, seed="2^25")
 
 
 def test_stop_events_and_ceilings_are_pinned():
@@ -230,7 +228,7 @@ def test_stop_events_and_ceilings_are_pinned():
 
     assert digest(pndn) == "064c6fea86b63d6b3bb7b847faeceed425bf5d489e1a787342d1e98cb28032e8"
     assert digest(sfpan) == "22da1e9a393f533910b72e0ab36b61d843525a8f2cece8db706b3e4945e6ea20"
-    for count, ceiling in ((pndn_count, 648), (sfpan_count, 647)):
+    for count, ceiling in ((pndn, 648), (sfpan, 647)):
         assert count(5, ceiling=ceiling).count_abundant > 0
         with pytest.raises(CeilingExceeded):
             count(5, ceiling=ceiling - 1)
@@ -249,10 +247,10 @@ def test_interior_stops_are_safe():
             for q in iter_primes_above(p):
                 shard = Factorization(prefix + ((q, 1),))
                 if general:
-                    out = pndn_count(shard.big_omega + k - 1, shard, include_perfect=True)
+                    out = pndn(shard.big_omega + k - 1, shard)
                     assert not out.found and out.count_abundant == 0 and out.count_perfect == 0
                 else:
-                    assert sfpan_count(shard.omega + k - 1, shard).count_abundant == 0
+                    assert sfpan(shard.omega + k - 1, shard).count_abundant == 0
                 probes += 1
                 if probes == 5:
                     break
@@ -276,7 +274,7 @@ def test_shard_children_partition_the_count():
     # seeded counts of a node's children, through the first barren new
     # prime, add up to the node's own count: shard totals can be summed
     for general in (True, False):
-        count = pndn_count if general else sfpan_count
+        count = pndn if general else sfpan
         for seed, odd_only in ((1, False), (1, True), ("2", False), ("3", False)):
             node = Factorization.coerce(seed)
             whole = count(6, node, odd_only=odd_only)

@@ -41,17 +41,17 @@ from oracles import naive_divisors, naive_is_weird
 F = Factorization.parse
 
 
-def run_squarefree(seed, k, amplitude, **kw):
+def run_squarefree(seed, k, amplitude):
     records = []
-    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude, **kw)
+    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude)
     count = pwn_search_squarefree(config, records.append)
     assert count == len(records)
     return records
 
 
-def run_general(seed, k, amplitude, **kw):
+def run_general(seed, k, amplitude):
     records = []
-    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude, **kw)
+    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude)
     count = pwn_search_general(config, records.append)
     assert count == len(records)
     return records
@@ -312,10 +312,6 @@ def test_search_config_validation():
         pwn_search_squarefree(SearchConfig(seed=F("2^2"), k=1, amplitude=2))
     with pytest.raises(ValueError):
         pwn_search_general(SearchConfig(seed=F("2^2"), k=2, amplitude=2))
-    # the strict bound is a square-free leaf rule; the general search has none
-    with pytest.raises(ValueError):
-        pwn_search_general(SearchConfig(seed=F("2^2"), k=4, amplitude=2,
-                                        strict_sigma_bound=True))
 
 
 def test_squarefree_blocks_match_catalog():
@@ -343,12 +339,6 @@ def test_widening_the_amplitude_only_adds_emissions():
     mid = {str(r.factorization) for r in run_squarefree("2^3", 4, 6)}
     wide = {str(r.factorization) for r in run_squarefree("2^3", 4, 8)}
     assert small <= mid <= wide
-
-
-def test_strict_sigma_bound_narrows_the_sweep():
-    loose = as_rows(run_squarefree("2^3", 4, 6))
-    strict = as_rows(run_squarefree("2^3", 4, 6, strict_sigma_bound=True))
-    assert strict <= loose
 
 
 def test_general_search_extends_the_squarefree_one():
