@@ -5,6 +5,11 @@ divisor is deficient; equivalently, dividing out any one distinct prime leaves
 a deficient number.  The fast predicates below decide this for one-prime
 extensions of a deficient base without touching the divisors themselves, and
 the oracle decides it from the definition.
+
+The walks and searches decide primitivity with integers only: an integer
+clears every reduced center, center(m/q), exactly when it exceeds
+reduced_center_floor.  Fraction appears only where a public function takes
+or returns a ratio: primitivity_lower_bound and extend_primitive_coprime.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from fractions import Fraction
 from .arith import (
     Factorization,
     abundance,
+    center,
     deficiency,
     sigma,
     sigma_prime_power,
@@ -74,31 +80,21 @@ def classify_same_prime_extension(m: Factorization, p: int) -> NumberClass:
     return extend_primitive_same(m, p).number_class
 
 
-def max_reduced_center(s: int, d: int, sigpps) -> tuple[int, int]:
-    """max over prime divisors q of center(m/q), as (numerator, denominator).
+def reduced_center_floor(s: int, d: int, sigpps) -> int:
+    """floor of the largest center(m/q) over the prime divisors q of m; 0
+    when sigpps is empty.
 
     m is deficient with sigma(m) = s, deficiency d and sigma(q^alpha) for
-    each prime power q^alpha exactly dividing m in sigpps (not empty).
-    Each center(m/q) comes out of s and d alone: with t = s/sigma(q^alpha),
+    each prime power q^alpha exactly dividing m in sigpps.  Each center(m/q)
+    comes out of s and d alone: with t = s/sigma(q^alpha),
     center(m/q) = (s - t)/(d + t), which grows with sigma(q^alpha), so only
-    the largest one matters.
+    the largest one matters.  An integer clears every center(m/q) exactly
+    when it exceeds this floor.
     """
-    t = s // max(sigpps)
-    return s - t, d + t
-
-
-def clears_reduced_centers(num: int, den: int, s: int, d: int, sigpps) -> bool:
-    """Whether num/den > center(m/q) for every q in sigpps (true if none)."""
     if not sigpps:
-        return True
-    cnum, cden = max_reduced_center(s, d, sigpps)
-    return num * cden > den * cnum
-
-
-def first_above_reduced_centers(s: int, d: int, sigpps) -> int:
-    """Smallest integer x with clears_reduced_centers(x, 1, s, d, sigpps)."""
-    cnum, cden = max_reduced_center(s, d, sigpps)
-    return cnum // cden + 1
+        return 0
+    t = s // max(sigpps)
+    return (s - t) // (d + t)
 
 
 def primitivity_lower_bound(m: Factorization) -> Fraction:
@@ -107,13 +103,9 @@ def primitivity_lower_bound(m: Factorization) -> Fraction:
     A one-prime extension of deficient m is primitive exactly when the new
     factor clears this bound (and the extension is non-deficient).
     """
-    d = deficiency(m)
-    if d <= 0:
+    if deficiency(m) <= 0:
         raise NotDeficient("lower bound is defined for deficient numbers only")
-    if not m.factors:
-        return Fraction(0)
-    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors]
-    return Fraction(*max_reduced_center(sigma(m), d, sigpps))
+    return max((center(m.divide_prime(q)) for q, _ in m.factors), default=Fraction(0))
 
 
 def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int, bool]:
@@ -126,13 +118,7 @@ def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int,
     and p*sigma(p^alpha) clears every center(m/q), q != p.
     """
     delta = s // spp - p * d
-    return delta, delta >= 0 and clears_reduced_centers(p * spp, 1, s, d, others)
-
-
-def _clears_lower_bound(m: Factorization, num: int, den: int) -> bool:
-    """Whether num/den > center(m/q) for every prime divisor q."""
-    sigpps = [sigma_prime_power(q, alpha) for q, alpha in m.factors]
-    return clears_reduced_centers(num, den, sigma(m), deficiency(m), sigpps)
+    return delta, delta >= 0 and p * spp > reduced_center_floor(s, d, others)
 
 
 def extend_primitive_coprime(m: Factorization, p: int, e: int = 1) -> ExtensionVerdict:
@@ -148,9 +134,7 @@ def extend_primitive_coprime(m: Factorization, p: int, e: int = 1) -> ExtensionV
         return ExtensionVerdict(cls, False)
     if cls is NumberClass.PERFECT:
         return ExtensionVerdict(cls, True)
-    num = p**e
-    den = sigma_prime_power(p, e - 1)
-    if not _clears_lower_bound(m, num, den):
+    if Fraction(p**e, sigma_prime_power(p, e - 1)) <= primitivity_lower_bound(m):
         return ExtensionVerdict(cls, False)
     if e > 1:
         # the e-1 prefix must still be deficient

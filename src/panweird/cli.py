@@ -7,7 +7,8 @@ stderr; stdout carries records only when --out is '-'.
 
 Records written to a file go to <out>.partial first and are renamed to
 <out> only when the run succeeds.  The manifest is written either way; its
-status says how the run ended: ok, ceiling, interrupted or error.
+status says how the run ended: ok, ceiling, interrupted or error.  convert
+writes no manifest, so it removes its partial file when it fails.
 
 Exit codes: 0 success, 1 usage, bad input or a file that cannot be read or
 written, 2 verification failure, 3 resource ceiling hit.
@@ -278,14 +279,19 @@ def cmd_convert(args) -> int:
         "omega", "big_omega", "digits", "certified",
     ]
     partial = args.out + ".partial"
-    with open(args.infile) as fh, open(partial, "w", newline="") as outfh:
-        writer = csv.DictWriter(outfh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for _, rec in _read_records(fh):
-            for key, value in rec.items():
-                if isinstance(value, bool):
-                    rec[key] = "true" if value else "false"
-            writer.writerow(rec)
+    try:
+        with open(args.infile) as fh, open(partial, "w", newline="") as outfh:
+            writer = csv.DictWriter(outfh, fieldnames=columns, extrasaction="ignore")
+            writer.writeheader()
+            for _, rec in _read_records(fh):
+                for key, value in rec.items():
+                    if isinstance(value, bool):
+                        rec[key] = "true" if value else "false"
+                writer.writerow(rec)
+    except BaseException:
+        if os.path.exists(partial):  # no manifest marks it, so none may stay
+            os.remove(partial)
+        raise
     os.replace(partial, args.out)
     return 0
 

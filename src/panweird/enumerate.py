@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
-from .classify import NumberClass, first_above_reduced_centers, same_prime_extension
+from .classify import NumberClass, reduced_center_floor, same_prime_extension
 from .errors import CeilingExceeded, NotDeficient
 from .primes import (
     _DEFAULT_CEILING,
@@ -114,7 +114,7 @@ def _close_row(general, prefix, e, others, row, emit, ceiling):
         if upper > p:
             # only the largest sigma(q^alpha) matters; for sfpan the bound binds
             # only when the stack carries prime powers (seeded runs)
-            lb = first_above_reduced_centers(s, d, (omax, spp))
+            lb = reduced_center_floor(s, d, (omax, spp)) + 1
             if lb > lo:
                 lo = lb
             if upper <= limit:

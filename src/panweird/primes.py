@@ -1,9 +1,9 @@
 """Primality testing, prime stepping and prime counting.
 
-Everything here works on plain integers; rational bounds are accepted where an
-open interval endpoint may be non-integral (centers usually are).  Strictness
-is resolved once, by integer conversion: the smallest integer > a is
-floor(a)+1, the largest integer < b is ceil(b)-1.
+Everything here works on plain integers, bounds included: a rational bound
+raises TypeError.  A caller stepping from a center c = s/d asks for the
+primes above s // d or below -(-s // d): an integer x exceeds c exactly when
+x > s // d, and lies below c exactly when x < -(-s // d).
 
 The primes up to a limit form one sorted int64 numpy array, the table, grown
 (up to 2^26) by sieving only the new range with one odd-only sieve.  Only
@@ -18,9 +18,9 @@ tests, exact below 3.3 * 10^24.  Only Python ints leave the table.
 
 from __future__ import annotations
 
+import operator
 import random
 import threading
-from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
 import numpy as np
@@ -267,30 +267,11 @@ def _prev_prime_step(n: int) -> int:
     return 2
 
 
-# ---------------------------------------------------------------------------
-# Rational bound helpers.
-
-def int_gt(x) -> int:
-    """Smallest integer strictly greater than x."""
-    if isinstance(x, int):
-        return x + 1
-    x = Fraction(x)
-    return x.numerator // x.denominator + 1
-
-
-def int_lt(x) -> int:
-    """Largest integer strictly less than x."""
-    if isinstance(x, int):
-        return x - 1
-    x = Fraction(x)
-    if x.denominator == 1:
-        return x.numerator - 1
-    return x.numerator // x.denominator
-
-
 def _index_above(n: int) -> tuple[np.ndarray, int, int]:
     """(table, i, m), growing the table to its floor at most: the smallest
-    prime > n is table[i], or, when i == len(table), the smallest prime > m."""
+    prime > n is table[i], or, when i == len(table), the smallest prime > m.
+    n must be an integer; anything else raises TypeError."""
+    n = operator.index(n)
     limit, table = _table(_TABLE_FLOOR)
     if n >= limit:
         return table, len(table), n
@@ -305,30 +286,29 @@ def next_prime(n: int) -> int:
     return _next_prime_step(m)
 
 
-def kth_prime_above(x, k: int) -> int:
-    """The k-th prime strictly greater than x (k >= 1)."""
+def kth_prime_above(x: int, k: int) -> int:
+    """The k-th prime strictly greater than the integer x (k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = int_gt(x) - 1
-    table, i, m = _index_above(p)
+    table, i, m = _index_above(x)
     if i + k <= len(table):
         return int(table[i + k - 1])
-    k -= len(table) - i  # the table's primes above p come first, then those above m
+    k -= len(table) - i  # the table's primes above x come first, then those above m
     p = m
     for _ in range(k):
         p = next_prime(p)
     return p
 
 
-def kth_prime_below(x, k: int) -> int:
-    """The k-th prime strictly less than x (k >= 1); NoSuchPrime if none."""
+def kth_prime_below(x: int, k: int) -> int:
+    """The k-th prime strictly less than the integer x (k >= 1); NoSuchPrime
+    if none."""
+    p = operator.index(x)
     if k < 1:
         raise ValueError("k must be >= 1")
-    hi = int_lt(x)
-    if hi < 2:
-        raise NoSuchPrime("no prime below %s" % (x,))
+    if p <= 2:
+        raise NoSuchPrime("no prime below %d" % p)
     limit, table = _table(_TABLE_FLOOR)
-    p = hi + 1  # the k-th prime below x is the k-th prime below p
     left = k
     while left and p > limit + 1:  # the table cannot rule out primes in [limit, p)
         p = _prev_prime_step(p)
@@ -337,28 +317,18 @@ def kth_prime_below(x, k: int) -> int:
         return p
     i = int(table.searchsorted(p))  # the primes below p
     if i < left:
-        raise NoSuchPrime("fewer than %d primes below %s" % (k, x))
+        raise NoSuchPrime("fewer than %d primes below %d" % (k, x))
     return int(table[i - left])
 
 
-def prime_at_or_zero(x):
-    """x itself when x is an integral prime, else None."""
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return None
-        x = x.numerator
-    if not isinstance(x, int):
-        return None
-    return x if is_prime(x) else None
-
-
-def iter_primes_above(x):
-    """Yield primes strictly greater than x in increasing order, forever.
+def iter_primes_above(x: int):
+    """Yield primes strictly greater than the integer x in increasing order,
+    forever.
 
     The table is read afresh before each prime or chunk, so once a caller's
     counting has grown it past the scan, the scan reads it again.
     """
-    p = int_gt(x) - 1
+    p = x
     while True:
         table, i, m = _index_above(p)
         if i < len(table):

@@ -20,6 +20,11 @@ first `amplitude` primes above center(m), the final level the last
 skipped but still spent, so every emitted number has all index magnitudes
 within the amplitude, and widening the amplitude only adds emissions.
 
+Centers s/d are never built as ratios.  The searches and the codec step
+with one integer rule: the primes above s/d are the primes above s // d,
+the primes below it the primes below -(-s // d), and a prime sits at the
+center exactly when d divides s and s // d is prime.
+
 The final level closes its leaves in a row: the parent m collects its leaf
 primes, sorts its divisors up to the row's largest delta once, and each
 leaf m*p takes its values by bisection, the divisors e <= delta of m and,
@@ -31,7 +36,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .arith import (
@@ -44,7 +48,7 @@ from .arith import (
     sigma,
     sigma_prime_power,
 )
-from .classify import clears_reduced_centers, same_prime_extension
+from .classify import reduced_center_floor, same_prime_extension
 from .errors import (
     InvalidSequence,
     NoSuchPrime,
@@ -58,7 +62,6 @@ from .primes import (
     is_prime,
     kth_prime_above,
     kth_prime_below,
-    prime_at_or_zero,
 )
 
 _BITSET_LIMIT = 1 << 24
@@ -225,20 +228,23 @@ def encode_index_sequence(f: Factorization) -> IndexSequence:
             raise PrefixNotDeficient(
                 "prefix before %d is not deficient in %s" % (p, f)
             )
-        if p * d == s:
+        if p * d == s:  # p sits at the center
             idx = 0
+            q = p if is_prime(p) else None
         elif p * d > s:  # p above the center, count upward
             idx = 1
-            q = kth_prime_above(Fraction(s, d), 1)
+            q = kth_prime_above(s // d, 1)
             while q < p:
                 q = kth_prime_above(q, 1)
                 idx += 1
         else:  # below the center, count downward
             idx = -1
-            q = kth_prime_below(Fraction(s, d), 1)
+            q = kth_prime_below(-(-s // d), 1)
             while q > p:
                 q = kth_prime_below(q, 1)
                 idx -= 1
+        if q != p:  # the count stepped over p
+            raise InvalidSequence("factor %d of %s is not prime" % (p, f))
         entries.append((idx, e))
         v *= p**e
         s *= sigma_prime_power(p, e)
@@ -256,18 +262,18 @@ def decode_index_sequence(seq) -> Factorization:
         d = 2 * v - s
         if d <= 0:
             raise InvalidSequence("interior prefix is not deficient")
-        c = Fraction(s, d)
         if idx == 0:
-            p = prime_at_or_zero(c)
-            if p is None:
-                raise InvalidSequence("no prime sits at center %s" % c)
+            p = s // d
+            if p * d != s or not is_prime(p):
+                raise InvalidSequence("no prime sits at center %d/%d" % (s, d))
         elif idx > 0:
-            p = kth_prime_above(c, idx)
+            p = kth_prime_above(s // d, idx)
         else:
             try:
-                p = kth_prime_below(c, -idx)
+                p = kth_prime_below(-(-s // d), -idx)
             except NoSuchPrime:
-                raise InvalidSequence("not enough primes below center %s" % c) from None
+                raise InvalidSequence(
+                    "not enough primes below center %d/%d" % (s, d)) from None
         if p <= prev:
             raise InvalidSequence("index %d repeats or reorders primes" % idx)
         pairs.append((p, e))
@@ -364,7 +370,6 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
 
     def rec(left, v, s, pairs, sigpps, entries):
         d = 2 * v - s
-        c = Fraction(s, d)
         pr = pairs[-1][0] if pairs else 1
         if general and pairs:
             p, e = pairs[-1]
@@ -378,8 +383,8 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
             elif delta < 0:  # still deficient with one more p
                 rec(left - 1, v * p, 2 * v * p + delta, deeper,
                     sigpps[:-1] + [spp * p + 1], deeper_entries)
-        p = c
         if left > 1:
+            p = s // d  # the primes above it are the primes above the center
             for j in range(1, a + 1):
                 p = kth_prime_above(p, 1)
                 if p <= pr:
@@ -387,6 +392,10 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
                 rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
                     sigpps + [p + 1], entries + [(j, 1)])
             return
+        p = -(-s // d)  # the primes below it are the primes below the center
+        # a leaf prime must exceed floor: the exact primitivity bound, or the
+        # square-free search's p >= max sigma(q^alpha) - 1
+        floor = reduced_center_floor(s, d, sigpps) if general else max(sigpps, default=0) - 2
         row = []  # the leaves (slot, p), in slot order
         for j in range(1, a + 1):
             try:
@@ -395,11 +404,8 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
                 break
             if p <= pr:
                 break  # deeper slots only get smaller
-            if general:
-                if not clears_reduced_centers(p, 1, s, d, sigpps):
-                    break  # bound only gets harder as p shrinks
-            elif p < max(sigpps, default=0) - 1:
-                break
+            if p <= floor:
+                break  # the bound only gets harder as p shrinks
             row.append((j, p))
         if not row:
             return

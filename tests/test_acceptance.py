@@ -8,6 +8,7 @@ are published results this package supports only through seeded shard
 runs, never as a single desk-scale computation.
 """
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -204,7 +205,7 @@ def test_criterion_7c_center_identities_and_monotonicity():
     done = 0
     while done < 2000:
         m = _random_deficient(rng)
-        p = kth_prime_above(center(m), rng.randrange(1, 4))
+        p = kth_prime_above(math.floor(center(m)), rng.randrange(1, 4))
         q = kth_prime_above(p, rng.randrange(1, 4))
         if m.exponent_of(p) or m.exponent_of(q):
             continue

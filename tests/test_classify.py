@@ -27,7 +27,7 @@ from panweird import (
     sigma,
     sigma_prime_power,
 )
-from panweird.classify import first_above_reduced_centers, same_prime_extension
+from panweird.classify import reduced_center_floor, same_prime_extension
 
 F = Factorization.parse
 
@@ -145,10 +145,9 @@ def test_lower_bound_is_max_of_reduced_centers():
         m = random_deficient(rng)
         want = max(center(m.divide_prime(q)) for q, _ in m.factors)
         assert primitivity_lower_bound(m) == want
-        # the kernel's integer inverse: the first integer clearing the bound
+        # the integer kernel: an integer clears the bound when it exceeds this
         sigpps = [sigma_prime_power(q, a) for q, a in m.factors]
-        assert first_above_reduced_centers(sigma(m), deficiency(m), sigpps) == \
-            math.floor(want) + 1
+        assert reduced_center_floor(sigma(m), deficiency(m), sigpps) == math.floor(want)
 
 
 def test_extend_coprime_matches_oracle():

@@ -269,6 +269,7 @@ def test_convert_rejects_a_line_that_is_not_an_object(tmp_path, capsys):
         assert main(["convert", "--in", str(src), "--out", str(out)]) == 1
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "out.csv.partial").exists()
 
 
 def _run_sequence(tmp_path, capsys, fresh):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -265,7 +266,7 @@ def walk_children(general, node, odd_only):
         deeper = Factorization(node.factors[:-1] + ((last[0], last[1] + 1),))
         if deficiency(deeper) > 0:
             yield deeper, False
-    start = max(center(node), last[0], 2 if odd_only else 0)
+    start = max(math.floor(center(node)), last[0], 2 if odd_only else 0)
     for p in iter_primes_above(start):
         yield Factorization(node.factors + ((p, 1),)), True
 

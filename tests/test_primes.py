@@ -14,7 +14,6 @@ from panweird import (
     kth_prime_above,
     kth_prime_below,
     next_prime,
-    prime_at_or_zero,
     prime_pi,
     primes_in_closed,
 )
@@ -23,8 +22,6 @@ from panweird.primes import (
     _DETERMINISTIC_BASE_CEILING,
     PI_BOUND,
     count_in_closed,
-    int_gt,
-    int_lt,
     prime_table,
 )
 
@@ -98,6 +95,8 @@ def test_next_prime_and_strictness():
     assert next_prime(1) == 2
     assert next_prime(2) == 3
     assert next_prime(89) == 97
+    with pytest.raises(TypeError):
+        next_prime(Fraction(7, 2))
     for p in SMALL_PRIMES:
         assert kth_prime_above(p, 1) > p
         if p > 2:
@@ -106,43 +105,57 @@ def test_next_prime_and_strictness():
 
 def test_kth_prime_above_examples():
     assert kth_prime_above(7, 2) == 13
-    assert kth_prime_above(Fraction(49, 3), 1) == 17
+    assert kth_prime_above(49 // 3, 1) == 17  # above the center 49/3
     assert kth_prime_above(1, 1) == 2
-    assert kth_prime_above(Fraction(1, 2), 3) == 5
+    assert kth_prime_above(1 // 2, 3) == 5
+    with pytest.raises(TypeError):
+        kth_prime_above(Fraction(49, 3), 1)
 
 
 def test_kth_prime_below_examples():
     assert kth_prime_below(9, 1) == 7
     assert kth_prime_below(31, 2) == 23
-    assert kth_prime_below(Fraction(5, 2), 1) == 2
+    assert kth_prime_below(-(-5 // 2), 1) == 2  # below the center 5/2
+    with pytest.raises(TypeError):
+        kth_prime_below(Fraction(5, 2), 1)
     with pytest.raises(NoSuchPrime):
         kth_prime_below(2, 1)
     with pytest.raises(NoSuchPrime):
         kth_prime_below(20, 9)
 
 
-def test_prime_at_or_zero():
-    assert prime_at_or_zero(7) == 7
-    assert prime_at_or_zero(Fraction(49, 3)) is None
-    assert prime_at_or_zero(9) is None
-    assert prime_at_or_zero(Fraction(14, 2)) == 7
-
-
-def test_int_bracketing_helpers():
-    assert int_gt(3) == 4
-    assert int_gt(Fraction(7, 2)) == 4
-    assert int_lt(3) == 2
-    assert int_lt(Fraction(7, 2)) == 3
+def test_integer_rule_steps_around_a_rational_center():
+    # an integer is above s/d exactly when it exceeds s // d, and below s/d
+    # exactly when it is under -(-s // d); trial division and Fraction decide
+    rng = random.Random(0x5D1F)
+    cases = [(rng.randrange(1, 10**4), rng.randrange(1, 60)) for _ in range(200)]
+    for c in rng.sample(range(2, 3000), 60) + [2, 3, 4, 97, 1001, 2003]:
+        d = rng.randrange(1, 60)
+        cases.append((c * d, d))  # a center that is an integer
+    assert any(s % d == 0 and naive_is_prime(s // d) for s, d in cases)
+    assert any(s % d == 0 and s > d and not naive_is_prime(s // d) for s, d in cases)
+    for s, d in cases:
+        c = Fraction(s, d)
+        near = range(max(0, s // d - 300), s // d + 300)
+        above = [x for x in near if x > c and naive_is_prime(x)]
+        below = [x for x in reversed(near) if x < c and naive_is_prime(x)]
+        for j in range(1, 5):
+            assert kth_prime_above(s // d, j) == above[j - 1]
+            if j <= len(below):
+                assert kth_prime_below(-(-s // d), j) == below[j - 1]
+            else:
+                with pytest.raises(NoSuchPrime):
+                    kth_prime_below(-(-s // d), j)
 
 
 def test_count_open_interval_examples():
     def open_count(a, b):
-        return count_in_closed(int_gt(a), int_lt(b))
+        return count_in_closed(a + 1, b - 1)
 
     assert open_count(5, 9) == 1
     assert open_count(2, 3) == 0
     assert open_count(7, 31) == 6
-    assert open_count(Fraction(13, 2), 31) == 7
+    assert open_count(13 // 2, 31) == 7  # primes in (13/2, 31)
     assert open_count(30, 10) == 0
 
 
@@ -173,7 +186,7 @@ def test_stepping_counting_coherence():
     for _ in range(30):
         a = rng.randrange(2, 5000)
         b = a + rng.randrange(1, 500)
-        n = count_in_closed(int_gt(a), int_lt(b))
+        n = count_in_closed(a + 1, b - 1)
         k = 0
         while kth_prime_above(a, k + 1) < b:
             k += 1
@@ -185,6 +198,8 @@ def test_iter_primes_above_prefix():
     assert [next(it) for _ in range(8)] == [2, 3, 5, 7, 11, 13, 17, 19]
     it = iter_primes_above(89)
     assert next(it) == 97
+    with pytest.raises(TypeError):
+        next(iter_primes_above(Fraction(177, 2)))
 
 
 def test_primes_in_closed():
@@ -293,7 +308,7 @@ def _step_answers():
     for x in STEP_POINTS:
         it = iter_primes_above(x)
         answers.append((next_prime(x), kth_prime_above(x, 3),
-                        kth_prime_below(Fraction(2 * x + 1, 2), 2), [next(it) for _ in range(20)]))
+                        kth_prime_below(x + 1, 2), [next(it) for _ in range(20)]))
     return answers
 
 

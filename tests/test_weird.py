@@ -256,6 +256,8 @@ def test_codec_center_hit_uses_index_zero():
     assert str(encode_index_sequence(F("2*3"))) == "[1, 0]"
     assert decode_index_sequence("[1, 0]") == F("2*3")
     with pytest.raises(InvalidSequence):
+        decode_index_sequence("[1^3, 0]")  # the center of 2^3 is 15
+    with pytest.raises(InvalidSequence):
         decode_index_sequence("[0]")  # no prime sits at 1
 
 
@@ -286,6 +288,11 @@ def test_encode_requires_deficient_prefixes():
     assert str(encode_index_sequence(F("2*5*7"))) == "[1, 1, -1]"
     with pytest.raises(InvalidSequence):
         encode_index_sequence(F("1"))
+    # a factor that is not prime, above, below and at the center; the
+    # constructor does not test primality
+    for pairs in ([(2, 1), (9, 1)], [(2, 3), (9, 1)], [(2, 3), (15, 1)]):
+        with pytest.raises(InvalidSequence, match="not prime"):
+            encode_index_sequence(Factorization(pairs))
 
 
 def test_decode_rejects_impossible_sequences():
