@@ -3,6 +3,12 @@
 Numbers are carried as sorted prime factorizations and never expanded unless
 a caller asks for the value.  All comparisons the hot paths need reduce to
 integer cross-multiplication; Fraction appears only at API boundaries.
+
+The public constructor tests every base for primality, so no Factorization
+built from outside the package carries a composite "prime".  Code that
+already knows its bases are prime (factoring, the walks, the codec) builds
+through Factorization._trusted and skips the test.  seed_state is the one
+place where a walk or search checks its factor count and its seed.
 """
 
 from __future__ import annotations
@@ -73,6 +79,8 @@ class Factorization:
                 raise ValueError("primes must be strictly increasing: %r" % (pairs,))
             if e < 1:
                 raise ValueError("exponents must be positive: %r" % (pairs,))
+            if not _primes.is_prime(p):
+                raise ValueError("%d is not prime" % p)
             last = p
         self.factors = pairs
 
@@ -80,8 +88,8 @@ class Factorization:
 
     @classmethod
     def _trusted(cls, pairs: tuple) -> "Factorization":
-        """Wrap a tuple of (prime, exponent) int pairs that the walk or the
-        search built itself, skipping the checks of the public constructor."""
+        """Wrap a tuple of (prime, exponent) int pairs whose bases are known
+        prime and increasing, skipping the checks of the public constructor."""
         f = object.__new__(cls)
         f.factors = pairs
         return f
@@ -93,7 +101,7 @@ class Factorization:
             raise ValueError("need a positive integer")
         if n >= _FACTOR_LIMIT:
             raise ValueError("values this large must be supplied factored")
-        return cls(sorted(_factorize(n).items()))
+        return cls._trusted(tuple(sorted(_factorize(n).items())))
 
     @classmethod
     def parse(cls, text: str) -> "Factorization":
@@ -102,7 +110,7 @@ class Factorization:
         for p, _ in pairs:
             if not _primes.is_prime(p):
                 raise ParseError("%d is not prime" % p)
-        return cls(pairs)
+        return cls._trusted(tuple(pairs))
 
     @classmethod
     def coerce(cls, obj) -> "Factorization":
@@ -179,7 +187,7 @@ class Factorization:
                 out.append((q, e))
         if not found:
             raise NotADivisor("%d does not divide %s" % (p, self))
-        return Factorization(out)
+        return Factorization._trusted(tuple(out))
 
     # -- protocol -----------------------------------------------------------
 
@@ -235,6 +243,33 @@ def center(f: Factorization) -> Fraction:
     if d <= 0:
         raise NotDeficient("center is defined for deficient numbers only")
     return Fraction(sigma(f), d)
+
+
+def seed_state(seed, k, general):
+    """The state a walk or search starts from: (left, v, s, pairs, sigpps).
+
+    k is the total factor count of what the walk emits, the seed's factors
+    included: counted with multiplicity when general, as distinct primes
+    otherwise.  The seed is a Factorization, an int, factorization text or
+    None for 1.  In this order, k must be an int from 1 to MAX_FACTORS
+    (ValueError), the seed must be deficient (NotDeficient), and it must
+    leave left = k - its count >= 1 factors to add (ValueError).  v is the
+    seed's value, s its sigma, pairs its factor pairs and sigpps the sigma
+    of each prime power.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+    if k > MAX_FACTORS:
+        raise ValueError("k must be at most %d" % MAX_FACTORS)
+    f = Factorization.coerce(1 if seed is None else seed)
+    v = f.value
+    s = sigma(f)
+    if 2 * v - s <= 0:
+        raise NotDeficient("seed %s is not deficient" % f)
+    have = f.big_omega if general else f.omega
+    if k <= have:
+        raise ValueError("k counts the seed's %d factors too" % have)
+    return k - have, v, s, f.factors, [sigma_prime_power(p, e) for p, e in f.factors]
 
 
 def digits10(n: int) -> int:

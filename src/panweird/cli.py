@@ -31,7 +31,6 @@ from .errors import CeilingExceeded, PanweirdError, ParseError
 from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime
 from .weird import (
     IndexSequence,
-    SearchConfig,
     decode_index_sequence,
     encode_index_sequence,
     is_weird,
@@ -187,12 +186,6 @@ def cmd_weird_search(args) -> int:
     except ParseError as exc:
         sys.stderr.write("invalid seed: %s\n" % exc)
         return 1
-    config = SearchConfig(
-        seed=seed,
-        k=args.k,
-        amplitude=args.amplitude,
-        certify=args.certify,
-    )
     manifest = RunManifest(
         command="weird search",
         config={
@@ -206,7 +199,8 @@ def cmd_weird_search(args) -> int:
     )
     with _Output(args.out or "-", manifest) as out:
         search = pwn_search_general if args.squares else pwn_search_squarefree
-        search(config, lambda rec: out.write(_pwn_record_line(rec)))
+        search(args.k, seed, lambda rec: out.write(_pwn_record_line(rec)),
+               amplitude=args.amplitude, certify=args.certify)
     return 0
 
 

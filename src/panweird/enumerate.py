@@ -44,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import MAX_FACTORS, Factorization, sigma, sigma_prime_power
+from .arith import Factorization, seed_state
 from .classify import NumberClass, reduced_center_floor, same_prime_extension
-from .errors import CeilingExceeded, NotDeficient
+from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
     PI_BOUND,
@@ -243,21 +243,6 @@ def _walk(general, k, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling
 # ---------------------------------------------------------------------------
 # Public entry points.
 
-def _prepare(seed, k):
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > MAX_FACTORS:
-        raise ValueError("k must be at most %d" % MAX_FACTORS)
-    f = Factorization.coerce(seed if seed is not None else 1)
-    factors = [[p, e] for p, e in f.factors]
-    sigpps = [sigma_prime_power(p, e) for p, e in f.factors]
-    v = f.value
-    s = sigma(f)
-    if 2 * v - s <= 0:
-        raise NotDeficient("seed %s is not deficient" % f)
-    return v, s, factors, sigpps
-
-
 def _record_emitter(sink, include_perfect):
     """The walk's emit for a record sink.  The walk emits every completion,
     each with delta >= 0; perfect ones (delta 0) reach the sink only under
@@ -275,11 +260,8 @@ def _record_emitter(sink, include_perfect):
 def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
     if not isinstance(ceiling, int) or not 1 <= ceiling <= PI_BOUND:
         raise ValueError("ceiling must be an integer from 1 to %d" % PI_BOUND)
-    v, s, factors, sigpps = _prepare(seed, k)
-    have = sum(e for _, e in factors) if general else len(factors)
-    left = k - have
-    if left < 1:
-        raise ValueError("k counts the seed's %d factors too" % have)
+    left, v, s, pairs, sigpps = seed_state(seed, k, general)
+    factors = [[p, e] for p, e in pairs]
     if odd_only and factors and factors[0][0] == 2:
         raise ValueError("odd_only conflicts with an even seed")
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level

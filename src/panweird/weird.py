@@ -18,7 +18,11 @@ prime scans with windows around the center: an interior level tries the
 first `amplitude` primes above center(m), the final level the last
 `amplitude` primes below it.  Window slots shadowed by earlier factors are
 skipped but still spent, so every emitted number has all index magnitudes
-within the amplitude, and widening the amplitude only adds emissions.
+within the amplitude, and widening the amplitude only adds emissions.  A
+record's index sequence is its codec encoding, encode_index_sequence of
+its factorization: the window's j-th slot is the j-th prime the codec
+counts from the same center.  Both searches start from arith.seed_state,
+as the enumeration walks do.
 
 Centers s/d are never built as ratios.  The searches and the codec step
 with one integer rule: the primes above s/d are the primes above s // d,
@@ -39,13 +43,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .arith import (
-    MAX_FACTORS,
-    ONE,
     Factorization,
     abundance,
-    deficiency,
     digits10,
-    sigma,
+    seed_state,
     sigma_prime_power,
 )
 from .classify import reduced_center_floor, same_prime_extension
@@ -53,7 +54,6 @@ from .errors import (
     InvalidSequence,
     NoSuchPrime,
     NotAbundant,
-    NotDeficient,
     ParseError,
     PrefixNotDeficient,
 )
@@ -280,40 +280,11 @@ def decode_index_sequence(seq) -> Factorization:
         prev = p
         v *= p**e
         s *= sigma_prime_power(p, e)
-    return Factorization(pairs)
+    return Factorization._trusted(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
 # Primitive weird number searches.
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Shape of one search run.
-
-    k is the total factor count of emitted numbers, the seed's factors
-    included: distinct primes for the square-free search, prime factors with
-    multiplicity for the general one.  amplitude caps how far a chosen prime
-    may sit from the running center, in primes.  certify marks a record
-    certified when is_prime decides each of its primes deterministically
-    and finds it prime.  Each search fixes its own leaf rule; see
-    pwn_search_squarefree and pwn_search_general.
-    """
-
-    seed: Factorization = ONE
-    k: int = 3
-    amplitude: int = 1
-    certify: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.k > MAX_FACTORS:
-            raise ValueError("k must be at most %d" % MAX_FACTORS)
-        if self.amplitude < 1:
-            raise ValueError("amplitude must be positive")
-        if deficiency(self.seed) <= 0:
-            raise NotDeficient("seed %s is not deficient" % self.seed)
-
 
 @dataclass(frozen=True)
 class PwnRecord:
@@ -334,41 +305,32 @@ def _weird_pairs(pairs, delta, values=None) -> bool:
     return not subset_sums_to(values, delta)
 
 
-def _seed_entries(seed: Factorization) -> list[tuple[int, int]]:
-    if not seed.factors:
-        return []
-    return list(encode_index_sequence(seed).entries)
-
-
-def _search(config: SearchConfig, sink, general: bool) -> int:
+def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int:
     """Amplitude-windowed walk behind both searches; general picks the mode.
 
-    The mode decides the factor count (with multiplicity or distinct), the
-    interior step that deepens the last prime, and the leaf rule: the exact
-    primitivity bound, or the max sigma(q^alpha) - 1 floor of the
-    square-free search.
+    It starts from a seed_state: left factors to add to the seed with value
+    v, sigma s, factor pairs and prime-power sigmas sigpps.  The mode
+    decides the interior step that deepens the last prime and the leaf
+    rule: the exact primitivity bound, or the max sigma(q^alpha) - 1 floor
+    of the square-free search.
     """
-    seed = config.seed
-    levels = config.k - (seed.big_omega if general else seed.omega)
-    if levels < 1:
-        raise ValueError("k must exceed the seed's %s count"
-                         % ("factor" if general else "distinct prime"))
-    a = config.amplitude
+    if amplitude < 1:
+        raise ValueError("amplitude must be positive")
     count = 0
 
-    def emit(pairs, value, delta, entries, values=None):
+    def emit(pairs, value, delta, values=None):
         nonlocal count
         if not _weird_pairs(pairs, delta, values):
             return
         count += 1
         if sink is not None:
+            f = Factorization._trusted(pairs)
             sink(PwnRecord(
-                Factorization._trusted(pairs), IndexSequence(tuple(entries)), delta,
-                digits10(value),
-                config.certify and all(certifiable(q) and is_prime(q) for q, _ in pairs),
+                f, encode_index_sequence(f), delta, digits10(value),
+                certify and all(certifiable(q) for q, _ in pairs),
             ))
 
-    def rec(left, v, s, pairs, sigpps, entries):
+    def rec(left, v, s, pairs, sigpps):
         d = 2 * v - s
         pr = pairs[-1][0] if pairs else 1
         if general and pairs:
@@ -376,28 +338,27 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
             spp = sigpps[-1]
             delta, primitive = same_prime_extension(s, d, p, spp, sigpps[:-1])
             deeper = pairs[:-1] + ((p, e + 1),)
-            deeper_entries = entries[:-1] + [(entries[-1][0], entries[-1][1] + 1)]
             if left == 1:
                 if delta > 0 and primitive:
-                    emit(deeper, v * p, delta, deeper_entries)
+                    emit(deeper, v * p, delta)
             elif delta < 0:  # still deficient with one more p
                 rec(left - 1, v * p, 2 * v * p + delta, deeper,
-                    sigpps[:-1] + [spp * p + 1], deeper_entries)
+                    sigpps[:-1] + [spp * p + 1])
         if left > 1:
             p = s // d  # the primes above it are the primes above the center
-            for j in range(1, a + 1):
+            for _ in range(amplitude):
                 p = kth_prime_above(p, 1)
                 if p <= pr:
                     continue  # slot spent on a prime already behind us
                 rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
-                    sigpps + [p + 1], entries + [(j, 1)])
+                    sigpps + [p + 1])
             return
         p = -(-s // d)  # the primes below it are the primes below the center
         # a leaf prime must exceed floor: the exact primitivity bound, or the
         # square-free search's p >= max sigma(q^alpha) - 1
         floor = reduced_center_floor(s, d, sigpps) if general else max(sigpps, default=0) - 2
-        row = []  # the leaves (slot, p), in slot order
-        for j in range(1, a + 1):
+        row = []  # the leaf primes, from the center down
+        for _ in range(amplitude):
             try:
                 p = kth_prime_below(p, 1)
             except NoSuchPrime:
@@ -406,46 +367,48 @@ def _search(config: SearchConfig, sink, general: bool) -> int:
                 break  # deeper slots only get smaller
             if p <= floor:
                 break  # the bound only gets harder as p shrinks
-            row.append((j, p))
+            row.append(p)
         if not row:
             return
         # the leaf v*p has delta s - p*d, largest for the row's last p; its
         # divisors up to delta are v's divisors e <= delta and, p being
         # new, the p*e <= delta
-        divs = sorted(divisors_up_to(Factorization._trusted(pairs), s - row[-1][1] * d))
-        for j, p in row:
+        divs = sorted(divisors_up_to(Factorization._trusted(pairs), s - row[-1] * d))
+        for p in row:
             delta = s - p * d
             values = divs[:bisect_right(divs, delta)]
             if p <= delta:
                 values += [p * e for e in divs[:bisect_right(divs, delta // p)]]
-            emit(pairs + ((p, 1),), v * p, delta, entries + [(-j, 1)], values)
+            emit(pairs + ((p, 1),), v * p, delta, values)
 
-    rec(
-        levels, seed.value, sigma(seed), seed.factors,
-        [sigma_prime_power(p, e) for p, e in seed.factors],
-        _seed_entries(seed),
-    )
+    rec(left, v, s, pairs, sigpps)
     return count
 
 
-def pwn_search_squarefree(config: SearchConfig, sink=None) -> int:
+def pwn_search_squarefree(k, seed=None, sink=None, *, amplitude, certify=False) -> int:
     """Search for primitive weird numbers that extend the seed square-freely.
 
-    Emitted numbers have config.k distinct primes in total.  Leaf primes are
-    kept at or above max(sigma(q^alpha)) - 1 over the factors carried so far,
-    which is enough for primitivity.  Returns the number of emissions.
+    Emitted numbers have k distinct primes, the seed's counted too; the seed
+    is taken and checked as by sfpan.  amplitude caps how far a chosen prime
+    may sit from the running center, in primes.  Leaf primes are kept at or
+    above max(sigma(q^alpha)) - 1 over the factors carried so far, which is
+    enough for primitivity.  certify marks a record certified when is_prime
+    decides each of its primes deterministically.  Returns the number of
+    emissions.
     """
-    return _search(config, sink, False)
+    return _search(False, *seed_state(seed, k, False), sink, amplitude, certify)
 
 
-def pwn_search_general(config: SearchConfig, sink=None) -> int:
+def pwn_search_general(k, seed=None, sink=None, *, amplitude, certify=False) -> int:
     """Search for primitive weird numbers with square parts allowed.
 
-    Emitted numbers have config.k prime factors counted with multiplicity.
-    Interior levels may deepen the last prime's exponent while the result
-    stays deficient; the amplitude constrains only the choice of new primes.
+    Emitted numbers have k prime factors counted with multiplicity, the
+    seed's included; the seed is taken and checked as by pndn.  Interior
+    levels may deepen the last prime's exponent while the result stays
+    deficient; the amplitude constrains only the choice of new primes.
     Leaves apply the exact primitivity bounds, so everything emitted is
-    primitive abundant before the weirdness test runs.  Returns the number
-    of emissions.
+    primitive abundant before the weirdness test runs.  amplitude and
+    certify are as in pwn_search_squarefree.  Returns the number of
+    emissions.
     """
-    return _search(config, sink, True)
+    return _search(True, *seed_state(seed, k, True), sink, amplitude, certify)

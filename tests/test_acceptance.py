@@ -16,7 +16,6 @@ from fractions import Fraction
 from panweird import (
     Factorization,
     NumberClass,
-    SearchConfig,
     abundance,
     center,
     decode_index_sequence,
@@ -72,10 +71,7 @@ def test_criterion_3_squarefree_search_blocks():
     for (seed, amplitude), block in SQUAREFREE_PWN_BLOCKS.items():
         for k, rows in block.items():
             records = []
-            pwn_search_squarefree(
-                SearchConfig(seed=F(seed), k=k, amplitude=amplitude),
-                records.append,
-            )
+            pwn_search_squarefree(k, F(seed), records.append, amplitude=amplitude)
             got = {(str(r.factorization), r.abundance, str(r.index_sequence))
                    for r in records}
             assert set(rows) <= got

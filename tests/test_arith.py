@@ -109,6 +109,9 @@ def test_parse_rejects_malformed():
                 "9^2"):
         with pytest.raises(ParseError):
             F(bad)
+    # the public constructor tests primality too, with parse's message
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        Factorization([(2, 1), (9, 1)])
     # whitespace is tolerated on input, normalized on output
     assert str(F("2 * 5")) == "2*5"
 

@@ -8,7 +8,6 @@ from panweird import (
     EnumOutcome,
     EnumRecord,
     Factorization,
-    NotDeficient,
     NumberClass,
     abundance,
     center,
@@ -19,7 +18,6 @@ from panweird import (
     sfpan,
     sigma,
 )
-from panweird.arith import MAX_FACTORS
 from panweird.primes import PI_BOUND
 
 from oracles import naive_sigma, primitive_census
@@ -170,17 +168,8 @@ def test_runs_are_deterministic():
 
 
 def test_seed_and_k_validation():
-    with pytest.raises(NotDeficient):
-        pndn(3, seed="2*3")
-    with pytest.raises(NotDeficient):
-        sfpan(3, seed="2*5*7")
-    with pytest.raises(ValueError):
-        pndn(0)
-    with pytest.raises(ValueError):
-        pndn("3")
-    with pytest.raises(ValueError):
-        sfpan(MAX_FACTORS + 1)
-    # k counts the seed's factors, so it must leave room for new primes
+    # the checks every entry point shares are tabled in test_weird; pndn
+    # counts the seed's factors with multiplicity, sfpan its distinct primes
     with pytest.raises(ValueError):
         pndn(2, seed="2^2")
     with pytest.raises(ValueError):

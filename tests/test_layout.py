@@ -3,13 +3,18 @@
 Centers are compared with integers (x > s // d above s/d, x < -(-s // d)
 below it), so Fraction belongs only to the modules whose public functions
 take or return a ratio: arith (center) and classify
-(primitivity_lower_bound, extend_primitive_coprime)."""
+(primitivity_lower_bound, extend_primitive_coprime).
+
+The public Factorization constructor and Factorization.parse test every
+base for primality, so the walk and the search, which build one
+factorization per node or record, use Factorization._trusted instead."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "panweird"
 FRACTION_MODULES = {"arith.py", "classify.py"}
+HOT_MODULES = ("enumerate.py", "weird.py")
 
 
 def imported_modules(tree):
@@ -29,4 +34,20 @@ def test_only_arith_and_classify_import_fractions():
         and any(name.split(".")[0] == "fractions"
                 for name in imported_modules(ast.parse(path.read_text())))
     ]
+    assert offenders == []
+
+
+def test_hot_modules_never_build_checked_factorizations():
+    offenders = []
+    for name in HOT_MODULES:
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "Factorization" or (
+                isinstance(func, ast.Attribute) and func.attr == "parse"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "Factorization"
+            ):
+                offenders.append("%s:%d" % (name, node.lineno))
     assert offenders == []

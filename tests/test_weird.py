@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -12,7 +13,6 @@ from panweird import (
     ParseError,
     PrefixNotDeficient,
     PwnRecord,
-    SearchConfig,
     abundance,
     decode_index_sequence,
     digits10,
@@ -20,8 +20,10 @@ from panweird import (
     encode_index_sequence,
     is_primitive_nondeficient_oracle,
     is_weird,
+    pndn,
     pwn_search_general,
     pwn_search_squarefree,
+    sfpan,
     subset_sums_to,
     weird_numbers_below,
 )
@@ -43,16 +45,14 @@ F = Factorization.parse
 
 def run_squarefree(seed, k, amplitude):
     records = []
-    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude)
-    count = pwn_search_squarefree(config, records.append)
+    count = pwn_search_squarefree(k, F(seed), records.append, amplitude=amplitude)
     assert count == len(records)
     return records
 
 
 def run_general(seed, k, amplitude):
     records = []
-    config = SearchConfig(seed=F(seed), k=k, amplitude=amplitude)
-    count = pwn_search_general(config, records.append)
+    count = pwn_search_general(k, F(seed), records.append, amplitude=amplitude)
     assert count == len(records)
     return records
 
@@ -288,11 +288,11 @@ def test_encode_requires_deficient_prefixes():
     assert str(encode_index_sequence(F("2*5*7"))) == "[1, 1, -1]"
     with pytest.raises(InvalidSequence):
         encode_index_sequence(F("1"))
-    # a factor that is not prime, above, below and at the center; the
-    # constructor does not test primality
-    for pairs in ([(2, 1), (9, 1)], [(2, 3), (9, 1)], [(2, 3), (15, 1)]):
+    # a factor that is not prime, above, below and at the center; _trusted
+    # skips the constructor's primality test
+    for pairs in (((2, 1), (9, 1)), ((2, 3), (9, 1)), ((2, 3), (15, 1))):
         with pytest.raises(InvalidSequence, match="not prime"):
-            encode_index_sequence(Factorization(pairs))
+            encode_index_sequence(Factorization._trusted(pairs))
 
 
 def test_decode_rejects_impossible_sequences():
@@ -306,19 +306,40 @@ def test_decode_rejects_impossible_sequences():
 
 # -- searches ---------------------------------------------------------------
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(k=0)
-    with pytest.raises(ValueError):
-        SearchConfig(amplitude=0)
-    with pytest.raises(ValueError):
-        SearchConfig(k=MAX_FACTORS + 1)
-    with pytest.raises(NotDeficient):
-        SearchConfig(seed=F("2*3"))
-    with pytest.raises(ValueError):
-        pwn_search_squarefree(SearchConfig(seed=F("2^2"), k=1, amplitude=2))
-    with pytest.raises(ValueError):
-        pwn_search_general(SearchConfig(seed=F("2^2"), k=2, amplitude=2))
+def test_entry_points_validate_seed_and_k_alike():
+    # every walk and search starts from arith.seed_state, so each bad input
+    # raises the same type from all four; deficiency is checked before the
+    # seed's factor count (2*5*7 is abundant and has 3 factors)
+    entry_points = (
+        pndn,
+        sfpan,
+        partial(pwn_search_general, amplitude=2),
+        partial(pwn_search_squarefree, amplitude=2),
+    )
+    for k, seed, error in (
+        (0, None, ValueError),
+        ("3", None, ValueError),
+        (MAX_FACTORS + 1, None, ValueError),
+        (4, "2*3", NotDeficient),
+        (3, "2*5*7", NotDeficient),
+        (2, "3*5", ValueError),  # no factor left to add
+        (3, "2*9", ParseError),  # a composite base
+    ):
+        for run in entry_points:
+            with pytest.raises(error) as info:
+                run(k, seed)
+            assert info.type is error, (run, k, seed)
+    for search in (pwn_search_general, pwn_search_squarefree):
+        with pytest.raises(ValueError, match="amplitude"):
+            search(3, amplitude=0)
+        # a seed is taken as text, an int or a Factorization alike
+        runs = []
+        for seed in ("2^2", 4, F("2^2")):
+            records = []
+            search(4, seed, records.append, amplitude=3)
+            runs.append(records)
+        assert runs[0] == runs[1] == runs[2]
+    assert runs[0]
 
 
 def test_squarefree_blocks_match_catalog():
