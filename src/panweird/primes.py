@@ -222,7 +222,8 @@ def _table(n: int) -> PrimeTable:
 def prime_table() -> PrimeTable:
     """The table as it stands, not grown.
 
-    A caller with many bounds up to its limit answers them with one pi call.
+    A caller with many bounds x, each 2 <= x <= limit, answers them with one
+    pi call; pi reads out of range for x < 2 and gives no error.
     """
     return _state
 
@@ -404,8 +405,4 @@ def primes_in_closed(lo: int, hi: int) -> list[int]:
         return []
     if hi > _CACHE_CAP:
         raise CeilingExceeded("range end %d above cache cap %d" % (hi, _CACHE_CAP))
-    if hi <= _TABLE_FLOOR:
-        floor = _floor()
-        a, b = floor.searchsorted((max(lo, 0), hi + 1))
-        return floor[a:b].tolist()
     return _table(hi).primes(lo, hi).tolist()
