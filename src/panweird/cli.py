@@ -7,8 +7,10 @@ stderr; stdout carries records only when --out is '-'.
 
 Records written to a file go to <out>.partial first and are renamed to
 <out> only when the run succeeds.  The manifest is written either way; its
-status says how the run ended: ok, ceiling, interrupted or error.  convert
-writes no manifest, so it removes its partial file when it fails.
+status says how the run ended: ok, ceiling, interrupted or error, and its
+prime_table gives the prime table's limit and source (none, sieve or cache)
+at the end.  convert writes no manifest, so it removes its partial file
+when it fails.
 
 Exit codes: 0 success, 1 usage, bad input or a file that cannot be read or
 written, 2 verification failure, 3 resource ceiling hit.
@@ -28,7 +30,7 @@ from .arith import Factorization, _parse_pairs, abundance, digits10
 from .classify import NumberClass, classify
 from .enumerate import pndn, sfpan, walk_start
 from .errors import CeilingExceeded, PanweirdError, ParseError
-from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime
+from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime, prime_table
 from .weird import (
     IndexSequence,
     decode_index_sequence,
@@ -51,6 +53,7 @@ class RunManifest:
     status: str = ""
     totals: dict = field(default_factory=dict)
     records: str = ""
+    prime_table: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)  # field order is key order
@@ -129,6 +132,8 @@ class _Output:
         m.finished = _now()
         m.runtime_seconds = round(time.monotonic() - self.t0, 3)
         m.totals["emitted"] = self.count
+        table = prime_table()
+        m.prime_table = {"limit": table.limit, "source": table.source}
         if to_file:
             with open(self.path + ".manifest.json", "w") as fh:
                 fh.write(m.to_json() + "\n")

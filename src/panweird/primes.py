@@ -10,11 +10,17 @@ numbers per uint64 word, and per word a uint32 rank, the count of set bits
 in the words before it, so pi(x) is a rank plus one popcount.  That is
 6 MB at the cap 2^26, where an int64 per prime took 31.7 MB.  The table
 grows (up to the cap) by sieving only the new range with one odd-only
-sieve, each window's mask packed straight into the words.  Only counting
-grows it: prime_pi(x) reads x's rank; past the table, nothing is sieved:
-pi(x) comes from Lucy_Hedgehog's recurrence over the primes up to isqrt(x),
-decoded from the bits, in O(x^(3/4)) time and O(sqrt(x)) memory, for x up
-to PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
+sieve, each window's mask packed straight into the words.  The cap table
+depends on no input, so its 4 MB of words are kept in a file under
+$XDG_CACHE_HOME/panweird (or ~/.cache/panweird) and loaded instead of
+sieved, but only when the file's sha256 is _CAP_SHA256, the digest compiled
+in here; any other file counts as absent.  A sieve that reaches the cap is
+checked against that digest too, and then written for the next process.
+Only counting grows the table: prime_pi(x) reads x's rank; past the table,
+nothing is sieved: pi(x) comes from Lucy_Hedgehog's recurrence over the
+primes up to cbrt(x) and then Meissel's P2 sum over those up to isqrt(x),
+all decoded from the bits, in O(x^(3/4)) time and O(sqrt(x)) memory, for x
+up to PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
 Stepping (next_prime, kth_prime_*) reads a plain int64 array of the primes
 up to a floor, 2^16, built on first use by a direct sieve; past it, it steps
 with strong tests, exact below 3.3 * 10^24.  iter_primes_above reads that
@@ -24,7 +30,9 @@ Only Python ints leave the table.
 
 from __future__ import annotations
 
+import hashlib
 import operator
+import os
 import random
 import threading
 from math import gcd, isqrt, prod
@@ -124,10 +132,12 @@ _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
 # Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
 # (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
 PI_BOUND = 10**14
-_PAIRS = 1 << 18  # (i, p) pairs per batch in the last phase of Lucy's recurrence
 _WORD = np.dtype("<u8")  # 64 consecutive odd numbers, the least in bit 0
 _ONES = np.uint64(2**64 - 1)
 _CHUNK = 1 << 11  # numbers decoded per chunk of iter_primes_above
+# sha256 of the cap table's words, as little-endian bytes: a cached file must
+# match it, and so must every sieve that reaches the cap
+_CAP_SHA256 = "24c7752a3639475ef5d740db777dc92e0c6d174eb6069bd6ba40eb0e487e85bd"
 
 
 def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
@@ -158,6 +168,7 @@ class PrimeTable(NamedTuple):
     limit: int
     words: np.ndarray  # uint64, limit // 128 of them
     ranks: np.ndarray  # uint32, one per word
+    source: str = "none"  # how the words were made: "sieve" or "cache"
 
     def pi(self, xs) -> np.ndarray:
         """pi(x) for every integer x in xs, each from 2 to limit, at once."""
@@ -192,11 +203,84 @@ def _floor() -> np.ndarray:
     return _floor_primes
 
 
+def _cache_path() -> str:
+    """The cap table's file: under $XDG_CACHE_HOME/panweird, or
+    ~/.cache/panweird when that variable is unset or not absolute."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    name = "primes-%d-%s.u64" % (_CACHE_CAP, _CAP_SHA256[:16])
+    return os.path.join(root, "panweird", name)
+
+
+def _load_cap_words(path: str) -> np.ndarray | None:
+    """The cap table's words from path, or None unless the file holds
+    exactly _CACHE_CAP // 128 words whose sha256 is _CAP_SHA256."""
+    words = np.empty(_CACHE_CAP // 128, dtype=_WORD)
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != words.nbytes or fh.readinto(words) != words.nbytes:
+                return None
+    except OSError:
+        return None
+    return words if hashlib.sha256(words).hexdigest() == _CAP_SHA256 else None
+
+
+def _store_cap_words(path: str, words: np.ndarray) -> None:
+    """Write words to path atomically: into a new file named for this
+    process beside it, then renamed over it.  Any failure (no directory, a
+    read-only one, a full disk) leaves the cache as it was, without error.
+    Nothing is fsynced: a file torn by a crash fails the digest on load."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fh = open(tmp, "xb")  # O_CREAT | O_EXCL
+    except OSError:
+        return
+    try:
+        with fh:
+            fh.write(words)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _sieved_words(t: PrimeTable, limit: int) -> np.ndarray:
+    """t's words extended to limit by sieving only the new range, window by
+    window, each window's mask packed straight into the new words."""
+    words = np.empty(limit // 128, dtype=_WORD)
+    words[: len(t.words)] = t.words
+    for lo in range(t.limit, limit, _WINDOW):
+        hi = min(lo + _WINDOW, limit)
+        mask = _sieve_primes(lo, hi, _floor())
+        words[lo >> 7 : hi >> 7] = np.packbits(mask, bitorder="little").view(_WORD)
+    return words
+
+
+def _cap_words(t: PrimeTable) -> tuple[np.ndarray, str]:
+    """The cap table's words and their source: the cached file when it is
+    valid, else t sieved up to the cap, checked against _CAP_SHA256 and
+    then cached."""
+    path = _cache_path()
+    words = _load_cap_words(path)
+    if words is not None:
+        return words, "cache"
+    words = _sieved_words(t, _CACHE_CAP)
+    if hashlib.sha256(words).hexdigest() != _CAP_SHA256:
+        raise RuntimeError("the sieved table up to %d does not match its digest" % _CACHE_CAP)
+    _store_cap_words(path, words)
+    return words, "sieve"
+
+
 def _table(n: int) -> PrimeTable:
     """The table, first grown (at least doubling) to min(n, cap).
 
-    Growth sieves only the new range, window by window, packs each window's
-    mask straight into the new words and then counts the ranks afresh.
+    Growth below the cap sieves the new range; growth to the cap loads the
+    cached cap table instead when there is a valid one.  Either way the
+    ranks are counted afresh.
     """
     global _state
     t = _state
@@ -207,15 +291,13 @@ def _table(n: int) -> PrimeTable:
         if n <= t.limit:
             return t
         limit = min(-(-max(n, 2 * t.limit, _TABLE_FLOOR) // 128) * 128, _CACHE_CAP)
-        words = np.empty(limit // 128, dtype=_WORD)
-        words[: len(t.words)] = t.words
-        for lo in range(t.limit, limit, _WINDOW):
-            hi = min(lo + _WINDOW, limit)
-            mask = _sieve_primes(lo, hi, _floor())
-            words[lo >> 7 : hi >> 7] = np.packbits(mask, bitorder="little").view(_WORD)
+        if limit == _CACHE_CAP:
+            words, source = _cap_words(t)
+        else:
+            words, source = _sieved_words(t, limit), "sieve"
         ranks = np.zeros(len(words), dtype=np.uint32)
         np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=ranks[1:])
-        _state = PrimeTable(limit, words, ranks)
+        _state = PrimeTable(limit, words, ranks, source)
         return _state
 
 
@@ -264,26 +346,12 @@ def _lucy_pi(x: int, primes: np.ndarray) -> int:
         large[m:n] -= small[q[m:n] // p] - j
         if p * p <= r:
             small[p * p :] -= small[np.arange(p * p, r + 1) // p] - j
-    # Past the cube root, p^2 > r leaves small final, and each p changes only
-    # large[i - 1] for i <= x // p^2 < p, below every entry it reads (i * p >= p).
-    # So every read sees a final value, and the remaining primes apply at once:
-    # large[i - 1] -= sum of S(x // (i*p)) - j over its first c[i - 1] primes p,
-    # whose j run from cube up.  (x > 2^26 puts a prime between cbrt(x) and r.)
+    # Past the cube root only large[0] is still read.  For p^3 > x every prime
+    # q with q^2 <= x // p has q^3 < x, so the loop above has already made
+    # large[p - 1] = pi(x // p), and large[0] -= pi(x // p) - j over those p
+    # is Meissel's P2 sum.
     rest = primes[cube:]
-    n = x // int(rest[0]) ** 2
-    c = (rest * rest).searchsorted(q[:n], side="right")
-    i0 = 0
-    while i0 < n:  # in batches of about _PAIRS (i, p) pairs
-        i1 = min(n, i0 + max(1, _PAIRS // int(c[i0])))
-        cc = c[i0:i1]
-        start = np.cumsum(cc) - cc
-        i = np.repeat(np.arange(i0 + 1, i1 + 1), cc)
-        p = rest[np.arange(len(i)) - np.repeat(start, cc)]
-        d = i * p
-        s = np.where(d <= r, large[np.minimum(d, r) - 1], small[x // np.maximum(d, r + 1)])
-        large[i0:i1] -= np.add.reduceat(s, start) - (cc * cube + cc * (cc - 1) // 2)
-        i0 = i1
-    return int(large[0])
+    return int(large[0] - (large[rest - 1] - np.arange(cube, cube + len(rest))).sum())
 
 
 def count_in_closed(lo: int, hi: int) -> int:

@@ -2,15 +2,17 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import panweird.enumerate
+import panweird.primes
 import panweird.weird
 from panweird import cli
 from panweird.arith import MAX_FACTORS
 from panweird.cli import build_parser, main
 from panweird.enumerate import pndn
-from panweird.primes import PI_BOUND
+from panweird.primes import PI_BOUND, PrimeTable
 
 from known_values import GENERAL_PWN_SPOT, SQUAREFREE_PWN_BLOCKS
 
@@ -28,7 +30,8 @@ def test_enumerate_count_only(capsys):
     assert main(["enumerate", "--mode", "pndn", "--k", "5", "--count-only"]) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert list(manifest) == ["command", "config", "started", "finished",
-                              "runtime_seconds", "status", "totals", "records"]
+                              "runtime_seconds", "status", "totals", "records",
+                              "prime_table"]
     assert list(manifest["config"]) == ["mode", "k", "seed", "odd", "include_perfect",
                                         "count_only", "ceiling"]
     assert manifest["command"] == "enumerate"
@@ -296,7 +299,7 @@ def _run_sequence(tmp_path, capsys, fresh):
             code = exc.code
         out = capsys.readouterr().out
         manifest = json.loads(out) if out else {}
-        for key in ("started", "finished", "runtime_seconds"):
+        for key in ("started", "finished", "runtime_seconds", "prime_table"):
             manifest.pop(key, None)
         records = [(tmp_path / name).read_bytes()
                    for name in ("squares.jsonl", "plain.jsonl")
@@ -388,6 +391,29 @@ def test_count_only_manifest_reports_the_ceiling(capsys):
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["status"] == "ceiling"
     assert manifest["totals"] == {"emitted": 0}
+
+
+def test_manifests_report_the_prime_table(tmp_path, monkeypatch, capsys):
+    # a search steps without the table; a count whose leaves pass 2^26 sieves
+    # the cap table into an empty cache, and the same count from an empty
+    # table then loads it
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    empty = PrimeTable(0, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32))
+    monkeypatch.setattr(panweird.primes, "_state", empty)
+    out = tmp_path / "pwn.jsonl"
+    assert main(["weird", "search", "--seed", "2^3", "--k", "4",
+                 "--amplitude", "6", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "pwn.jsonl.manifest.json").read_text())
+    assert manifest["prime_table"] == {"limit": 0, "source": "none"}
+    totals = []
+    for source in ("sieve", "cache"):
+        monkeypatch.setattr(panweird.primes, "_state", empty)
+        assert main(["enumerate", "--mode", "pndn", "--k", "7", "--seed", "2*5*17*23",
+                     "--count-only"]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["prime_table"] == {"limit": 2**26, "source": source}
+        totals.append(manifest["totals"])
+    assert totals[0] == totals[1]
 
 
 def test_missing_or_unwritable_files_exit_1(tmp_path, capsys):

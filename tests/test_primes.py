@@ -1,4 +1,8 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,7 @@ from panweird import (
 )
 from panweird.primes import (
     _CACHE_CAP,
+    _CAP_SHA256,
     _DETERMINISTIC_BASE_CEILING,
     PI_BOUND,
     PrimeTable,
@@ -412,3 +417,119 @@ def test_prime_scan_returns_to_the_table(monkeypatch):
     assert len(stepped) == past_floor + 1  # past the table again
     seq = head + mid + tail
     assert seq == list(sympy.primerange(x + 1, seq[-1] + 1))
+
+
+# The cap table's file cache.  The session's XDG_CACHE_HOME is private
+# (conftest.py); each test below gets an empty one of its own.
+
+CAP_FILE = "primes-67108864-%s.u64" % _CAP_SHA256[:16]
+
+
+def _fresh_cache(monkeypatch, root):
+    """An empty table and the cache root root; the cap file's path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    _fresh_table(monkeypatch)
+    return root / "panweird" / CAP_FILE
+
+
+def _is_cap_file(path):
+    data = path.read_bytes()
+    return len(data) == _CACHE_CAP // 16 and hashlib.sha256(data).hexdigest() == _CAP_SHA256
+
+
+def _no_sieve(*args):
+    raise AssertionError("sieved")
+
+
+def test_cache_path_follows_xdg_cache_home(monkeypatch, tmp_path):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for root in (None, "", "relative/cache"):  # unset, empty or relative: ~/.cache
+        if root is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", root)
+        want = tmp_path / "home" / ".cache" / "panweird" / CAP_FILE
+        assert panweird.primes._cache_path() == str(want)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert panweird.primes._cache_path() == str(tmp_path / "xdg" / "panweird" / CAP_FILE)
+
+
+def test_cold_fill_sieves_the_cap_table_and_writes_it(monkeypatch, tmp_path):
+    path = _fresh_cache(monkeypatch, tmp_path)
+    panweird.primes._table(2**20 + 1)  # the fill sieves on from a partial table
+    table = panweird.primes._table(_CACHE_CAP)
+    assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
+    assert hashlib.sha256(table.words).hexdigest() == _CAP_SHA256
+    assert _is_cap_file(path)
+    assert os.listdir(path.parent) == [CAP_FILE]  # no temporary file is left
+
+
+def test_warm_load_equals_the_sieved_table(monkeypatch, tmp_path):
+    _fresh_cache(monkeypatch, tmp_path)
+    sieved = panweird.primes._table(_CACHE_CAP)
+    _fresh_table(monkeypatch)
+    starts = [prime_table(), panweird.primes._table(2**20 + 1)]  # empty, and partial
+    monkeypatch.setattr(panweird.primes, "_sieve_primes", _no_sieve)
+    for start in starts:
+        monkeypatch.setattr(panweird.primes, "_state", start)
+        loaded = panweird.primes._table(_CACHE_CAP)
+        assert (loaded.limit, loaded.source) == (_CACHE_CAP, "cache")
+        assert loaded.words.dtype == np.uint64 and loaded.ranks.dtype == np.uint32
+        assert np.array_equal(loaded.words, sieved.words)
+        assert np.array_equal(loaded.ranks, sieved.ranks)
+
+
+@pytest.mark.parametrize("damage", ["flipped bit", "truncated", "oversized", "empty", "directory"])
+def test_a_bad_cache_file_is_ignored_and_resieved(monkeypatch, tmp_path, damage):
+    path = _fresh_cache(monkeypatch, tmp_path)
+    good = panweird.primes._table(_CACHE_CAP).words.tobytes()
+    want = _pi_answers()
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    else:
+        bad = {"flipped bit": good[:12345] + bytes([good[12345] ^ 0x10]) + good[12346:],
+               "truncated": good[:-8], "oversized": good + bytes(8), "empty": b""}[damage]
+        path.write_bytes(bad)
+    _fresh_table(monkeypatch)
+    table = panweird.primes._table(_CACHE_CAP)
+    assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
+    assert _pi_answers() == want
+    if damage == "directory":  # nothing can replace it, so it stays, and no temporary file
+        assert path.is_dir() and os.listdir(path.parent) == [CAP_FILE]
+    else:
+        assert _is_cap_file(path) and os.listdir(path.parent) == [CAP_FILE]
+
+
+def test_a_cache_root_that_is_a_file_is_skipped(monkeypatch, tmp_path):
+    root = tmp_path / "root"
+    root.write_text("not a directory")
+    _fresh_cache(monkeypatch, root)
+    table = panweird.primes._table(_CACHE_CAP)
+    assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
+    assert os.listdir(tmp_path) == ["root"] and root.read_text() == "not a directory"
+
+
+def test_a_sieve_that_misses_the_digest_raises_and_writes_nothing(monkeypatch, tmp_path):
+    _fresh_cache(monkeypatch, tmp_path)
+    monkeypatch.setattr(panweird.primes, "_CAP_SHA256", "0" * 64)
+    with pytest.raises(RuntimeError, match="digest"):
+        panweird.primes._table(_CACHE_CAP)
+    assert prime_table().limit == 0
+    assert os.listdir(tmp_path) == []
+
+
+def test_two_processes_filling_at_once_leave_one_valid_file(tmp_path):
+    src = os.path.dirname(os.path.dirname(panweird.primes.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from panweird.primes import count_in_closed, prime_pi\n"
+            "print(prime_pi(10**8 + 7), count_in_closed(2**26 - 10**5, 2**26 + 10**5))")
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              text=True) for _ in range(2)]
+    outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    want = "%d %d\n" % (prime_pi(10**8 + 7), count_in_closed(2**26 - 10**5, 2**26 + 10**5))
+    assert outs == [want, want]
+    path = tmp_path / "panweird" / CAP_FILE
+    assert _is_cap_file(path) and os.listdir(path.parent) == [CAP_FILE]
