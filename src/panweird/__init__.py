@@ -11,26 +11,13 @@ from .arith import (
     sigma,
     sigma_prime_power,
 )
-from .classify import (
-    ExtensionVerdict,
-    NumberClass,
-    classify,
-    classify_coprime_extension,
-    classify_same_prime_extension,
-    extend_primitive_coprime,
-    extend_primitive_same,
-    is_primitive_nondeficient_oracle,
-    primitivity_lower_bound,
-)
+from .classify import NumberClass, classify
 from .enumerate import EnumOutcome, EnumRecord, pndn, sfpan
 from .errors import (
     CeilingExceeded,
     InvalidSequence,
     NoSuchPrime,
     NotAbundant,
-    NotAbundantOrPerfect,
-    NotADivisor,
-    NotCoprime,
     NotDeficient,
     PanweirdError,
     ParseError,
@@ -56,7 +43,6 @@ from .weird import (
     pwn_search_general,
     pwn_search_squarefree,
     subset_sums_to,
-    weird_numbers_below,
 )
 
 __version__ = "0.1.0"
@@ -70,15 +56,8 @@ __all__ = [
     "digits10",
     "sigma",
     "sigma_prime_power",
-    "ExtensionVerdict",
     "NumberClass",
     "classify",
-    "classify_coprime_extension",
-    "classify_same_prime_extension",
-    "extend_primitive_coprime",
-    "extend_primitive_same",
-    "is_primitive_nondeficient_oracle",
-    "primitivity_lower_bound",
     "EnumOutcome",
     "EnumRecord",
     "pndn",
@@ -87,9 +66,6 @@ __all__ = [
     "InvalidSequence",
     "NoSuchPrime",
     "NotAbundant",
-    "NotAbundantOrPerfect",
-    "NotADivisor",
-    "NotCoprime",
     "NotDeficient",
     "PanweirdError",
     "ParseError",
@@ -111,6 +87,5 @@ __all__ = [
     "pwn_search_general",
     "pwn_search_squarefree",
     "subset_sums_to",
-    "weird_numbers_below",
     "__version__",
 ]

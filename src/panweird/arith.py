@@ -2,23 +2,27 @@
 
 Numbers are carried as sorted prime factorizations and never expanded unless
 a caller asks for the value.  All comparisons the hot paths need reduce to
-integer cross-multiplication; Fraction appears only at API boundaries.
+integer cross-multiplication; Fraction appears only in center, the one
+public function that returns a ratio.
 
-The public constructor tests every base for primality, so no Factorization
-built from outside the package carries a composite "prime".  Code that
-already knows its bases are prime (factoring, the walks, the codec) builds
-through Factorization._trusted and skips the test.  seed_state is the one
-place where a walk or search checks its factor count and its seed.
+The public constructor takes integer bases and exponents only (through
+operator.index, so a float raises TypeError) and tests every base for
+primality, so no Factorization built from outside the package carries a
+composite or truncated "prime".  Code that already knows its bases are
+prime (factoring, the walks, the codec) builds through
+Factorization._trusted and skips the test.  seed_state is the one place
+where a walk or search checks its factor count and its seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 from . import primes as _primes
-from .errors import NotADivisor, NotDeficient, ParseError
+from .errors import NotDeficient, ParseError
 
 _FACTOR_LIMIT = 1 << 64
 
@@ -72,7 +76,7 @@ class Factorization:
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
-        pairs = tuple((int(p), int(e)) for p, e in factors)
+        pairs = tuple((operator.index(p), operator.index(e)) for p, e in factors)
         last = 1
         for p, e in pairs:
             if p <= last:
@@ -96,7 +100,9 @@ class Factorization:
 
     @classmethod
     def from_int(cls, n: int) -> "Factorization":
-        """Factor a plain integer; supported up to 2^64 as a convenience."""
+        """Factor a plain integer (not a float); supported up to 2^64 as a
+        convenience."""
+        n = operator.index(n)
         if n < 1:
             raise ValueError("need a positive integer")
         if n >= _FACTOR_LIMIT:
@@ -141,53 +147,6 @@ class Factorization:
     def big_omega(self) -> int:
         """Number of prime factors with multiplicity."""
         return sum(e for _, e in self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    # -- derived factorizations --------------------------------------------
-
-    def times_prime(self, p: int, e: int = 1) -> "Factorization":
-        """This number multiplied by p^e, keeping factors sorted."""
-        if e < 1:
-            raise ValueError("exponents must be positive")
-        out = []
-        placed = False
-        for q, f in self.factors:
-            if q == p:
-                out.append((q, f + e))
-                placed = True
-            elif q > p and not placed:
-                out.append((p, e))
-                placed = True
-                out.append((q, f))
-            else:
-                out.append((q, f))
-        if not placed:
-            out.append((p, e))
-        return Factorization(out)
-
-    def divide_prime(self, p: int) -> "Factorization":
-        """This number divided by one copy of p; NotADivisor if p absent."""
-        out = []
-        found = False
-        for q, e in self.factors:
-            if q == p:
-                found = True
-                if e > 1:
-                    out.append((q, e - 1))
-            else:
-                out.append((q, e))
-        if not found:
-            raise NotADivisor("%d does not divide %s" % (p, self))
-        return Factorization._trusted(tuple(out))
 
     # -- protocol -----------------------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -214,11 +215,23 @@ def cmd_weird_search(args) -> int:
     return 0
 
 
+# weird check lists the divisors up to delta, at most min(tau(n), delta) of
+# them; past this many the list alone could take gigabytes.  The paper's
+# PWN have at most 16 prime factors, so tau <= 2^16 for each of them.
+_CHECK_DIVISORS = 1 << 20
+
+
 def cmd_weird_check(args) -> int:
     f = Factorization.parse(args.factorization)
     cls = classify(f)
     delta = abundance(f)
-    weird = cls is NumberClass.ABUNDANT and is_weird(f)
+    weird = False
+    if cls is NumberClass.ABUNDANT:
+        listed = min(math.prod(e + 1 for _, e in f.factors), delta)
+        if listed > _CHECK_DIVISORS:
+            raise CeilingExceeded("weird check would list up to %d divisors, "
+                                  "above 2^20" % listed)
+        weird = is_weird(f)
     print("%s, %s, Δ=%d" % (cls.value, "weird" if weird else "not weird", delta))
     return 0
 

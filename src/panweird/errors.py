@@ -13,20 +13,8 @@ class NotDeficient(PanweirdError, ValueError):
     """An operation that requires a deficient number got a non-deficient one."""
 
 
-class NotCoprime(PanweirdError, ValueError):
-    """A coprime extension was requested with a prime already present."""
-
-
-class NotADivisor(PanweirdError, ValueError):
-    """A same-prime extension was requested with a prime that does not divide."""
-
-
 class NotAbundant(PanweirdError, ValueError):
     """An operation that requires an abundant number got something else."""
-
-
-class NotAbundantOrPerfect(PanweirdError, ValueError):
-    """A primitivity query on a deficient number."""
 
 
 class NoSuchPrime(PanweirdError, ValueError):
@@ -34,7 +22,8 @@ class NoSuchPrime(PanweirdError, ValueError):
 
 
 class CeilingExceeded(PanweirdError, RuntimeError):
-    """A prime-counting request went past the configured sieve ceiling."""
+    """A request went past a resource ceiling: a prime count above the
+    configured ceiling, or a weirdness check with too many divisors to list."""
 
 
 class InvalidSequence(PanweirdError, ValueError):

@@ -161,16 +161,6 @@ def is_weird(f: Factorization) -> bool:
     return not subset_sums_to(divisors, delta)
 
 
-def weird_numbers_below(limit: int) -> list[int]:
-    """All weird numbers strictly below limit, by direct census."""
-    out = []
-    for n in range(2, limit):
-        f = Factorization.from_int(n)
-        if abundance(f) > 0 and is_weird(f):
-            out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Index sequences: positional encoding of a factorization against the
 # centers of its own prefixes.

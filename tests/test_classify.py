@@ -1,3 +1,12 @@
+"""The walk's primitivity kernels against the definition-level oracles.
+
+A prime p new to deficient m (sigma s, deficiency d) gives m*p abundance
+s - p*d.  pndn closes a leaf with the primes reduced_center_floor < p <=
+s // d, sfpan with p <= (s - 1) // d, the square-free search with
+p >= max sigma(q^alpha) - 1 below the center, and every walk deepens the
+last prime with same_prime_extension.
+"""
+
 import math
 import random
 from fractions import Fraction
@@ -6,28 +15,25 @@ import pytest
 
 from panweird import (
     ONE,
-    ExtensionVerdict,
     Factorization,
-    NotAbundantOrPerfect,
-    NotADivisor,
-    NotCoprime,
-    NotDeficient,
     NumberClass,
     abundance,
     center,
     classify,
-    classify_coprime_extension,
-    classify_same_prime_extension,
     deficiency,
-    extend_primitive_coprime,
-    extend_primitive_same,
-    is_primitive_nondeficient_oracle,
     primes_in_closed,
-    primitivity_lower_bound,
     sigma,
     sigma_prime_power,
 )
 from panweird.classify import reduced_center_floor, same_prime_extension
+
+from oracles import (
+    divide_prime,
+    exponent_of,
+    is_primitive_nondeficient_oracle,
+    naive_is_prime,
+    times_prime,
+)
 
 F = Factorization.parse
 
@@ -47,6 +53,43 @@ def random_deficient(rng, max_primes=4, max_exp=3):
             return f
 
 
+def kernel_state(m):
+    """sigma, deficiency and the prime-power sigmas of m, as a walk carries them."""
+    return sigma(m), deficiency(m), [sigma_prime_power(q, a) for q, a in m.factors]
+
+
+def coprime_rule(m, p):
+    """Abundance of m*p for a prime p new to m, and pndn's leaf rule:
+    whether m*p is primitive non-deficient."""
+    s, d, sigpps = kernel_state(m)
+    return s - p * d, reduced_center_floor(s, d, sigpps) < p <= s // d
+
+
+def same_prime(m, p):
+    """same_prime_extension for a prime p that divides m."""
+    s, d, _ = kernel_state(m)
+    others = [sigma_prime_power(q, a) for q, a in m.factors if q != p]
+    return same_prime_extension(s, d, p, sigma_prime_power(p, exponent_of(m, p)), others)
+
+
+def deepened(m, p, e):
+    """Abundance of m*p^j for j = 1, 2, ... up to e, stepping as the walks
+    do: a coprime step, then same_prime_extension while the number stays
+    deficient (a non-deficient number is never deepened)."""
+    s, d, sigpps = kernel_state(m)
+    v = m.value
+    delta = s - p * d
+    spp = p + 1
+    out = [delta]
+    while len(out) < e and delta < 0:
+        v *= p
+        s, d = 2 * v + delta, -delta
+        delta, _ = same_prime_extension(s, d, p, spp, sigpps)
+        spp = spp * p + 1
+        out.append(delta)
+    return out
+
+
 def test_from_abundance_sign():
     assert NumberClass.from_abundance(4) is NumberClass.ABUNDANT
     assert NumberClass.from_abundance(0) is NumberClass.PERFECT
@@ -62,40 +105,43 @@ def test_classify_examples():
 
 
 def test_coprime_extension_examples():
-    assert classify_coprime_extension(F("2*13*31"), 3) is NumberClass.ABUNDANT
-    assert classify_coprime_extension(F("2^2"), 7) is NumberClass.PERFECT
-    assert classify_coprime_extension(F("2*5"), 7) is NumberClass.ABUNDANT
-    assert classify_coprime_extension(F("3^2*5"), 7) is NumberClass.DEFICIENT
-    assert classify_coprime_extension(F("7"), 2, 2) is NumberClass.PERFECT
+    def cls(m, p, e=1):
+        return NumberClass.from_abundance(deepened(F(m), p, e)[-1])
+
+    assert cls("2*13*31", 3) is NumberClass.ABUNDANT
+    assert cls("2^2", 7) is NumberClass.PERFECT
+    assert cls("2*5", 7) is NumberClass.ABUNDANT
+    assert cls("3^2*5", 7) is NumberClass.DEFICIENT
+    assert cls("7", 2, 2) is NumberClass.PERFECT
 
 
 def test_coprime_extension_matches_direct_classification():
+    # the leaf abundance s - p*d, pndn's upper bound s // d (non-deficient)
+    # and sfpan's strict one (s - 1) // d (abundant), then the deepening
     rng = random.Random(0xC1A55)
     for _ in range(300):
         m = random_deficient(rng)
         p = rng.choice(SMALL_PRIMES)
-        if m.exponent_of(p):
+        if exponent_of(m, p):
             continue
+        s, d, _ = kernel_state(m)
+        delta = abundance(times_prime(m, p))
+        assert s - p * d == delta
+        assert (p <= s // d) == (delta >= 0)
+        assert (p <= (s - 1) // d) == (delta > 0)
         e = rng.randrange(1, 4)
-        assert classify_coprime_extension(m, p, e) is classify(m.times_prime(p, e))
-
-
-def test_coprime_extension_rejects_bad_inputs():
-    with pytest.raises(NotCoprime):
-        classify_coprime_extension(F("2*5"), 5)
-    with pytest.raises(NotDeficient):
-        classify_coprime_extension(F("2*5*7"), 11)
-    with pytest.raises(NotDeficient):
-        classify_coprime_extension(F("2*3"), 5)
-    with pytest.raises(ValueError):
-        classify_coprime_extension(F("2*5"), 7, 0)
+        for j, delta in enumerate(deepened(m, p, e), 1):
+            assert delta == abundance(times_prime(m, p, j))
 
 
 def test_same_prime_extension_examples():
-    assert classify_same_prime_extension(F("2*5"), 5) is NumberClass.DEFICIENT
-    assert classify_same_prime_extension(F("2*5"), 2) is NumberClass.ABUNDANT
-    assert classify_same_prime_extension(F("2*5*13*61*67"), 61) is NumberClass.ABUNDANT
-    assert classify_same_prime_extension(F("3^8*5*11"), 11) is NumberClass.DEFICIENT
+    def cls(m, p):
+        return NumberClass.from_abundance(same_prime(F(m), p)[0])
+
+    assert cls("2*5", 5) is NumberClass.DEFICIENT
+    assert cls("2*5", 2) is NumberClass.ABUNDANT
+    assert cls("2*5*13*61*67", 61) is NumberClass.ABUNDANT
+    assert cls("3^8*5*11", 11) is NumberClass.DEFICIENT
 
 
 def test_same_prime_extension_matches_direct_classification():
@@ -103,39 +149,31 @@ def test_same_prime_extension_matches_direct_classification():
     for _ in range(300):
         m = random_deficient(rng)
         p = rng.choice(m.factors)[0]
-        assert classify_same_prime_extension(m, p) is classify(m.times_prime(p))
+        delta, _ = same_prime(m, p)
+        assert NumberClass.from_abundance(delta) is classify(times_prime(m, p))
 
 
 def test_same_prime_extension_abundance_matches_direct():
-    def delta(m, p):
-        others = [sigma_prime_power(q, b) for q, b in m.factors if q != p]
-        spp = sigma_prime_power(p, m.exponent_of(p))
-        return same_prime_extension(sigma(m), deficiency(m), p, spp, others)[0]
-
-    assert delta(F("2*5"), 5) == -7
-    assert delta(F("2^2"), 2) == -1
-    assert delta(F("2*5*13*61*67"), 61) > 0
+    assert same_prime(F("2*5"), 5)[0] == -7
+    assert same_prime(F("2^2"), 2)[0] == -1
+    assert same_prime(F("2*5*13*61*67"), 61)[0] > 0
     rng = random.Random(0x5A3E)
     for _ in range(100):
         m = random_deficient(rng)
         p = rng.choice(m.factors)[0]
-        assert delta(m, p) == abundance(m.times_prime(p))
-
-
-def test_same_prime_extension_rejects_bad_inputs():
-    with pytest.raises(NotADivisor):
-        classify_same_prime_extension(F("2*5"), 3)
-    with pytest.raises(NotDeficient):
-        classify_same_prime_extension(F("2*5*7"), 2)
+        assert same_prime(m, p)[0] == abundance(times_prime(m, p))
 
 
 def test_lower_bound_examples():
-    assert primitivity_lower_bound(ONE) == 0
-    assert primitivity_lower_bound(F("2*5")) == 3
-    assert primitivity_lower_bound(F("2^4")) == 15
-    assert primitivity_lower_bound(F("3^8*5")) == Fraction(656, 73)
-    with pytest.raises(NotDeficient):
-        primitivity_lower_bound(F("2*3"))
+    def floor(m):
+        return reduced_center_floor(*kernel_state(F(m)))
+
+    assert reduced_center_floor(*kernel_state(ONE)) == 0
+    assert floor("2*5") == 3
+    assert floor("2^4") == 15
+    m = F("3^8*5")
+    assert max(center(divide_prime(m, q)) for q, _ in m.factors) == Fraction(656, 73)
+    assert floor("3^8*5") == 8
 
 
 def test_lower_bound_is_max_of_reduced_centers():
@@ -143,29 +181,37 @@ def test_lower_bound_is_max_of_reduced_centers():
     rng = random.Random(0x10B0)
     for _ in range(300):
         m = random_deficient(rng)
-        want = max(center(m.divide_prime(q)) for q, _ in m.factors)
-        assert primitivity_lower_bound(m) == want
+        want = max(center(divide_prime(m, q)) for q, _ in m.factors)
         # the integer kernel: an integer clears the bound when it exceeds this
-        sigpps = [sigma_prime_power(q, a) for q, a in m.factors]
-        assert reduced_center_floor(sigma(m), deficiency(m), sigpps) == math.floor(want)
+        assert reduced_center_floor(*kernel_state(m)) == math.floor(want)
 
 
 def test_extend_coprime_matches_oracle():
+    # pndn's leaf rule, reduced_center_floor < p <= s // d, and sfpan's,
+    # with (s - 1) // d, against the definition, with p on both sides of
+    # the center; and the deepening to m*p^2 while m*p is still deficient
     rng = random.Random(0xE3C0)
     done = 0
     while done < 400:
         m = random_deficient(rng)
-        p = rng.choice(SMALL_PRIMES)
-        if m.exponent_of(p):
+        s, d, sigpps = kernel_state(m)
+        p = rng.randrange(2, 2 * (s // d) + 3)
+        if not naive_is_prime(p) or exponent_of(m, p):
             continue
-        e = rng.randrange(1, 3)
-        verdict = extend_primitive_coprime(m, p, e)
-        ext = m.times_prime(p, e)
-        assert verdict.number_class is classify(ext)
-        if verdict.number_class is NumberClass.DEFICIENT:
-            assert not verdict.primitive
+        delta, primitive = coprime_rule(m, p)
+        ext = times_prime(m, p)
+        assert delta == abundance(ext)
+        if delta < 0:
+            assert not primitive
+            ext2 = times_prime(m, p, 2)
+            delta2, primitive2 = same_prime_extension(
+                sigma(ext), deficiency(ext), p, p + 1, sigpps)
+            assert delta2 == abundance(ext2)
+            assert primitive2 == (delta2 >= 0 and is_primitive_nondeficient_oracle(ext2))
         else:
-            assert verdict.primitive == is_primitive_nondeficient_oracle(ext)
+            assert primitive == is_primitive_nondeficient_oracle(ext)
+        abundant_primitive = delta > 0 and primitive
+        assert (reduced_center_floor(s, d, sigpps) < p <= (s - 1) // d) == abundant_primitive
         done += 1
 
 
@@ -174,36 +220,32 @@ def test_extend_same_matches_oracle():
     for _ in range(400):
         m = random_deficient(rng)
         p = rng.choice(m.factors)[0]
-        verdict = extend_primitive_same(m, p)
-        ext = m.times_prime(p)
-        assert verdict.number_class is classify(ext)
-        if verdict.number_class is NumberClass.DEFICIENT:
-            assert not verdict.primitive
+        delta, primitive = same_prime(m, p)
+        ext = times_prime(m, p)
+        assert delta == abundance(ext)
+        if delta < 0:
+            assert not primitive
         else:
-            assert verdict.primitive == is_primitive_nondeficient_oracle(ext)
+            assert primitive == is_primitive_nondeficient_oracle(ext)
 
 
 def test_extension_verdict_examples():
-    assert extend_primitive_coprime(F("2^2"), 7) == \
-        ExtensionVerdict(NumberClass.PERFECT, True)
-    assert extend_primitive_coprime(F("3^2*5*7"), 103) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, True)
-    assert extend_primitive_same(F("2*5"), 2) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, True)
-    assert extend_primitive_same(F("2*5*13*61*67"), 61) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, True)
+    assert coprime_rule(F("2^2"), 7) == (0, True)
+    delta, primitive = coprime_rule(F("3^2*5*7"), 103)
+    assert delta > 0 and primitive
+    delta, primitive = same_prime(F("2*5"), 2)
+    assert delta > 0 and primitive
+    delta, primitive = same_prime(F("2*5*13*61*67"), 61)
+    assert delta > 0 and primitive
     # perfect same-prime extensions: 2^2*7, 2^4*31 and 2^6*127
     for m in ("2*7", "2^3*31", "2^5*127"):
-        assert extend_primitive_same(F(m), 2) == \
-            ExtensionVerdict(NumberClass.PERFECT, True)
+        assert same_prime(F(m), 2) == (0, True)
 
 
 def test_multiple_of_a_perfect_number_is_not_primitive():
     # 2^3*7 is abundant but its reduction 2^2*7 is perfect
-    assert extend_primitive_coprime(F("2^3"), 7) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, False)
-    assert extend_primitive_coprime(F("7"), 2, 3) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, False)
+    delta, primitive = coprime_rule(F("2^3"), 7)
+    assert delta > 0 and not primitive
     assert not is_primitive_nondeficient_oracle(F("2^3*7"))
     assert not is_primitive_nondeficient_oracle(F("2^2*3"))
 
@@ -214,9 +256,9 @@ def test_perfect_numbers_are_primitive():
 
 
 def test_inner_square_blocked_by_prefix_condition():
-    # 2^2*3^2 is abundant, but 2*3^2 is already abundant
-    assert extend_primitive_coprime(F("3^2"), 2, 2) == \
-        ExtensionVerdict(NumberClass.ABUNDANT, False)
+    # 2^2*3^2 is abundant, but 2*3^2 is already abundant, so a walk closes
+    # 3^2*2 as a leaf and never deepens it
+    assert coprime_rule(F("3^2"), 2)[0] > 0
     assert not is_primitive_nondeficient_oracle(F("2^2*3^2"))
 
 
@@ -226,12 +268,12 @@ def test_oracle_examples():
     assert is_primitive_nondeficient_oracle(F("2*5*11*13"))
     assert not is_primitive_nondeficient_oracle(F("2^2*5*7*103"))
     assert not is_primitive_nondeficient_oracle(F("3^8*5*11*53"))
-    with pytest.raises(NotAbundantOrPerfect):
+    with pytest.raises(ValueError):
         is_primitive_nondeficient_oracle(F("2*5"))
 
 
 def test_small_coprime_prime_extension_is_primitive():
-    # sufficient condition: deficient m, coprime p with
+    # the square-free search's leaf floor: deficient m, coprime p with
     # sigma(q^a) - 1 <= p < center(m) for every q^a || m.
     # 2^a*q bases keep the center high enough for the window to be nonempty.
     candidates = list(primes_in_closed(2, 600))
@@ -246,10 +288,11 @@ def test_small_coprime_prime_extension_is_primitive():
             floor_p = max(sigma_prime_power(r, e) - 1 for r, e in m.factors)
             c = center(m)
             for p in candidates:
-                if m.exponent_of(p) or not floor_p <= p < c:
+                if exponent_of(m, p) or not floor_p <= p < c:
                     continue
-                verdict = extend_primitive_coprime(m, p)
-                assert verdict == ExtensionVerdict(NumberClass.ABUNDANT, True)
+                delta, primitive = coprime_rule(m, p)
+                assert delta > 0 and primitive
+                assert is_primitive_nondeficient_oracle(times_prime(m, p))
                 hits += 1
     assert hits > 30
 
@@ -264,12 +307,12 @@ def test_substituting_a_smaller_prime_keeps_abundance():
         if abundance(f) < 0:
             continue
         q, e = rng.choice(f.factors)
-        smaller = [p for p in SMALL_PRIMES if p < q and not f.exponent_of(p)]
+        smaller = [p for p in SMALL_PRIMES if p < q and not exponent_of(f, p)]
         if not smaller:
             continue
         swapped = f
         for _ in range(e):
-            swapped = swapped.divide_prime(q)
-        swapped = swapped.times_prime(rng.choice(smaller), e)
+            swapped = divide_prime(swapped, q)
+        swapped = times_prime(swapped, rng.choice(smaller), e)
         assert abundance(swapped) > 0
         done += 1

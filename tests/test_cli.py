@@ -202,6 +202,22 @@ def test_weird_check(capsys):
         assert capsys.readouterr().out.strip() == expect
 
 
+def test_weird_check_refuses_too_many_divisors(capsys, monkeypatch):
+    # min(tau(n), delta) divisors would be listed; above 2^20 the check exits
+    # 3 before listing any, at 2^20 it goes on to list them
+    def refuse(f, bound):
+        raise AssertionError("divisors listed for %s" % f)
+
+    monkeypatch.setattr(panweird.weird, "divisors_up_to", refuse)
+    primes = [str(p) for p in panweird.primes.primes_in_closed(2, 101)]
+    assert len(primes) == 26
+    for count in (26, 21):
+        assert main(["weird", "check", "*".join(primes[:count])]) == 3
+        assert "resource ceiling" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="divisors listed"):
+        main(["weird", "check", "*".join(primes[:20])])
+
+
 def test_weird_encode_decode(capsys):
     assert main(["weird", "encode", "2^2*13*17*443*97919*563915507"]) == 0
     assert capsys.readouterr().out.strip() == "[1^2, 2, 1, 1, 1, -2]"

@@ -12,7 +12,6 @@ from panweird import (
     abundance,
     center,
     deficiency,
-    is_primitive_nondeficient_oracle,
     iter_primes_above,
     pndn,
     sfpan,
@@ -20,7 +19,13 @@ from panweird import (
 )
 from panweird.primes import PI_BOUND
 
-from oracles import naive_sigma, primitive_census
+from oracles import (
+    exponent_of,
+    is_primitive_nondeficient_oracle,
+    is_squarefree,
+    naive_sigma,
+    primitive_census,
+)
 
 F = Factorization.parse
 
@@ -133,7 +138,7 @@ def test_record_invariants():
         assert is_primitive_nondeficient_oracle(f)
     for r in collect(sfpan, 5)[0]:
         f = r.factorization
-        assert f.is_squarefree and f.omega == 5
+        assert is_squarefree(f) and f.omega == 5
         assert r.abundance == abundance(f) > 0
         assert is_primitive_nondeficient_oracle(f)
 
@@ -142,14 +147,14 @@ def test_seeded_runs():
     records, outcome = collect(pndn, 5, seed="2^2")
     assert outcome.count_abundant == len(records) > 0
     for r in records:
-        assert r.factorization.exponent_of(2) >= 2
+        assert exponent_of(r.factorization, 2) >= 2
         assert r.big_omega == 5
         assert is_primitive_nondeficient_oracle(r.factorization)
     # a square-free walk over an odd seed
     srecords, _ = collect(sfpan, 4, seed="3^2")
     for r in srecords:
         f = r.factorization
-        assert f.exponent_of(3) == 2 and f.omega == 4
+        assert exponent_of(f, 3) == 2 and f.omega == 4
         assert all(e == 1 for p, e in f.factors if p != 3)
         assert is_primitive_nondeficient_oracle(f)
 

@@ -1,19 +1,23 @@
 """Design rules of the package, checked on its source.
 
 Centers are compared with integers (x > s // d above s/d, x < -(-s // d)
-below it), so Fraction belongs only to the modules whose public functions
-take or return a ratio: arith (center) and classify
-(primitivity_lower_bound, extend_primitive_coprime).
+below it), so Fraction belongs only to arith, whose center is the one public
+function that returns a ratio.
 
 The public Factorization constructor and Factorization.parse test every
 base for primality, so the walk and the search, which build one
-factorization per node or record, use Factorization._trusted instead."""
+factorization per node or record, use Factorization._trusted instead.
+
+Every name in panweird.__all__ resolves, once, so `from panweird import *`
+works."""
 
 import ast
 from pathlib import Path
 
+import panweird
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "panweird"
-FRACTION_MODULES = {"arith.py", "classify.py"}
+FRACTION_MODULES = {"arith.py"}
 HOT_MODULES = ("enumerate.py", "weird.py")
 
 
@@ -25,7 +29,7 @@ def imported_modules(tree):
             yield node.module
 
 
-def test_only_arith_and_classify_import_fractions():
+def test_only_arith_imports_fractions():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 5
     offenders = [
@@ -51,3 +55,9 @@ def test_hot_modules_never_build_checked_factorizations():
             ):
                 offenders.append("%s:%d" % (name, node.lineno))
     assert offenders == []
+
+
+def test_public_names_resolve_once():
+    names = panweird.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(panweird, name)] == []

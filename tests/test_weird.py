@@ -18,14 +18,12 @@ from panweird import (
     digits10,
     divisors_up_to,
     encode_index_sequence,
-    is_primitive_nondeficient_oracle,
     is_weird,
     pndn,
     pwn_search_general,
     pwn_search_squarefree,
     sfpan,
     subset_sums_to,
-    weird_numbers_below,
 )
 from panweird.arith import MAX_FACTORS
 
@@ -38,7 +36,12 @@ from known_values import (
     SQUAREFREE_PWN_BLOCKS,
     WEIRD_BELOW_10K,
 )
-from oracles import naive_divisors, naive_is_weird
+from oracles import (
+    is_primitive_nondeficient_oracle,
+    naive_divisors,
+    naive_is_weird,
+    weird_numbers_below,
+)
 
 F = Factorization.parse
 
