@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 
 from . import primes as _primes
-from .errors import NotDeficient, ParseError
+from .errors import CeilingExceeded, NotDeficient, ParseError
 
 _FACTOR_LIMIT = 1 << 64
 
@@ -30,6 +30,14 @@ _FACTOR_LIMIT = 1 << 64
 # recursion, and this keeps the deepest one well inside Python's recursion
 # limit while leaving room far beyond the paper's 16 factors.
 MAX_FACTORS = 128
+
+# Largest number factorization text may denote, in bits, as the sum of
+# e * bit_length(p) over its factors: 19,729 digits, above the paper's
+# largest primitive weird number (14,712 digits, about 48,900 bits).
+MAX_INPUT_BITS = 1 << 16
+# longest token such text can hold: a base of 19,729 digits at most, and
+# an exponent of 5
+_MAX_TOKEN = 19_736
 
 
 def sigma_prime_power(p: int, e: int) -> int:
@@ -42,7 +50,8 @@ def sigma_prime_power(p: int, e: int) -> int:
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     """The (base, exponent) pairs of 'p1^e1*p2*...' ('1' gives none), with
     bases strictly increasing from 2 and exponents positive; the bases are
-    not tested for primality."""
+    not tested for primality.  Text for a number above MAX_INPUT_BITS
+    raises CeilingExceeded, a token too long for it before int() reads it."""
     text = text.strip()
     if text == "1":
         return []
@@ -50,7 +59,11 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         raise ParseError("empty factorization")
     pairs = []
     last = 1
+    bits = 0
     for token in text.split("*"):
+        if len(token) > _MAX_TOKEN:
+            raise CeilingExceeded("factor of %d characters, above the %d-bit "
+                                  "input bound" % (len(token), MAX_INPUT_BITS))
         base, caret, exp = token.partition("^")
         try:
             p = int(base)
@@ -61,6 +74,10 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             raise ParseError("primes must be strictly increasing: %r" % text)
         if e < 1:
             raise ParseError("exponents must be positive: %r" % text)
+        bits += e * p.bit_length()
+        if bits > MAX_INPUT_BITS:
+            raise CeilingExceeded("factorization above the %d-bit input bound"
+                                  % MAX_INPUT_BITS)
         pairs.append((p, e))
         last = p
     return pairs

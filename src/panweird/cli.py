@@ -9,11 +9,15 @@ Records written to a file go to <out>.partial first and are renamed to
 <out> only when the run succeeds.  The manifest is written either way; its
 status says how the run ended: ok, ceiling, interrupted or error, and its
 prime_table gives the prime table's limit and source (none, sieve or cache)
-at the end.  convert writes no manifest, so it removes its partial file
+at the end.  enumerate writes every completion its walk counts, perfect
+ones included, so a run that ends ok has emitted = count_abundant +
+count_perfect.  convert writes no manifest, so it removes its partial file
 when it fails.
 
 Exit codes: 0 success, 1 usage, bad input or a file that cannot be read or
-written, 2 verification failure, 3 resource ceiling hit.
+written, 2 verification failure, 3 resource ceiling hit, factorization
+text past arith.MAX_INPUT_BITS and codec indices past weird.MAX_INDEX
+included.
 """
 
 from __future__ import annotations
@@ -150,15 +154,7 @@ class _Output:
 
 
 def cmd_enumerate(args) -> int:
-    if args.include_perfect and (args.mode != "pndn" or args.count_only):
-        sys.stderr.write("--include-perfect selects pndn records: not with "
-                         "--mode sfpan or --count-only\n")
-        return 1
-    try:
-        seed = Factorization.parse(args.seed)
-    except ParseError as exc:
-        sys.stderr.write("invalid seed: %s\n" % exc)
-        return 1
+    seed = Factorization.parse(args.seed)
     # bad input exits here, before any output file is opened
     walk_start(args.mode == "pndn", args.k, seed, args.odd, args.ceiling)
     manifest = RunManifest(
@@ -168,7 +164,6 @@ def cmd_enumerate(args) -> int:
             "k": args.k,
             "seed": str(seed),
             "odd": args.odd,
-            "include_perfect": args.include_perfect,
             "count_only": args.count_only,
             "ceiling": args.ceiling,
         },
@@ -177,10 +172,7 @@ def cmd_enumerate(args) -> int:
     with _Output(None if args.count_only else (args.out or "-"), manifest) as out:
         sink = None if args.count_only else (lambda rec: out.write(_enum_record_line(rec)))
         run = sfpan if args.mode == "sfpan" else pndn
-        kwargs = dict(odd_only=args.odd, ceiling=args.ceiling)
-        if args.mode == "pndn":
-            kwargs["include_perfect"] = args.include_perfect
-        outcome = run(args.k, seed, sink, **kwargs)
+        outcome = run(args.k, seed, sink, odd_only=args.odd, ceiling=args.ceiling)
         manifest.totals = {
             "count_abundant": outcome.count_abundant,
             "count_perfect": outcome.count_perfect,
@@ -190,11 +182,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_weird_search(args) -> int:
-    try:
-        seed = Factorization.parse(args.seed)
-    except ParseError as exc:
-        sys.stderr.write("invalid seed: %s\n" % exc)
-        return 1
+    seed = Factorization.parse(args.seed)
     # bad input exits here, before any output file is opened
     search_start(args.squares, args.k, seed, args.amplitude)
     manifest = RunManifest(
@@ -219,6 +207,9 @@ def cmd_weird_search(args) -> int:
 # them; past this many the list alone could take gigabytes.  The paper's
 # PWN have at most 16 prime factors, so tau <= 2^16 for each of them.
 _CHECK_DIVISORS = 1 << 20
+# and each listed divisor has at most delta.bit_length() bits: past this
+# many bits in all, the list and its subset sums could too
+_CHECK_BITS = 1 << 27
 
 
 def cmd_weird_check(args) -> int:
@@ -231,6 +222,10 @@ def cmd_weird_check(args) -> int:
         if listed > _CHECK_DIVISORS:
             raise CeilingExceeded("weird check would list up to %d divisors, "
                                   "above 2^20" % listed)
+        if listed * delta.bit_length() > _CHECK_BITS:
+            raise CeilingExceeded("weird check would list up to %d divisors of "
+                                  "up to %d bits, above 2^27 bits in all"
+                                  % (listed, delta.bit_length()))
         weird = is_weird(f)
     print("%s, %s, Δ=%d" % (cls.value, "weird" if weird else "not weird", delta))
     return 0
@@ -324,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="total prime factors: distinct (sfpan) or with multiplicity (pndn)")
     p_enum.add_argument("--seed", default="1", help="deficient seed factorization")
     p_enum.add_argument("--odd", action="store_true", help="skip 2 at the first level")
-    p_enum.add_argument("--include-perfect", action="store_true",
-                        help="write perfect completions too (pndn records)")
     enum_output = p_enum.add_mutually_exclusive_group()
     enum_output.add_argument("--count-only", action="store_true", help="totals, no records")
     enum_output.add_argument("--out", default=None, help="record file, '-' for stdout")
@@ -376,9 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 _parser = None  # built by the first main call, then reused
 
+# Python 3.11 refuses to convert ints of more than 4,300 digits to or from
+# text.  An input holds at most arith.MAX_INPUT_BITS bits (19,729 digits)
+# and sigma(n) < n^2, so this many digits covers every number a command
+# reads or prints.
+_STR_DIGITS = 2 * 19_729
+
 
 def main(argv=None) -> int:
     global _parser
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(_STR_DIGITS)
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)

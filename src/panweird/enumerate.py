@@ -14,9 +14,9 @@ pndn and sfpan are the only entry points, one per recursion.  A leaf's
 totals always come from prime counts over its interval [lo, upper], so
 they come out without touching individual numbers: called without a sink,
 either walk counts and builds no records, and a sink only adds the loop
-that lists the interval's primes.  The walk emits every completion, perfect
-ones included; whether those reach the sink is decided once, in
-_record_emitter.
+that lists the interval's primes.  The sink receives every completion the
+walk counts, perfect ones included, so a record run emits count_abundant +
+count_perfect records.
 
 A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
@@ -67,14 +67,6 @@ class EnumRecord:
     factorization: Factorization
     number_class: NumberClass
     abundance: int
-
-    @property
-    def omega(self) -> int:
-        return self.factorization.omega
-
-    @property
-    def big_omega(self) -> int:
-        return self.factorization.big_omega
 
 
 @dataclass
@@ -246,20 +238,6 @@ def _walk(general, k, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling
 # ---------------------------------------------------------------------------
 # Public entry points.
 
-def _record_emitter(sink, include_perfect):
-    """The walk's emit for a record sink.  The walk emits every completion,
-    each with delta >= 0; perfect ones (delta 0) reach the sink only under
-    include_perfect."""
-    def emit(pairs, delta):
-        if delta > 0 or include_perfect:
-            sink(EnumRecord(
-                Factorization._trusted(pairs),
-                NumberClass.ABUNDANT if delta > 0 else NumberClass.PERFECT,
-                delta,
-            ))
-    return emit
-
-
 def walk_start(general, k, seed, odd_only, ceiling):
     """The state a walk starts from, (left, v, s, factors, sigpps), once
     its inputs pass every check a walk makes: the ceiling, then k and the
@@ -274,26 +252,30 @@ def walk_start(general, k, seed, odd_only, ceiling):
     return left, v, s, factors, sigpps
 
 
-def _run(general, k, seed, sink, odd_only, include_perfect, on_stop, ceiling):
+def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
     left, v, s, factors, sigpps = walk_start(general, k, seed, odd_only, ceiling)
     start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
-    emit = None if sink is None else _record_emitter(sink, include_perfect)
+    emit = None
+    if sink is not None:
+        def emit(pairs, delta):  # every completion has delta >= 0
+            sink(EnumRecord(Factorization._trusted(pairs),
+                            NumberClass.from_abundance(delta), delta))
     ca, cp, found = _walk(
         general, left, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling)
     return EnumOutcome(ca, cp, found)
 
 
-def pndn(k, seed=None, sink=None, *, odd_only=False, include_perfect=False,
-         on_stop=None, ceiling=_DEFAULT_CEILING) -> EnumOutcome:
+def pndn(k, seed=None, sink=None, *, odd_only=False, on_stop=None,
+         ceiling=_DEFAULT_CEILING) -> EnumOutcome:
     """Emit every primitive non-deficient number with k prime factors
     (counted with multiplicity) divisible by the deficient seed, seed's
     factors included in the count.  Without a sink the walk only counts and
     builds no records.
 
-    Perfect completions reach the sink only under include_perfect and are
-    never added to count_abundant.
+    Perfect completions reach the sink too, with class PERFECT; they are
+    counted in count_perfect, never in count_abundant.
     """
-    return _run(True, k, seed, sink, odd_only, include_perfect, on_stop, ceiling)
+    return _run(True, k, seed, sink, odd_only, on_stop, ceiling)
 
 
 def sfpan(k, seed=None, sink=None, *, odd_only=False, on_stop=None,
@@ -306,4 +288,4 @@ def sfpan(k, seed=None, sink=None, *, odd_only=False, on_stop=None,
     Perfect numbers cannot appear here: the final prime sits strictly below
     the center.
     """
-    return _run(False, k, seed, sink, odd_only, False, on_stop, ceiling)
+    return _run(False, k, seed, sink, odd_only, on_stop, ceiling)

@@ -23,7 +23,9 @@ class NoSuchPrime(PanweirdError, ValueError):
 
 class CeilingExceeded(PanweirdError, RuntimeError):
     """A request went past a resource ceiling: a prime count above the
-    configured ceiling, or a weirdness check with too many divisors to list."""
+    configured ceiling, factorization text above the input bound, a codec
+    index past its bound, or a weirdness check with too many divisors to
+    list."""
 
 
 class InvalidSequence(PanweirdError, ValueError):

@@ -23,6 +23,8 @@ record's index sequence is its codec encoding, encode_index_sequence of
 its factorization: the window's j-th slot is the j-th prime the codec
 counts from the same center.  Both searches start from search_start:
 arith.seed_state, as the enumeration walks do, and the amplitude check.
+The codec steps at most MAX_INDEX primes from a center, and an amplitude
+may not exceed it, so every search record stays encodable.
 
 Centers s/d are never built as ratios.  The searches and the codec step
 with one integer rule: the primes above s/d are the primes above s // d,
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .arith import (
+    MAX_INPUT_BITS,
     Factorization,
     abundance,
     digits10,
@@ -51,6 +54,7 @@ from .arith import (
 )
 from .classify import reduced_center_floor, same_prime_extension
 from .errors import (
+    CeilingExceeded,
     InvalidSequence,
     NoSuchPrime,
     NotAbundant,
@@ -167,6 +171,15 @@ def is_weird(f: Factorization) -> bool:
 
 _ENTRY_RE = re.compile(r"^(-?\d+)(?:\^(\d+))?$")
 
+# Largest |index| the codec steps to, one prime at a time; the catalogs'
+# indices stay within 15.
+MAX_INDEX = 1 << 10
+
+
+def _index_ceiling(pos):
+    return CeilingExceeded("entry %d of the index sequence lies past %d "
+                           "primes from its center" % (pos + 1, MAX_INDEX))
+
 
 @dataclass(frozen=True)
 class IndexSequence:
@@ -207,17 +220,24 @@ class IndexSequence:
 
 
 def encode_index_sequence(f: Factorization) -> IndexSequence:
-    """Index sequence of f; every proper prefix must be deficient."""
+    """Index sequence of f; every proper prefix must be deficient.  An index
+    past MAX_INDEX raises CeilingExceeded, before any step when p lies
+    farther from the center than MAX_INDEX primes can reach."""
     if not f.factors:
         raise InvalidSequence("1 has no index sequence")
     v = s = 1
     entries = []
-    for p, e in f.factors:
+    for pos, (p, e) in enumerate(f.factors):
         d = 2 * v - s
         if d <= 0:
             raise PrefixNotDeficient(
                 "prefix before %d is not deficient in %s" % (p, f)
             )
+        # MAX_INDEX primes span MAX_INDEX * b^2 only if their mean gap
+        # reaches b^2, b the bit length of the larger end; no prime gap
+        # known below 2^b reaches (b ln 2)^2
+        if abs(p - s // d) > MAX_INDEX * max(p, s // d).bit_length() ** 2:
+            raise _index_ceiling(pos)
         if p * d == s:  # p sits at the center
             idx = 0
             q = p if is_prime(p) else None
@@ -225,12 +245,16 @@ def encode_index_sequence(f: Factorization) -> IndexSequence:
             idx = 1
             q = kth_prime_above(s // d, 1)
             while q < p:
+                if idx == MAX_INDEX:
+                    raise _index_ceiling(pos)
                 q = kth_prime_above(q, 1)
                 idx += 1
         else:  # below the center, count downward
             idx = -1
             q = kth_prime_below(-(-s // d), 1)
             while q > p:
+                if idx == -MAX_INDEX:
+                    raise _index_ceiling(pos)
                 q = kth_prime_below(q, 1)
                 idx -= 1
         if q != p:  # the count stepped over p
@@ -242,11 +266,18 @@ def encode_index_sequence(f: Factorization) -> IndexSequence:
 
 
 def decode_index_sequence(seq) -> Factorization:
-    """Rebuild the factorization an index sequence denotes."""
+    """Rebuild the factorization an index sequence denotes.  CeilingExceeded
+    is raised for an index past MAX_INDEX before any step, and for a number
+    past arith.MAX_INPUT_BITS, measured as factorization text is, before
+    the prime power that passes it is built."""
     if isinstance(seq, str):
         seq = IndexSequence.parse(seq)
+    for pos, (idx, _) in enumerate(seq.entries):
+        if abs(idx) > MAX_INDEX:
+            raise _index_ceiling(pos)
     v = s = 1
     prev = 1
+    bits = 0
     pairs = []
     for idx, e in seq.entries:
         d = 2 * v - s
@@ -266,6 +297,10 @@ def decode_index_sequence(seq) -> Factorization:
                     "not enough primes below center %d/%d" % (s, d)) from None
         if p <= prev:
             raise InvalidSequence("index %d repeats or reorders primes" % idx)
+        bits += e * p.bit_length()
+        if bits > MAX_INPUT_BITS:
+            raise CeilingExceeded("decoded number above the %d-bit input bound"
+                                  % MAX_INPUT_BITS)
         pairs.append((p, e))
         prev = p
         v *= p**e
@@ -378,8 +413,8 @@ def search_start(general, k, seed, amplitude):
     check a search makes before its first step, so a caller can check its
     inputs before it opens output."""
     state = seed_state(seed, k, general)
-    if amplitude < 1:
-        raise ValueError("amplitude must be positive")
+    if not 1 <= amplitude <= MAX_INDEX:
+        raise ValueError("amplitude must be from 1 to %d" % MAX_INDEX)
     return state
 
 

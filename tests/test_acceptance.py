@@ -132,7 +132,7 @@ def test_criterion_7a_primitivity_fast_paths_match_sieve_census():
     rng = random.Random(0xACCE)
     for k in range(1, 7):
         records = []
-        pndn(k, sink=records.append, include_perfect=True)
+        pndn(k, sink=records.append)
         emitted = {r.factorization.value: r for r in records}
         if k <= 5:
             assert max(emitted, default=0) < limit

@@ -5,6 +5,7 @@ import pytest
 
 from panweird import (
     ONE,
+    CeilingExceeded,
     Factorization,
     NotDeficient,
     ParseError,
@@ -15,6 +16,8 @@ from panweird import (
     sigma,
     sigma_prime_power,
 )
+
+from panweird.arith import MAX_INPUT_BITS
 
 from oracles import (
     divide_prime,
@@ -127,6 +130,21 @@ def test_parse_rejects_malformed():
         Factorization.from_int(12.0)
     # whitespace is tolerated on input, normalized on output
     assert str(F("2 * 5")) == "2*5"
+
+
+def test_parse_refuses_text_past_the_input_bound():
+    # the measure is the sum of e * bit_length(p), 2 counting 2 bits a power
+    assert MAX_INPUT_BITS == 1 << 16
+    assert F("2^32768").factors == ((2, 32768),)
+    assert F("3^20000").factors == ((3, 20000),)
+    for bad in ("2^32769", "2^32768*3", "2^100000000*3", "3^20000*5^20000"):
+        with pytest.raises(CeilingExceeded, match="input bound"):
+            F(bad)
+    # a token longer than any text inside the bound is refused before int()
+    # reads it, whatever Python's own limit on int digits
+    for bad in ("1" * 19_737, "2^" + "1" * 19_735, "2*" + "3" * 30_000):
+        with pytest.raises(CeilingExceeded, match="characters"):
+            F(bad)
 
 
 def test_from_int_matches_trial_division():

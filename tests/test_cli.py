@@ -9,7 +9,7 @@ import panweird.enumerate
 import panweird.primes
 import panweird.weird
 from panweird import cli
-from panweird.arith import MAX_FACTORS
+from panweird.arith import MAX_FACTORS, digits10
 from panweird.cli import build_parser, main
 from panweird.enumerate import pndn
 from panweird.primes import PI_BOUND, PrimeTable
@@ -32,8 +32,8 @@ def test_enumerate_count_only(capsys):
     assert list(manifest) == ["command", "config", "started", "finished",
                               "runtime_seconds", "status", "totals", "records",
                               "prime_table"]
-    assert list(manifest["config"]) == ["mode", "k", "seed", "odd", "include_perfect",
-                                        "count_only", "ceiling"]
+    assert list(manifest["config"]) == ["mode", "k", "seed", "odd", "count_only",
+                                        "ceiling"]
     assert manifest["command"] == "enumerate"
     assert manifest["config"]["mode"] == "pndn"
     assert manifest["config"]["k"] == 5
@@ -46,8 +46,7 @@ def test_enumerate_count_only(capsys):
 def test_enumerate_to_file(tmp_path):
     out = tmp_path / "k3.jsonl"
     code = main([
-        "enumerate", "--mode", "pndn", "--k", "3",
-        "--include-perfect", "--out", str(out),
+        "enumerate", "--mode", "pndn", "--k", "3", "--out", str(out),
     ])
     assert code == 0
     records = read_jsonl(out)
@@ -64,8 +63,7 @@ def test_enumerate_to_file(tmp_path):
     assert manifest["records"] == str(out)
     # identical runs produce byte-identical record files
     out2 = tmp_path / "again.jsonl"
-    main(["enumerate", "--mode", "pndn", "--k", "3",
-          "--include-perfect", "--out", str(out2)])
+    main(["enumerate", "--mode", "pndn", "--k", "3", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -95,6 +93,7 @@ def test_enumerate_errors(capsys):
     assert err.value.code == 1
     assert main(["enumerate", "--mode", "pndn", "--k", "3",
                  "--seed", "four"]) == 1
+    assert capsys.readouterr().err.endswith("\ninvalid input: bad factor 'four'\n")
     assert main(["enumerate", "--mode", "pndn", "--k", "2",
                  "--seed", "2^2", "--count-only"]) == 1
     assert main(["enumerate", "--mode", "pndn", "--k", "4",
@@ -108,7 +107,7 @@ def test_enumerate_record_files_are_pinned(tmp_path):
     for argv, digest in (
         (["--mode", "sfpan", "--k", "5"],
          "0037371cc8b5ab0fa4ff3e1d506a48c8749cb2337de8a0e5bffda79b5918b213"),
-        (["--mode", "pndn", "--k", "5", "--include-perfect"],
+        (["--mode", "pndn", "--k", "5"],
          "3f68f4bcff00388c919f27d26efebd97c7b6f7cd07ae05670f955199f5363442"),
     ):
         out = tmp_path / "records.jsonl"
@@ -128,17 +127,6 @@ def test_weird_search_record_files_are_pinned(tmp_path):
         out = tmp_path / "pwn.jsonl"
         assert main(["weird", "search", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-def test_sfpan_include_perfect_is_rejected_before_any_output(tmp_path, capsys):
-    # sfpan has no perfect completions, and --count-only writes no records
-    out = tmp_path / "sf.jsonl"
-    for argv in (["--mode", "sfpan", "--k", "3", "--include-perfect", "--out", str(out)],
-                 ["--mode", "pndn", "--k", "3", "--include-perfect", "--count-only"]):
-        assert main(["enumerate", *argv]) == 1
-        captured = capsys.readouterr()
-        assert "--include-perfect" in captured.err and captured.out == ""
-        assert list(tmp_path.iterdir()) == []
 
 
 def test_weird_search_to_file(tmp_path):
@@ -216,6 +204,27 @@ def test_weird_check_refuses_too_many_divisors(capsys, monkeypatch):
         assert "resource ceiling" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="divisors listed"):
         main(["weird", "check", "*".join(primes[:20])])
+    # 40,002 divisors of up to 20,001 bits: under 2^20 divisors, but above
+    # 2^27 bits in all
+    assert main(["weird", "check", "2^20000*3"]) == 3
+    assert "above 2^27 bits" in capsys.readouterr().err
+
+
+def test_weird_check_bounds_its_input_and_prints_long_numbers(capsys, monkeypatch):
+    # text past arith.MAX_INPUT_BITS exits 3 before n or sigma(n) is built
+    def refuse(f):
+        raise AssertionError("classified %s" % f)
+
+    monkeypatch.setattr(cli, "classify", refuse)
+    assert main(["weird", "check", "2^100000000*3"]) == 3
+    assert "input bound" in capsys.readouterr().err
+    monkeypatch.undo()
+    # Δ = -(3^20000 + 1)/2, of 9,543 digits, prints past Python's default
+    # limit of 4,300
+    assert main(["weird", "check", "3^20000"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("deficient, not weird, Δ=-")
+    assert len(out.partition("=-")[2]) == digits10((3**20000 + 1) // 2) == 9543
 
 
 def test_weird_encode_decode(capsys):
@@ -225,6 +234,9 @@ def test_weird_encode_decode(capsys):
     assert capsys.readouterr().out.strip() == "2^2*13*17*443*97919*563915507"
     assert main(["weird", "decode", "[nope]"]) == 1
     assert main(["weird", "encode", "2^2*5*7*11"]) == 1
+    # a prime past weird.MAX_INDEX primes from its center
+    assert main(["weird", "encode", "2^30*3"]) == 3
+    assert main(["weird", "decode", "[1^40, -100000]"]) == 3
     capsys.readouterr()
 
 
@@ -380,7 +392,10 @@ def test_ceiling_hit_leaves_only_a_partial_file(tmp_path, capsys):
     assert main(["enumerate", "--mode", "pndn", "--k", "5", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "k5.jsonl.manifest.json").read_text())
     assert manifest["status"] == "ok" and manifest["records"] == str(out)
-    assert manifest["totals"]["emitted"] == len(read_jsonl(out)) == 906
+    totals = manifest["totals"]
+    # every completion the walk counts is written, the perfect 2^4*31 too
+    assert totals["emitted"] == len(read_jsonl(out)) == \
+        totals["count_abundant"] + totals["count_perfect"]
     assert not (tmp_path / "k5.jsonl.partial").exists()
     capsys.readouterr()
 
@@ -397,8 +412,8 @@ def test_interrupted_run_is_marked_in_its_manifest(tmp_path, monkeypatch):
     assert not out.exists()
     manifest = json.loads((tmp_path / "k3.jsonl.manifest.json").read_text())
     assert manifest["status"] == "interrupted"
-    assert manifest["totals"] == {"emitted": 2}
-    assert len(read_jsonl(str(out) + ".partial")) == 2
+    assert manifest["totals"] == {"emitted": 3}  # 2^2*5, 2^2*7 and 2*5*7
+    assert len(read_jsonl(str(out) + ".partial")) == 3
 
 
 def test_count_only_manifest_reports_the_ceiling(capsys):
@@ -491,6 +506,7 @@ def test_ceiling_out_of_range_is_rejected_before_any_walk(monkeypatch, capsys):
     ["enumerate", "--mode", "sfpan", "--k", "3", "--seed", "2*3*5"],  # not deficient
     ["enumerate", "--mode", "pndn", "--k", "3", "--seed", "2", "--odd"],
     ["weird", "search", "--k", "3", "--amplitude", "0"],
+    ["weird", "search", "--k", "1", "--amplitude", "1025"],  # past weird.MAX_INDEX
     ["weird", "search", "--k", "0", "--amplitude", "1"],
     ["weird", "search", "--k", "2", "--seed", "3*5", "--amplitude", "1"],
 ])

@@ -37,16 +37,15 @@ def collect(fn, k, **kw):
 
 
 def test_two_factor_case_is_the_first_perfect_number():
-    records, outcome = collect(pndn, 2, include_perfect=True)
+    records, outcome = collect(pndn, 2)
     assert outcome == EnumOutcome(0, 1, True)
     assert [r.factorization for r in records] == [F("2*3")]
     assert records[0].number_class is NumberClass.PERFECT
     assert records[0].abundance == 0
-    assert collect(pndn, 2)[0] == []
 
 
 def test_three_factor_records_exactly():
-    records, outcome = collect(pndn, 3, include_perfect=True)
+    records, outcome = collect(pndn, 3)
     got = {(str(r.factorization), r.number_class, r.abundance) for r in records}
     assert got == {
         ("2^2*5", NumberClass.ABUNDANT, 2),
@@ -73,7 +72,7 @@ def test_enumeration_matches_census():
         buckets.setdefault(sum(e for _, e in fac), set()).add(n)
     for k in range(1, 7):
         emitted = {}
-        for r in collect(pndn, k, include_perfect=True)[0]:
+        for r in collect(pndn, k)[0]:
             emitted[r.factorization.value] = r
         if k <= 4:
             assert max(emitted, default=0) < limit
@@ -99,9 +98,11 @@ def _check_twins(extra, seed=None, **kw):
     # the per-class record tallies check the leaf's prime counts
     f = F(seed or "1")
     k = f.big_omega + extra
-    records, outcome = collect(pndn, k, seed=seed, include_perfect=True, **kw)
+    records, outcome = collect(pndn, k, seed=seed, **kw)
     counted = pndn(k, seed=seed, **kw)
     assert counted == outcome
+    # the sink receives every completion the walk counts, perfect ones too
+    assert len(records) == counted.count_abundant + counted.count_perfect
     assert counted.count_abundant == sum(
         1 for r in records if r.number_class is NumberClass.ABUNDANT
     )
@@ -121,18 +122,19 @@ def test_counting_twin_matches_enumeration():
         for odd in (False, True):
             _check_twins(k, odd_only=odd)
     # seeded walks on which the leaf's primitivity lower bound cuts the
-    # interval: pndn for every seed, sfpan for 3^3
-    for seed, extra in (("2^3", 3), ("3^2", 4), ("2^2*13", 3), ("3^3", 4)):
+    # interval: pndn for every seed, sfpan for 3^3; 2^2 and 2 divide the
+    # perfect 2^4*31, a completion of both at k = 5
+    for seed, extra in (("2^3", 3), ("3^2", 4), ("2^2*13", 3), ("3^3", 4),
+                        ("2^2", 3), ("2", 4)):
         _check_twins(extra, seed)
 
 
 def test_record_invariants():
-    records, _ = collect(pndn, 5, include_perfect=True)
-    assert len(records) == 907
+    records, outcome = collect(pndn, 5)
+    assert len(records) == outcome.count_abundant + outcome.count_perfect
     for r in records:
         f = r.factorization
-        assert r.big_omega == f.big_omega == 5
-        assert r.omega == f.omega <= 5
+        assert f.big_omega == 5
         assert r.abundance == abundance(f)
         assert r.number_class is NumberClass.from_abundance(r.abundance)
         assert is_primitive_nondeficient_oracle(f)
@@ -145,10 +147,13 @@ def test_record_invariants():
 
 def test_seeded_runs():
     records, outcome = collect(pndn, 5, seed="2^2")
-    assert outcome.count_abundant == len(records) > 0
+    assert outcome.count_abundant + outcome.count_perfect == len(records) == 234
+    assert [r.factorization for r in records
+            if r.number_class is NumberClass.PERFECT] == [F("2^4*31")]
+    assert len(collect(pndn, 5, seed="2")[0]) == 786
     for r in records:
         assert exponent_of(r.factorization, 2) >= 2
-        assert r.big_omega == 5
+        assert r.factorization.big_omega == 5
         assert is_primitive_nondeficient_oracle(r.factorization)
     # a square-free walk over an odd seed
     srecords, _ = collect(sfpan, 4, seed="3^2")
@@ -167,8 +172,7 @@ def test_odd_only_filters_even_numbers():
 
 
 def test_runs_are_deterministic():
-    assert collect(pndn, 4, include_perfect=True)[0] == \
-        collect(pndn, 4, include_perfect=True)[0]
+    assert collect(pndn, 4)[0] == collect(pndn, 4)[0]
     assert collect(sfpan, 5)[0] == collect(sfpan, 5)[0]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import panweird.weird as weird
 from panweird import (
+    CeilingExceeded,
     Factorization,
     IndexSequence,
     InvalidSequence,
@@ -307,6 +308,41 @@ def test_decode_rejects_impossible_sequences():
         decode_index_sequence("[1, -2]")  # would reuse the prime 2
 
 
+def test_codec_steps_at_most_max_index_primes(monkeypatch):
+    # 8161, the 1024th prime, is the last one reached up from center(1) = 1;
+    # 7 the last one reached down from center(2^12) = 8191
+    assert weird.MAX_INDEX == 1024
+    for text, seq in (("8161", "[1024]"), ("2^12*7", "[1^12, -1024]")):
+        assert str(encode_index_sequence(F(text))) == seq
+        assert decode_index_sequence(seq) == F(text)
+    for text in ("8167", "2^12*5"):
+        with pytest.raises(CeilingExceeded, match="past 1024 primes"):
+            encode_index_sequence(F(text))
+    # no step is taken toward a prime farther from its center than 1024
+    # primes reach (3 lies about 2^31 below center(2^30) = 2^31 - 1), nor
+    # for any entry of a sequence with an index past the bound
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(weird, "kth_prime_below", no_step)
+    with pytest.raises(CeilingExceeded, match="past 1024 primes"):
+        encode_index_sequence(F("2^30*3"))
+    monkeypatch.setattr(weird, "kth_prime_above", no_step)
+    for seq in ("[1025]", "[1, -1025]", "[1^40, -100000]"):
+        with pytest.raises(CeilingExceeded, match="past 1024 primes"):
+            decode_index_sequence(seq)
+
+
+def test_decode_refuses_numbers_past_the_input_bound():
+    # the same measure as factorization text: 2^32768 is at the bound, and
+    # the prime power that passes it is never built
+    assert decode_index_sequence("[1^32768]") == F("2^32768")
+    with pytest.raises(CeilingExceeded, match="input bound"):
+        decode_index_sequence("[1^32769]")
+    with pytest.raises(CeilingExceeded, match="input bound"):
+        decode_index_sequence("[1^100000000, 1]")
+
+
 # -- searches ---------------------------------------------------------------
 
 def test_entry_points_validate_seed_and_k_alike():
@@ -333,8 +369,10 @@ def test_entry_points_validate_seed_and_k_alike():
                 run(k, seed)
             assert info.type is error, (run, k, seed)
     for search in (pwn_search_general, pwn_search_squarefree):
-        with pytest.raises(ValueError, match="amplitude"):
-            search(3, amplitude=0)
+        for amplitude in (0, weird.MAX_INDEX + 1):
+            with pytest.raises(ValueError, match="amplitude"):
+                search(3, amplitude=amplitude)
+        assert search(1, amplitude=weird.MAX_INDEX) == 0  # the bound is accepted
         # a seed is taken as text, an int or a Factorization alike
         runs = []
         for seed in ("2^2", 4, F("2^2")):
