@@ -47,6 +47,11 @@ def sigma_prime_power(p: int, e: int) -> int:
     return (p ** (e + 1) - 1) // (p - 1)
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut to 40 characters and its length."""
+    return repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text))
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     """The (base, exponent) pairs of 'p1^e1*p2*...' ('1' gives none), with
     bases strictly increasing from 2 and exponents positive; the bases are
@@ -68,12 +73,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         try:
             p = int(base)
             e = int(exp) if caret else 1
-        except ValueError:
-            raise ParseError("bad factor %r" % token) from None
+        except ValueError as exc:  # past the int/str digit limit, keep Python's advice
+            msg = str(exc)
+            raise ParseError(msg if "set_int_max_str_digits" in msg
+                             else "bad factor %s" % _excerpt(token)) from None
         if p <= last:
-            raise ParseError("primes must be strictly increasing: %r" % text)
+            raise ParseError("primes must be strictly increasing: %s" % _excerpt(text))
         if e < 1:
-            raise ParseError("exponents must be positive: %r" % text)
+            raise ParseError("exponents must be positive: %s" % _excerpt(text))
         bits += e * p.bit_length()
         if bits > MAX_INPUT_BITS:
             raise CeilingExceeded("factorization above the %d-bit input bound"
@@ -230,8 +237,8 @@ def seed_state(seed, k, general):
     None for 1.  In this order, k must be an int from 1 to MAX_FACTORS
     (ValueError), the seed must be deficient (NotDeficient), and it must
     leave left = k - its count >= 1 factors to add (ValueError).  v is the
-    seed's value, s its sigma, pairs its factor pairs and sigpps the sigma
-    of each prime power.
+    seed's value, s its sigma, and the tuples pairs and sigpps its factor
+    pairs and the sigma of each prime power, which no walk changes.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -245,7 +252,7 @@ def seed_state(seed, k, general):
     have = f.big_omega if general else f.omega
     if k <= have:
         raise ValueError("k counts the seed's %d factors too" % have)
-    return k - have, v, s, f.factors, [sigma_prime_power(p, e) for p, e in f.factors]
+    return k - have, v, s, f.factors, tuple(sigma_prime_power(p, e) for p, e in f.factors)
 
 
 def digits10(n: int) -> int:

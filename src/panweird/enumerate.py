@@ -33,12 +33,12 @@ it, so a row neither counts nor raises past the scan's stop.  A lone leaf
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
 
-The recursion state is kept in plain integers: value, sigma, the factor
-stack and sigma of each prime power.  Every predicate is decided by integer
-cross-multiplication; note delta(m*p) = sigma(m) - p*deficiency(m) for a new
-prime p, which makes the leaf trichotomy a single multiply.  When p already
-divides m, classify.same_prime_extension decides both the class and the
-primitivity of m*p.
+A node is (left, v, s, pairs, sigpps), as in the searches; pairs and
+sigpps are tuples, so a child is built anew and nothing is undone.  Every
+predicate is decided by integer cross-multiplication: delta(m*p) =
+sigma(m) - p*deficiency(m) for a new prime p makes the leaf trichotomy one
+multiply, and classify.same_prime_extension decides m*p's class and
+primitivity when p already divides m.
 """
 
 from __future__ import annotations
@@ -88,181 +88,151 @@ class EnumOutcome:
 _ROW = 256  # leaves per row at most, to bound its memory; most leaf parents fit in one
 
 
-def _close_row(general, prefix, e, others, row, emit, ceiling):
-    """Close a row of sibling leaves in order, through the first barren one.
-
-    Leaf i is m = prefix * p^e with (p, s, d, spp) = row[i]: sigma(m) = s,
-    deficiency d and sigma(p^e) = spp; others holds sigma of each prime
-    power of prefix.  A leaf closes with one new prime in [lo, upper] and,
-    in pndn, with p once more.  Returns the row's (ca, cp, found) and the p
-    of its barren leaf, or None.
-    """
-    omax = max(others, default=0)
-    table = prime_table()
-    limit = table.limit
-    leaves = []
-    query = []
-    for p, s, d, spp in row:
-        # largest integer q with q <= center(m), or q < center(m) for sfpan
-        upper = s // d if general else (s - 1) // d
-        lo = p + 1
-        if upper > p:
-            # only the largest sigma(q^alpha) matters; for sfpan the bound binds
-            # only when the stack carries prime powers (seeded runs)
-            lb = reduced_center_floor(s, d, (omax, spp)) + 1
-            if lb > lo:
-                lo = lb
-            if upper <= limit:
-                # pi(p), pi(lo - 1) and pi(upper); an empty [lo, upper] counts 0
-                query += (p, lo - 1 if lo <= upper else upper, upper)
-        leaves.append((p, s, d, spp, upper, lo))
-    counts = iter(table.pi(query).reshape(-1, 3).tolist())
-    base = None if emit is None else tuple((q, f) for q, f in prefix)
-    ca = cp = 0
-    found = False
-    for p, s, d, spp, upper, lo in leaves:
-        if upper > ceiling:
-            raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
-        lca = lcp = 0
-        lfound = False
-        if upper > p:
-            if upper <= limit:
-                pi_p, pi_lo, pi_upper = next(counts)
-                lfound = pi_upper > pi_p
-                lca = pi_upper - pi_lo
-            else:
-                n_all = count_in_closed(p + 1, upper)
-                lfound = n_all > 0
-                if lo <= upper:
-                    lca = n_all - count_in_closed(p + 1, lo - 1)
-            # never true for sfpan, whose upper sits strictly below the center
-            if lca and upper * d == s and is_prime(upper):
-                lca -= 1
-                lcp = 1  # the completion sitting exactly at the center
-            if emit is not None and lo <= upper:
-                leaf = base + ((p, e),)
-                for q in primes_in_closed(lo, upper):
-                    emit(leaf + ((q, 1),), s - q * d)  # q <= s // d: delta >= 0
-        if general:
-            delta, primitive = same_prime_extension(s, d, p, spp, others)
-            lfound |= delta >= 0
-            if primitive:
-                if delta > 0:
-                    lca += 1
-                else:
-                    lcp += 1
-                if emit is not None:
-                    emit(base + ((p, e + 1),), delta)
-        ca += lca
-        cp += lcp
-        found |= lfound
-        if not lfound if general else lca == 0:
-            return ca, cp, found, p
-    return ca, cp, found, None
-
-
-def _walk(general, k, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling):
-    """One level.  A leaf (k == 1) is a row of one; any other level deepens
-    the last prime (pndn) and then scans new primes above center(m) up to
-    the first barren subtree.  At k == 2 those subtrees are leaves, closed
-    in rows."""
-    d = 2 * v - s
-    if k == 1:
-        if not factors:
-            return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
-        p, e = factors[-1]
-        ca, cp, found, _ = _close_row(
-            general, factors[:-1], e, sigpps[:-1], [(p, s, d, sigpps[-1])],
-            emit, ceiling,
-        )
-        return ca, cp, found
-    ca = cp = 0
-    found = False
-    pr = factors[-1][0] if factors else 1
-    if general and factors:
-        p, e = factors[-1]
-        spp = sigpps[-1]
-        delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
-        if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
-            nspp = spp * p + 1
-            factors[-1][1] = e + 1
-            sigpps[-1] = nspp
-            sca, scp, sfound = _walk(
-                general, k - 1, v * p, 2 * v * p + delta, factors, sigpps,
-                emit, on_stop, 0, ceiling,
-            )
-            factors[-1][1] = e
-            sigpps[-1] = spp
-            ca += sca
-            cp += scp
-            found |= sfound
-    start = max(s // d, pr, start_floor)  # primes above s // d are above center(m)
-    primes = iter_primes_above(start)
-    stop = None  # the first prime whose subtree is barren
-    if k == 2:
-        # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
-        # leaf is barren: the last row ends at the first such prime at the latest.
-        bound = 2 * s // d
-        while stop is None:
-            row = []
-            for p in islice(primes, _ROW):
-                row.append((p, s * (p + 1), p * d - s, p + 1))
-                if p > bound:
-                    break
-            sca, scp, sfound, stop = _close_row(
-                general, factors, 1, sigpps, row, emit, ceiling)
-            ca += sca
-            cp += scp
-            found |= sfound
-    else:
-        for p in primes:
-            factors.append([p, 1])
-            sigpps.append(p + 1)
-            sca, scp, sfound = _walk(
-                general, k - 1, v * p, s * (p + 1), factors, sigpps,
-                emit, on_stop, 0, ceiling,
-            )
-            factors.pop()
-            sigpps.pop()
-            ca += sca
-            cp += scp
-            found |= sfound
-            if not sfound if general else sca == 0:
-                stop = p
-                break
-    if on_stop is not None:
-        on_stop(tuple((q, e) for q, e in factors), stop, k)
-    return ca, cp, found
-
-
-# ---------------------------------------------------------------------------
-# Public entry points.
-
 def walk_start(general, k, seed, odd_only, ceiling):
-    """The state a walk starts from, (left, v, s, factors, sigpps), once
-    its inputs pass every check a walk makes: the ceiling, then k and the
-    seed (arith.seed_state), then odd_only against an even seed.  Costs no
-    prime counting, so a caller can check its inputs before it opens output."""
+    """seed_state's (left, v, s, pairs, sigpps), unchanged, once the ceiling,
+    k and the seed, then odd_only against an even seed pass every check a
+    walk makes.  Costs no prime counting, so callers check before output."""
     if not isinstance(ceiling, int) or not 1 <= ceiling <= PI_BOUND:
         raise ValueError("ceiling must be an integer from 1 to %d" % PI_BOUND)
-    left, v, s, pairs, sigpps = seed_state(seed, k, general)
-    factors = [[p, e] for p, e in pairs]
-    if odd_only and factors and factors[0][0] == 2:
+    state = seed_state(seed, k, general)
+    if odd_only and state[1] % 2 == 0:  # state[1] is the seed's value
         raise ValueError("odd_only conflicts with an even seed")
-    return left, v, s, factors, sigpps
+    return state
 
 
 def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
-    left, v, s, factors, sigpps = walk_start(general, k, seed, odd_only, ceiling)
-    start_floor = 2 if odd_only else 0  # primes above 2 only at the first level
+    left, v, s, pairs, sigpps = walk_start(general, k, seed, odd_only, ceiling)
     emit = None
     if sink is not None:
         def emit(pairs, delta):  # every completion has delta >= 0
             sink(EnumRecord(Factorization._trusted(pairs),
                             NumberClass.from_abundance(delta), delta))
-    ca, cp, found = _walk(
-        general, left, v, s, factors, sigpps, emit, on_stop, start_floor, ceiling)
-    return EnumOutcome(ca, cp, found)
+
+    def close_row(prefix, e, others, row):
+        """Close a row of sibling leaves in order, through the first barren one.
+
+        Leaf i is m = prefix * p^e with (p, s, d, spp) = row[i]: sigma(m) = s,
+        deficiency d and sigma(p^e) = spp; others holds sigma of each prime
+        power of prefix.  A leaf closes with one new prime in [lo, upper] and,
+        in pndn, with p once more.  Returns the row's (ca, cp, found) and the p
+        of its barren leaf, or None.
+        """
+        omax = max(others, default=0)
+        table = prime_table()
+        limit = table.limit
+        leaves = []
+        query = []
+        for p, s, d, spp in row:
+            # largest integer q with q <= center(m), or q < center(m) for sfpan
+            upper = s // d if general else (s - 1) // d
+            lo = p + 1
+            if upper > p:
+                # only the largest sigma(q^alpha) matters; for sfpan the bound binds
+                # only when the prefix carries prime powers (seeded runs)
+                lb = reduced_center_floor(s, d, (omax, spp)) + 1
+                if lb > lo:
+                    lo = lb
+                if upper <= limit:
+                    # pi(p), pi(lo - 1) and pi(upper); an empty [lo, upper] counts 0
+                    query += (p, lo - 1 if lo <= upper else upper, upper)
+            leaves.append((p, s, d, spp, upper, lo))
+        counts = iter(table.pi(query).reshape(-1, 3).tolist())
+        ca = cp = 0
+        found = False
+        for p, s, d, spp, upper, lo in leaves:
+            if upper > ceiling:
+                raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
+            lca = lcp = 0
+            lfound = False
+            if upper > p:
+                if upper <= limit:
+                    pi_p, pi_lo, pi_upper = next(counts)
+                    lfound = pi_upper > pi_p
+                    lca = pi_upper - pi_lo
+                else:
+                    n_all = count_in_closed(p + 1, upper)
+                    lfound = n_all > 0
+                    if lo <= upper:
+                        lca = n_all - count_in_closed(p + 1, lo - 1)
+                # never true for sfpan, whose upper sits strictly below the center
+                if lca and upper * d == s and is_prime(upper):
+                    lca -= 1
+                    lcp = 1  # the completion sitting exactly at the center
+                if emit is not None and lo <= upper:
+                    leaf = prefix + ((p, e),)
+                    for q in primes_in_closed(lo, upper):
+                        emit(leaf + ((q, 1),), s - q * d)  # q <= s // d: delta >= 0
+            if general:
+                delta, primitive = same_prime_extension(s, d, p, spp, others)
+                lfound |= delta >= 0
+                if primitive:
+                    if delta > 0:
+                        lca += 1
+                    else:
+                        lcp += 1
+                    if emit is not None:
+                        emit(prefix + ((p, e + 1),), delta)
+            ca += lca
+            cp += lcp
+            found |= lfound
+            if not lfound if general else lca == 0:
+                return ca, cp, found, p
+        return ca, cp, found, None
+
+    def walk(k, v, s, pairs, sigpps):
+        """One level.  A leaf (k == 1) is a row of one; any other level
+        deepens the last prime (pndn) and then scans new primes above
+        center(m) up to the first barren subtree.  At k == 2 those subtrees
+        are leaves, closed in rows."""
+        d = 2 * v - s
+        if k == 1:
+            if not pairs:
+                return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
+            p, e = pairs[-1]
+            return close_row(pairs[:-1], e, sigpps[:-1], [(p, s, d, sigpps[-1])])[:3]
+        ca = cp = 0
+        found = False
+        # odd_only starts above 2; any odd_only node with primes holds odd ones
+        pr = pairs[-1][0] if pairs else (2 if odd_only else 1)
+        if general and pairs:
+            p, e = pairs[-1]
+            spp = sigpps[-1]
+            delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
+            if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
+                ca, cp, found = walk(
+                    k - 1, v * p, 2 * v * p + delta,
+                    pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,))
+        primes = iter_primes_above(max(s // d, pr))  # above s // d: above center(m)
+        stop = None  # the first prime whose subtree is barren
+        if k == 2:
+            # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
+            # leaf is barren: the last row ends at the first such prime at the latest.
+            bound = 2 * s // d
+            while stop is None:
+                row = []
+                for p in islice(primes, _ROW):
+                    row.append((p, s * (p + 1), p * d - s, p + 1))
+                    if p > bound:
+                        break
+                sca, scp, sfound, stop = close_row(pairs, 1, sigpps, row)
+                ca += sca
+                cp += scp
+                found |= sfound
+        else:
+            for p in primes:
+                sca, scp, sfound = walk(k - 1, v * p, s * (p + 1),
+                                        pairs + ((p, 1),), sigpps + (p + 1,))
+                ca += sca
+                cp += scp
+                found |= sfound
+                if not sfound if general else sca == 0:
+                    stop = p
+                    break
+        if on_stop is not None:
+            on_stop(pairs, stop, k)
+        return ca, cp, found
+
+    return EnumOutcome(*walk(left, v, s, pairs, sigpps))
 
 
 def pndn(k, seed=None, sink=None, *, odd_only=False, on_stop=None,

@@ -47,6 +47,7 @@ from itertools import accumulate
 from .arith import (
     MAX_INPUT_BITS,
     Factorization,
+    _excerpt,
     abundance,
     digits10,
     seed_state,
@@ -199,7 +200,7 @@ class IndexSequence:
     def parse(cls, text: str) -> "IndexSequence":
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError("index sequence must be bracketed: %r" % text)
+            raise ParseError("index sequence must be bracketed: %s" % _excerpt(text))
         body = body[1:-1].strip()
         if not body:
             raise ParseError("empty index sequence")
@@ -207,7 +208,7 @@ class IndexSequence:
         for token in body.split(","):
             m = _ENTRY_RE.match(token.strip())
             if not m:
-                raise ParseError("bad index entry %r" % token)
+                raise ParseError("bad index entry %s" % _excerpt(token))
             idx = int(m.group(1))
             exp = int(m.group(2)) if m.group(2) else 1
             entries.append((idx, exp))
@@ -366,15 +367,14 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
                     emit(deeper, v * p, delta)
             elif delta < 0:  # still deficient with one more p
                 rec(left - 1, v * p, 2 * v * p + delta, deeper,
-                    sigpps[:-1] + [spp * p + 1])
+                    sigpps[:-1] + (spp * p + 1,))
         if left > 1:
             p = s // d  # the primes above it are the primes above the center
             for _ in range(amplitude):
                 p = kth_prime_above(p, 1)
                 if p <= pr:
                     continue  # slot spent on a prime already behind us
-                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),),
-                    sigpps + [p + 1])
+                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
             return
         p = -(-s // d)  # the primes below it are the primes below the center
         # a leaf prime must exceed floor: the exact primitivity bound, or the

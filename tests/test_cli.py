@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import panweird.weird
 from panweird import cli
 from panweird.arith import MAX_FACTORS, digits10
 from panweird.cli import build_parser, main
-from panweird.enumerate import pndn
+from panweird.enumerate import EnumOutcome, pndn
 from panweird.primes import PI_BOUND, PrimeTable
 
 from known_values import GENERAL_PWN_SPOT, SQUAREFREE_PWN_BLOCKS
@@ -238,6 +239,34 @@ def test_weird_encode_decode(capsys):
     assert main(["weird", "encode", "2^30*3"]) == 3
     assert main(["weird", "decode", "[1^40, -100000]"]) == 3
     capsys.readouterr()
+
+
+def test_parse_errors_quote_long_input_in_part(capsys):
+    # a bad argument is quoted by its first 40 characters and its length
+    for argv, error in (
+        (["weird", "check", "5*" + "3" * 19_000 + "*2"], "strictly increasing"),
+        (["weird", "check", "2*" + "x" * 19_000], "bad factor"),
+        (["weird", "decode", "1," * 9_000], "must be bracketed"),
+        (["weird", "decode", "[" + "x" * 19_000 + "]"], "bad index entry"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert error in err and "characters)" in err and len(err) < 300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int/str digit limit")
+def test_factor_past_the_digit_limit_keeps_pythons_message(capsys, monkeypatch):
+    # int() refuses a 5,000-digit factor under a limit of 4,300 digits; its
+    # own message, naming sys.set_int_max_str_digits, is what gets reported
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "_STR_DIGITS", 4300)
+    try:
+        assert main(["weird", "check", "2*" + "3" * 5000]) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert "sys.set_int_max_str_digits" in err and "bad factor" not in err
 
 
 def test_weird_certify(tmp_path, capsys, monkeypatch):
@@ -470,7 +499,7 @@ def test_huge_k_is_rejected_before_any_walk(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("a walk or search started")
 
-    monkeypatch.setattr(panweird.enumerate, "_walk", no_work)
+    monkeypatch.setattr(panweird.enumerate, "_run", no_work)
     monkeypatch.setattr(panweird.weird, "_search", no_work)
     for argv in (
         ["enumerate", "--mode", "pndn", "--k", "3000", "--count-only"],
@@ -486,9 +515,9 @@ def test_ceiling_out_of_range_is_rejected_before_any_walk(monkeypatch, capsys):
 
     def no_walk(*args):
         walked.append(args)
-        return 0, 0, False
+        return EnumOutcome()
 
-    monkeypatch.setattr(panweird.enumerate, "_walk", no_walk)
+    monkeypatch.setattr(panweird.enumerate, "_run", no_walk)
     for ceiling in ("0", "-5", str(PI_BOUND + 1)):
         assert main(["enumerate", "--mode", "pndn", "--k", "7",
                      "--ceiling", ceiling, "--count-only"]) == 1

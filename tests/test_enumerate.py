@@ -171,6 +171,18 @@ def test_odd_only_filters_even_numbers():
     assert sfpan(5, odd_only=True).count_abundant == 87
 
 
+def test_odd_only_changes_nothing_on_odd_seeds():
+    # an odd seed's walk only ever meets odd primes, so odd_only leaves both
+    # its totals and the places its scans stop as they are
+    for run in (pndn, sfpan):
+        for k, seed in ((6, "3"), (6, "3^2"), (7, "3*5*7")):
+            plain, odd = [], []
+            outcome = run(k, seed, on_stop=lambda *event: plain.append(event))
+            assert run(k, seed, odd_only=True,
+                       on_stop=lambda *event: odd.append(event)) == outcome
+            assert plain and odd == plain
+
+
 def test_runs_are_deterministic():
     assert collect(pndn, 4)[0] == collect(pndn, 4)[0]
     assert collect(sfpan, 5)[0] == collect(sfpan, 5)[0]
@@ -231,28 +243,6 @@ def test_stop_events_and_ceilings_are_pinned():
         assert count(5, ceiling=ceiling).count_abundant > 0
         with pytest.raises(CeilingExceeded):
             count(5, ceiling=ceiling - 1)
-
-
-def test_interior_stops_are_safe():
-    # when the walk abandons a prime loop, every larger sibling subtree
-    # must be barren too; probe the next few primes past each stop point
-    for general in (True, False):
-        events = []
-        run = pndn if general else sfpan
-        run(4, on_stop=lambda prefix, p, k: events.append((prefix, p, k)))
-        assert events
-        for prefix, p, k in events[:200]:
-            probes = 0
-            for q in iter_primes_above(p):
-                shard = Factorization(prefix + ((q, 1),))
-                if general:
-                    out = pndn(shard.big_omega + k - 1, shard)
-                    assert not out.found and out.count_abundant == 0 and out.count_perfect == 0
-                else:
-                    assert sfpan(shard.omega + k - 1, shard).count_abundant == 0
-                probes += 1
-                if probes == 5:
-                    break
 
 
 def walk_children(general, node, odd_only):

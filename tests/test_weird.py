@@ -40,8 +40,6 @@ from known_values import (
 from oracles import (
     is_primitive_nondeficient_oracle,
     naive_divisors,
-    naive_is_weird,
-    weird_numbers_below,
 )
 
 F = Factorization.parse
@@ -217,18 +215,6 @@ def test_is_weird_known_cases():
         is_weird(F("2^3"))
     with pytest.raises(NotAbundant):
         is_weird(F("2*3"))
-
-
-def test_weird_census_below_10k():
-    assert weird_numbers_below(100) == [70]
-    assert weird_numbers_below(10**4) == WEIRD_BELOW_10K
-
-
-def test_is_weird_matches_naive_oracle():
-    for n in range(2, 3000):
-        f = Factorization.from_int(n)
-        if abundance(f) > 0:
-            assert is_weird(f) == naive_is_weird(n)
 
 
 # -- the index-sequence codec ----------------------------------------------
