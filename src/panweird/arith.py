@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 from . import primes as _primes
@@ -38,6 +39,8 @@ MAX_INPUT_BITS = 1 << 16
 # longest token such text can hold: a base of 19,729 digits at most, and
 # an exponent of 5
 _MAX_TOKEN = 19_736
+# one factor, p or p^e, in ASCII digits only; whitespace may surround each part
+_FACTOR_RE = re.compile(r"\s*(\d+)\s*(?:\^\s*(\d+)\s*)?", re.ASCII)
 
 
 def sigma_prime_power(p: int, e: int) -> int:
@@ -53,10 +56,10 @@ def _excerpt(text: str) -> str:
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    """The (base, exponent) pairs of 'p1^e1*p2*...' ('1' gives none), with
-    bases strictly increasing from 2 and exponents positive; the bases are
-    not tested for primality.  Text for a number above MAX_INPUT_BITS
-    raises CeilingExceeded, a token too long for it before int() reads it."""
+    """The (base, exponent) pairs of 'p1^e1*p2*...' ('1' gives none) in ASCII
+    digits, bases strictly increasing from 2 and exponents positive; bases
+    are not tested for primality.  Text for a number above MAX_INPUT_BITS
+    raises CeilingExceeded, an overlong token before int() reads it."""
     text = text.strip()
     if text == "1":
         return []
@@ -69,14 +72,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         if len(token) > _MAX_TOKEN:
             raise CeilingExceeded("factor of %d characters, above the %d-bit "
                                   "input bound" % (len(token), MAX_INPUT_BITS))
-        base, caret, exp = token.partition("^")
+        m = _FACTOR_RE.fullmatch(token)
+        if not m:
+            raise ParseError("bad factor %s" % _excerpt(token))
         try:
-            p = int(base)
-            e = int(exp) if caret else 1
+            p = int(m[1])
+            e = int(m[2]) if m[2] else 1
         except ValueError as exc:  # past the int/str digit limit, keep Python's advice
-            msg = str(exc)
-            raise ParseError(msg if "set_int_max_str_digits" in msg
-                             else "bad factor %s" % _excerpt(token)) from None
+            raise ParseError(str(exc)) from None
         if p <= last:
             raise ParseError("primes must be strictly increasing: %s" % _excerpt(text))
         if e < 1:

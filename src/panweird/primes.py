@@ -21,10 +21,13 @@ nothing is sieved: pi(x) comes from Lucy_Hedgehog's recurrence over the
 primes up to cbrt(x) and then Meissel's P2 sum over those up to isqrt(x),
 all decoded from the bits, in O(x^(3/4)) time and O(sqrt(x)) memory, for x
 up to PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
-Stepping (next_prime, kth_prime_*) reads a plain int64 array of the primes
-up to a floor, 2^16, built on first use by a direct sieve; past it, it steps
-with strong tests, exact below 3.3 * 10^24.  iter_primes_above reads that
-array, then chunks decoded from the table as it stands, then strong tests.
+Every step to a neighbouring prime is next_prime (up) or _prev_prime
+(down); kth_prime_above and kth_prime_below take k of them.  Each reads a
+plain int64 array of the primes up to a floor, 2^16, built on first use by
+a direct sieve, below its last prime, 65,521; past that it steps over odd
+candidates with strong tests, exact below 3.3 * 10^24.  iter_primes_above
+reads that array, then chunks decoded from the table as it stands, then
+next_prime.
 Only Python ints leave the table.
 """
 
@@ -128,6 +131,7 @@ _CACHE_CAP = 1 << 26  # the table stops growing here
 # the table's least growth.  isqrt(_CACHE_CAP) lies below it, so these
 # primes sieve every window of the table's growth.
 _TABLE_FLOOR = 1 << 16
+_FLOOR_LAST = 65_521  # the largest prime up to _TABLE_FLOOR
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
 # Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
 # (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
@@ -361,84 +365,56 @@ def count_in_closed(lo: int, hi: int) -> int:
     return prime_pi(hi) - prime_pi(lo - 1)
 
 
-def _next_prime_step(n: int) -> int:
-    """Smallest prime > n by direct testing (for ranges past the cache)."""
-    if n < 2:
-        return 2
-    if n == 2:
-        return 3
+def next_prime(n: int) -> int:
+    """Smallest prime strictly greater than the integer n: from the floor
+    below _FLOOR_LAST, past it by strong tests on odd candidates."""
+    n = operator.index(n)
+    if n < _FLOOR_LAST:
+        floor = _floor()
+        return int(floor[floor.searchsorted(max(n, 0), side="right")])
     c = n + 2 if n % 2 else n + 1
     while not is_prime(c):
         c += 2
     return c
 
 
-def _prev_prime_step(n: int) -> int:
-    """Largest prime < n; NoSuchPrime when there is none."""
-    if n <= 2:
-        raise NoSuchPrime("no prime below %d" % n)
-    if n == 3:
-        return 2
-    c = n - 2 if n % 2 else n - 1
-    while c >= 3:
-        if is_prime(c):
-            return c
-        c -= 2
-    return 2
-
-
-def _index_above(n: int) -> tuple[np.ndarray, int, int]:
-    """(floor, i, m): the smallest prime > n is floor[i], or, when i is
-    len(floor), the smallest prime > m.  n must be an integer; anything else
-    raises TypeError."""
+def _prev_prime(n: int) -> int:
+    """Largest prime strictly less than the integer n, NoSuchPrime when
+    there is none: from the floor for n <= _FLOOR_LAST + 1, past that by
+    strong tests on odd candidates, which reach _FLOOR_LAST at the latest."""
     n = operator.index(n)
-    floor = _floor()
-    if n >= _TABLE_FLOOR:
-        return floor, len(floor), n
-    return floor, int(floor.searchsorted(max(n, 0), side="right")), _TABLE_FLOOR
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    floor, i, m = _index_above(n)
-    if i < len(floor):
-        return int(floor[i])
-    return _next_prime_step(m)
+    if n <= _FLOOR_LAST + 1:
+        if n <= 2:
+            raise NoSuchPrime("no prime below %d" % n)
+        floor = _floor()
+        return int(floor[floor.searchsorted(n) - 1])
+    c = n - 2 if n % 2 else n - 1
+    while not is_prime(c):
+        c -= 2
+    return c
 
 
 def kth_prime_above(x: int, k: int) -> int:
     """The k-th prime strictly greater than the integer x (k >= 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    floor, i, m = _index_above(x)
-    if i + k <= len(floor):
-        return int(floor[i + k - 1])
-    k -= len(floor) - i  # the floor's primes above x come first, then those above m
-    p = m
     for _ in range(k):
-        p = next_prime(p)
-    return p
+        x = next_prime(x)
+    return x
 
 
 def kth_prime_below(x: int, k: int) -> int:
     """The k-th prime strictly less than the integer x (k >= 1); NoSuchPrime
     if none."""
-    p = operator.index(x)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p <= 2:
-        raise NoSuchPrime("no prime below %d" % p)
-    left = k
-    while left and p > _TABLE_FLOOR + 1:  # the floor cannot rule out primes in [floor, p)
-        p = _prev_prime_step(p)
-        left -= 1
-    if not left:
-        return p
-    floor = _floor()
-    i = int(floor.searchsorted(p))  # the primes below p
-    if i < left:
-        raise NoSuchPrime("fewer than %d primes below %d" % (k, x))
-    return int(floor[i - left])
+    p = x
+    try:
+        for _ in range(k):
+            p = _prev_prime(p)
+    except NoSuchPrime:
+        raise NoSuchPrime("fewer than %d primes below %d" % (k, x)) from None
+    return p
 
 
 def iter_primes_above(x: int):
@@ -448,19 +424,20 @@ def iter_primes_above(x: int):
     The primes up to the floor come from its array; past it, chunks are
     decoded from the table, read afresh before each chunk, so once a
     caller's counting has grown it past the scan, the scan reads it again;
-    past the table, each prime is stepped to with strong tests.
+    past the table, each prime comes from next_prime.
     """
     p = operator.index(x)
     while True:
         t = _state
-        if p < _TABLE_FLOOR:
-            floor, i, end = _index_above(p)
+        if p < _FLOOR_LAST:
+            floor = _floor()
+            i = int(floor.searchsorted(max(p, 0), side="right"))
             chunk = floor[i : i + 64].tolist()
         elif p < t.limit:
             end = min(p + _CHUNK, t.limit)
             chunk = t.primes(p + 1, end).tolist()
         else:
-            p = _next_prime_step(p)
+            p = next_prime(p)
             yield p
             continue
         yield from chunk

@@ -22,7 +22,8 @@ within the amplitude, and widening the amplitude only adds emissions.  A
 record's index sequence is its codec encoding, encode_index_sequence of
 its factorization: the window's j-th slot is the j-th prime the codec
 counts from the same center.  Both searches start from search_start:
-arith.seed_state, as the enumeration walks do, and the amplitude check.
+arith.seed_state, as the enumeration walks do, and the amplitude check;
+both close leaves with the walks' primitivity floor, reduced_center_floor.
 The codec steps at most MAX_INDEX primes from a center, and an amplitude
 may not exceed it, so every search record stays encodable.
 
@@ -170,7 +171,7 @@ def is_weird(f: Factorization) -> bool:
 # Index sequences: positional encoding of a factorization against the
 # centers of its own prefixes.
 
-_ENTRY_RE = re.compile(r"^(-?\d+)(?:\^(\d+))?$")
+_ENTRY_RE = re.compile(r"^(-?\d+)(?:\^(\d+))?$", re.ASCII)
 
 # Largest |index| the codec steps to, one prime at a time; the catalogs'
 # indices stay within 15.
@@ -336,9 +337,8 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
 
     It starts from a seed_state: left factors to add to the seed with value
     v, sigma s, factor pairs and prime-power sigmas sigpps.  The mode
-    decides the interior step that deepens the last prime and the leaf
-    rule: the exact primitivity bound, or the max sigma(q^alpha) - 1 floor
-    of the square-free search.
+    decides only the interior step that deepens the last prime; in both, a
+    leaf prime must exceed reduced_center_floor, the exact primitivity bound.
     """
     count = 0
 
@@ -377,9 +377,7 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
                 rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
             return
         p = -(-s // d)  # the primes below it are the primes below the center
-        # a leaf prime must exceed floor: the exact primitivity bound, or the
-        # square-free search's p >= max sigma(q^alpha) - 1
-        floor = reduced_center_floor(s, d, sigpps) if general else max(sigpps, default=0) - 2
+        floor = reduced_center_floor(s, d, sigpps)  # a leaf prime must exceed it
         row = []  # the leaf primes, from the center down
         for _ in range(amplitude):
             try:
@@ -423,11 +421,11 @@ def pwn_search_squarefree(k, seed=None, sink=None, *, amplitude, certify=False) 
 
     Emitted numbers have k distinct primes, the seed's counted too; the seed
     is taken and checked as by sfpan.  amplitude caps how far a chosen prime
-    may sit from the running center, in primes.  Leaf primes are kept at or
-    above max(sigma(q^alpha)) - 1 over the factors carried so far, which is
-    enough for primitivity.  certify marks a record certified when is_prime
-    decides each of its primes deterministically.  Returns the number of
-    emissions.
+    may sit from the running center, in primes.  Leaves apply the exact
+    primitivity bound, as in pwn_search_general, so everything emitted is
+    primitive abundant before the weirdness test runs.  certify marks a
+    record certified when is_prime decides each of its primes
+    deterministically.  Returns the number of emissions.
     """
     return _search(False, *search_start(False, k, seed, amplitude), sink, amplitude, certify)
 

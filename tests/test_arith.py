@@ -116,7 +116,7 @@ def test_parse_round_trips():
 
 def test_parse_rejects_malformed():
     for bad in ("", "4", "2**3", "3*2", "2^0", "2^", "x", "2*2", "-2", "2^-1",
-                "9^2"):
+                "9^2", "2*3_1", "+2*31", "2*\uff13\uff11"):  # int() takes all three
         with pytest.raises(ParseError):
             F(bad)
     # the public constructor tests primality too, with parse's message

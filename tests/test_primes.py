@@ -307,8 +307,9 @@ def test_table_answers_are_python_ints():
     assert kth_prime_above(10**6, 5) == p
 
 
-STEP_POINTS = (2**16 - 40, 2**16, 2**16 + 1, _CACHE_CAP - 40, _CACHE_CAP, _CACHE_CAP + 1,
-               10**12, 10**12 + 39)
+# 65,521 is the floor's last prime, where stepping leaves the floor array
+STEP_POINTS = (2**16 - 40, 65520, 65521, 65522, 2**16, 2**16 + 1, _CACHE_CAP - 40,
+               _CACHE_CAP, _CACHE_CAP + 1, 10**12, 10**12 + 39)
 
 
 def _step_answers():
@@ -394,14 +395,14 @@ def test_table_at_the_cap_fits_six_and_a_half_mb(monkeypatch):
 def test_prime_scan_returns_to_the_table(monkeypatch):
     sympy = pytest.importorskip("sympy")
     stepped = []
-    step = panweird.primes._next_prime_step
+    step = panweird.primes.next_prime
 
     def counted_step(n):
         stepped.append(n)
         return step(n)
 
     _fresh_table(monkeypatch)
-    monkeypatch.setattr(panweird.primes, "_next_prime_step", counted_step)
+    monkeypatch.setattr(panweird.primes, "next_prime", counted_step)
     x = 2**16 - 200
     it = iter_primes_above(x)
     head = [next(it) for _ in range(40)]

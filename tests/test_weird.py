@@ -172,6 +172,25 @@ def test_search_leaf_rows_match_divisors_up_to(monkeypatch):
         assert delta == abundance(Factorization._trusted(pairs))
 
 
+def test_squarefree_search_leaves_use_the_exact_primitivity_floor(monkeypatch):
+    # the square-free search tests exactly the leaves sfpan counts: 2^3*11
+    # and 2^3*13 lie below max sigma(q^alpha) - 1 = 14, yet each is
+    # primitive abundant, since 11 and 13 clear center(2^2) = 7
+    leaves = []
+    weird_pairs = weird._weird_pairs
+
+    def record(pairs, delta, values=None):
+        leaves.append(str(Factorization._trusted(pairs)))
+        return weird_pairs(pairs, delta, values)
+
+    monkeypatch.setattr(weird, "_weird_pairs", record)
+    assert run_squarefree("2^3", 2, 2) == []
+    records = []
+    sfpan(2, F("2^3"), records.append)
+    want = sorted(str(r.factorization) for r in records)
+    assert sorted(leaves) == want == ["2^3*11", "2^3*13"]
+
+
 def test_subset_sums_budget_spent_without_a_sum_is_false():
     # only even values and an odd target: no witness exists, and the
     # search cannot prove that within the budget
@@ -227,7 +246,8 @@ def test_sequence_parse_and_format():
 
 
 def test_sequence_parse_rejects_malformed():
-    for text in ("1, 2", "[]", "[1,, 2]", "[1 2]", "[a]", "[1.5]", "[^2]"):
+    for text in ("1, 2", "[]", "[1,, 2]", "[1 2]", "[a]", "[1.5]", "[^2]",
+                 "[\uff11^3, 2, -4]"):  # a full-width digit one
         with pytest.raises(ParseError):
             IndexSequence.parse(text)
     with pytest.raises(InvalidSequence):
