@@ -21,14 +21,20 @@ count_perfect records.
 A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
 closes a barren leaf, so the scan stops by then and the rows end there.
-One vectorised rank call on the prime table, PrimeTable.pi, answers
-pi(p), pi(lo - 1) and pi(upper) for every leaf of a row whose upper lies in
-the table: a rank per word plus one popcount, which answers 300,000
-random bounds up to 2^26 in 0.012 s where a searchsorted on an int64 array
-of the primes took 0.19 s.  A leaf whose upper lies past the table still
-counts with count_in_closed (Lucy's pi), once the in-order scan reaches
-it, so a row neither counts nor raises past the scan's stop.  A lone leaf
-(the deepened last prime, or a seed with one factor left) is a row of one.
+One array kernel, close_leaves, closes a whole row for counting and record
+runs alike: with numpy it computes every leaf's upper, lo, same-prime
+closing and barren test at once, and one rank call on the prime table,
+PrimeTable.pi, answers pi(p), pi(lo - 1) and pi(upper) for the leaves
+whose upper lies in the table.  It then sums the leaves through the first
+barren one.  A leaf whose upper lies past the table still counts with
+count_in_closed (Lucy's pi), once the in-order scan reaches it, so a row
+neither counts nor raises past its stop.  A row computes in int64 when one
+bound, taken from its largest prime, shows every intermediate fits below
+2^62, and otherwise in object arrays of Python ints.  The deepened leaf of
+a leaf parent (pndn) joins the parent's first row as its head, closed
+first and never a stop, so it pays no kernel call of its own; a seed with
+one factor left is a row of just that head.  Records come from a plain
+in-order loop over the closed leaves, which lists each interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -45,9 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
+
+import numpy as np
 
 from .arith import Factorization, seed_state
-from .classify import NumberClass, reduced_center_floor, same_prime_extension
+from .classify import NumberClass, same_prime_extension
 from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
@@ -85,7 +94,141 @@ class EnumOutcome:
     found: bool = False
 
 
-_ROW = 256  # leaves per row at most, to bound its memory; most leaf parents fit in one
+_ROW = 256  # new primes per row at most, to bound its memory; most leaf parents fit in one
+# A row computes in int64 when (P + 1) * (P*d + s), for its largest prime P
+# and its parent's s and d, stays below this, and (p + 1) * (s + d) does for
+# its head: those bound every intermediate of close_leaves.  Otherwise it
+# computes on Python ints, in object arrays.
+_INT64_SAFE = 1 << 62
+
+
+class LeafRow(NamedTuple):
+    """close_leaves' answer, leaf by leaf.
+
+    Leaves [0, n) are closed, in order: through the barren leaf of prime
+    stop, or the whole row when none is barren, or up to leaf n when its
+    bound over lies above the ceiling; the caller raises that once it has
+    emitted the closed leaves.  ca, cp and found hold each leaf's totals,
+    read for the closed leaves only.  cols are the emission loop's columns
+    (p, s, d, lo, upper, delta, prim): leaf i has last prime p[i], sigma
+    s[i] and deficiency d[i]; it closes with each new prime in
+    [lo[i], upper[i]] and, when prim[i], with p[i] once more, of abundance
+    delta[i] (prim is all false for sfpan).
+    """
+
+    n: int
+    stop: int | None
+    over: int | None
+    ca: np.ndarray
+    cp: np.ndarray
+    found: np.ndarray
+    cols: tuple
+
+    def totals(self):
+        """The row's (ca, cp, found) over its closed leaves."""
+        n = self.n
+        return int(self.ca[:n].sum()), int(self.cp[:n].sum()), bool(self.found[:n].any())
+
+
+def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
+    """Close a row of sibling leaves at once, in order, through the first
+    barren one.
+
+    Leaf i is m * ps[i], for the row's parent m: deficient, with
+    sigma(m) = s, deficiency d, and omax the largest sigma of its prime
+    powers (1 for m = 1); ps holds new primes above s // d, increasing.
+    head, when given, is one more leaf (p, s, d, spp, omax), closed first
+    and never a stop: its last prime p has sigma(p^alpha) = spp, and omax
+    bounds the sigma of its other prime powers.  A leaf closes with each
+    new prime q in [lo, upper], upper the largest integer at or below its
+    center (below it for sfpan) and lo the least above p and above
+    reduced_center_floor; in pndn also with p once more, as
+    same_prime_extension decides.  A leaf is barren when no prime above p
+    completes it at all (pndn) or it closes nothing (sfpan).
+
+    One pi call on table answers pi(p), pi(lo - 1) and pi(upper) for every
+    leaf whose upper lies in it, each bound in [2, table.limit].  A leaf
+    past the table counts with count_in_closed once the in-order scan
+    reaches it, so the row never counts, nor reports a ceiling, past its
+    stop.
+    """
+    n = len(ps) + (head is not None)
+    big = bool(ps) and (ps[-1] + 1) * (ps[-1] * d + s) >= _INT64_SAFE
+    if head is not None:
+        hp, hs, hd, hspp, homax = head
+        big = big or (hp + 1) * (hs + hd) >= _INT64_SAFE
+        ps = [hp, *ps]
+    p = np.array(ps, dtype=object if big else np.int64)
+    p1 = p + 1
+    sl = s * p1
+    dl = p * d - s
+    spp = p1
+    om = omax
+    if head is not None:
+        spp = p1.copy()
+        sl[0], dl[0], spp[0] = hs, hd, hspp
+        om = np.full(n, omax, dtype=p.dtype)
+        om[0] = homax
+    upper = sl // dl if general else (sl - 1) // dl
+    if head is None and omax <= ps[0] + 1:
+        # each leaf's largest sigma is its new prime's, p + 1: its reduced
+        # centers are center(m) = s/d and below, all under p
+        lo = p1
+    else:
+        t = sl // np.maximum(spp, om)
+        lo = np.maximum((sl - t) // (dl + t) + 1, p1)
+    live = upper > p
+    tab = live & (upper <= table.limit)
+    pend = live ^ tab
+    n_all = np.zeros(n, np.int64)  # the primes in (p, upper]
+    ca = np.zeros(n, np.int64)  # the primes in [lo, upper], then the leaf's count
+    i = tab.nonzero()[0]
+    if len(i):
+        hi = upper[i]
+        r = table.pi(np.concatenate((p[i], np.minimum(lo[i] - 1, hi), hi))).reshape(3, -1)
+        n_all[i] = r[2] - r[0]
+        ca[i] = r[2] - r[1]
+    if general:
+        delta = sl // spp - p * dl
+        gain = delta >= 0
+        t = sl // om  # om = 1 makes the floor 0: nothing else to clear
+        prim = gain & (p * spp > (sl - t) // (dl + t))
+        found = (n_all > 0) | gain
+        barren = ~found
+    else:
+        delta = prim = np.zeros(n, dtype=bool)
+        found = n_all > 0
+        barren = ca == 0
+    if head is not None:
+        barren[0] = False
+    over = upper > ceiling
+    k, stop, bound = n, None, None
+    for j in (barren | pend | over).nonzero()[0].tolist():
+        if over[j]:
+            k, bound = j, int(upper[j])
+            break
+        if pend[j]:
+            a, b, c = int(p[j]) + 1, int(lo[j]), int(upper[j])
+            n_all[j] = count_in_closed(a, c)
+            ca[j] = n_all[j] - count_in_closed(a, b - 1) if b <= c else 0
+            found[j] = n_all[j] > 0 or general and delta[j] >= 0
+            if (head is not None and j == 0) or (found[j] if general else ca[j]):
+                continue  # the head never stops the row, nor does a leaf with a completion
+        k, stop = j + 1, int(p[j])
+        break
+    if general:
+        perfect = prim & (delta == 0)
+        cp = perfect.astype(np.int64)
+        # a prime at the center completes m perfectly; never for sfpan,
+        # whose upper sits strictly below the center
+        for j in (upper[:k] * dl[:k] == sl[:k]).nonzero()[0].tolist():
+            if ca[j] and is_prime(int(upper[j])):
+                ca[j] -= 1
+                cp[j] += 1
+        ca += prim ^ perfect
+    else:
+        cp = np.zeros(n, np.int64)
+    return LeafRow(k, stop, bound, ca, cp, found, (p, sl, dl, lo, upper, delta, prim))
 
 
 def walk_start(general, k, seed, odd_only, ceiling):
@@ -108,90 +251,48 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             sink(EnumRecord(Factorization._trusted(pairs),
                             NumberClass.from_abundance(delta), delta))
 
-    def close_row(prefix, e, others, row):
-        """Close a row of sibling leaves in order, through the first barren one.
-
-        Leaf i is m = prefix * p^e with (p, s, d, spp) = row[i]: sigma(m) = s,
-        deficiency d and sigma(p^e) = spp; others holds sigma of each prime
-        power of prefix.  A leaf closes with one new prime in [lo, upper] and,
-        in pndn, with p once more.  Returns the row's (ca, cp, found) and the p
-        of its barren leaf, or None.
-        """
-        omax = max(others, default=0)
-        table = prime_table()
-        limit = table.limit
-        leaves = []
-        query = []
-        for p, s, d, spp in row:
-            # largest integer q with q <= center(m), or q < center(m) for sfpan
-            upper = s // d if general else (s - 1) // d
-            lo = p + 1
-            if upper > p:
-                # only the largest sigma(q^alpha) matters; for sfpan the bound binds
-                # only when the prefix carries prime powers (seeded runs)
-                lb = reduced_center_floor(s, d, (omax, spp)) + 1
-                if lb > lo:
-                    lo = lb
-                if upper <= limit:
-                    # pi(p), pi(lo - 1) and pi(upper); an empty [lo, upper] counts 0
-                    query += (p, lo - 1 if lo <= upper else upper, upper)
-            leaves.append((p, s, d, spp, upper, lo))
-        counts = iter(table.pi(query).reshape(-1, 3).tolist())
-        ca = cp = 0
-        found = False
-        for p, s, d, spp, upper, lo in leaves:
-            if upper > ceiling:
-                raise CeilingExceeded("leaf bound %d above ceiling %d" % (upper, ceiling))
-            lca = lcp = 0
-            lfound = False
-            if upper > p:
-                if upper <= limit:
-                    pi_p, pi_lo, pi_upper = next(counts)
-                    lfound = pi_upper > pi_p
-                    lca = pi_upper - pi_lo
+    def close_row(pairs, sigpps, s, d, row, head=None):
+        """Close the leaves pairs * p for the new primes p of row, with
+        close_leaves, and emit them in order.  head is one more leaf, the
+        node (pairs, sigpps, s, d) whose last prime power it closes, placed
+        first.  Returns the row's (ca, cp, found) and the p of its barren
+        leaf, or None."""
+        if head is not None:
+            hpairs, hsigpps, hs, hd = head
+            head = (hpairs[-1][0], hs, hd, hsigpps[-1], max(hsigpps[:-1], default=1))
+        r = close_leaves(general, row, s, d, max(sigpps, default=1), ceiling,
+                         prime_table(), head)
+        if emit is not None:
+            cols = zip(*(c[: r.n].tolist() for c in r.cols))
+            for i, (p, ls, ld, lo, upper, delta, prim) in enumerate(cols):
+                if i == 0 and head is not None:
+                    prefix, e = hpairs[:-1], hpairs[-1][1]
                 else:
-                    n_all = count_in_closed(p + 1, upper)
-                    lfound = n_all > 0
-                    if lo <= upper:
-                        lca = n_all - count_in_closed(p + 1, lo - 1)
-                # never true for sfpan, whose upper sits strictly below the center
-                if lca and upper * d == s and is_prime(upper):
-                    lca -= 1
-                    lcp = 1  # the completion sitting exactly at the center
-                if emit is not None and lo <= upper:
+                    prefix, e = pairs, 1
+                if lo <= upper:
                     leaf = prefix + ((p, e),)
                     for q in primes_in_closed(lo, upper):
-                        emit(leaf + ((q, 1),), s - q * d)  # q <= s // d: delta >= 0
-            if general:
-                delta, primitive = same_prime_extension(s, d, p, spp, others)
-                lfound |= delta >= 0
-                if primitive:
-                    if delta > 0:
-                        lca += 1
-                    else:
-                        lcp += 1
-                    if emit is not None:
-                        emit(prefix + ((p, e + 1),), delta)
-            ca += lca
-            cp += lcp
-            found |= lfound
-            if not lfound if general else lca == 0:
-                return ca, cp, found, p
-        return ca, cp, found, None
+                        emit(leaf + ((q, 1),), ls - q * ld)  # q <= ls // ld: delta >= 0
+                if prim:
+                    emit(prefix + ((p, e + 1),), delta)
+        if r.over is not None:
+            raise CeilingExceeded("leaf bound %d above ceiling %d" % (r.over, ceiling))
+        return (*r.totals(), r.stop)
 
     def walk(k, v, s, pairs, sigpps):
-        """One level.  A leaf (k == 1) is a row of one; any other level
-        deepens the last prime (pndn) and then scans new primes above
-        center(m) up to the first barren subtree.  At k == 2 those subtrees
-        are leaves, closed in rows."""
+        """One level.  A lone leaf (k == 1, a seed with one factor left) is
+        a row of its own; any other level deepens the last prime (pndn) and
+        then scans new primes above center(m) up to the first barren
+        subtree.  At k == 2 those subtrees are leaves, closed in rows, and
+        the deepened node, a leaf too, joins the first row as its head."""
         d = 2 * v - s
         if k == 1:
             if not pairs:
                 return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
-            p, e = pairs[-1]
-            return close_row(pairs[:-1], e, sigpps[:-1], [(p, s, d, sigpps[-1])])[:3]
+            return close_row((), (), s, d, [], (pairs, sigpps, s, d))[:3]
         ca = cp = 0
         found = False
+        head = None
         # odd_only starts above 2; any odd_only node with primes holds odd ones
         pr = pairs[-1][0] if pairs else (2 if odd_only else 1)
         if general and pairs:
@@ -199,9 +300,11 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             spp = sigpps[-1]
             delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
             if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
-                ca, cp, found = walk(
-                    k - 1, v * p, 2 * v * p + delta,
-                    pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,))
+                deeper = (pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,))
+                if k == 2:
+                    head = (*deeper, 2 * v * p + delta, -delta)
+                else:
+                    ca, cp, found = walk(k - 1, v * p, 2 * v * p + delta, *deeper)
         primes = iter_primes_above(max(s // d, pr))  # above s // d: above center(m)
         stop = None  # the first prime whose subtree is barren
         if k == 2:
@@ -211,10 +314,11 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             while stop is None:
                 row = []
                 for p in islice(primes, _ROW):
-                    row.append((p, s * (p + 1), p * d - s, p + 1))
+                    row.append(p)
                     if p > bound:
                         break
-                sca, scp, sfound, stop = close_row(pairs, 1, sigpps, row)
+                sca, scp, sfound, stop = close_row(pairs, sigpps, s, d, row, head)
+                head = None
                 ca += sca
                 cp += scp
                 found |= sfound

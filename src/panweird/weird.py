@@ -125,18 +125,19 @@ def _descend(desc: list[int], target: int, budget) -> bool | None:
             return False
 
 
-def subset_sums_to(values: list[int], target: int) -> bool:
+def subset_sums_to(values: list[int], target: int, *, capped: bool = False) -> bool:
     """Whether some subset of the (distinct) values sums exactly to target.
 
     Witness first: the descending branch and bound runs for every target.
     Up to _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when
     those run out the exact bitset sweep decides; above the limit it runs
     to the end.  True always comes from a witness, False from an exhausted
-    search or from the bitset.
+    search or from the bitset.  Values above target are dropped first,
+    unless capped: the caller vouches that there are none.
     """
     if target == 0:
         return True
-    vals = [v for v in values if v <= target]
+    vals = values if capped else [v for v in values if v <= target]
     if sum(vals) < target:
         return False
     budget = _NODE_BUDGET if target <= _BITSET_LIMIT else None
@@ -326,10 +327,11 @@ class PwnRecord:
 
 def _weird_pairs(pairs, delta, values=None) -> bool:
     """Whether the number with these factor pairs and abundance delta is
-    weird; values, when the caller has them, are its divisors up to delta."""
+    weird; values, when the caller has them, are its divisors up to delta,
+    none above it, so the subset sum skips its filter."""
     if values is None:
-        values = divisors_up_to(Factorization._trusted(pairs), delta)
-    return not subset_sums_to(values, delta)
+        return not subset_sums_to(divisors_up_to(Factorization._trusted(pairs), delta), delta)
+    return not subset_sums_to(values, delta, capped=True)
 
 
 def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int:

@@ -3,12 +3,22 @@
 Everything here is deliberately naive or built from a different idea than
 the library code: trial division, full divisor lists, sigma by sieve,
 subset sums over all proper divisors with the whole number as target,
-primitivity from the one-prime reductions themselves.
+primitivity from the one-prime reductions themselves.  The leaf-row
+oracle is the scalar loop the walks closed their leaves with before the
+row kernel: one leaf at a time, one prime count at a time.
 """
 
 import numpy as np
 
-from panweird import Factorization, abundance, deficiency, is_weird
+from panweird import (
+    Factorization,
+    abundance,
+    deficiency,
+    is_prime,
+    is_weird,
+)
+from panweird.classify import reduced_center_floor, same_prime_extension
+from panweird.primes import count_in_closed
 
 _census_cache = {}
 _sigma_cache = {}
@@ -173,3 +183,51 @@ def weird_numbers_below(limit):
         if abundance(f) > 0 and is_weird(f):
             out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Leaf rows, one leaf at a time.
+
+def close_leaves_oracle(general, ps, s, d, omax, ceiling, head=None):
+    """What enumerate.close_leaves answers, from the scalar loop it
+    replaced, one leaf and one prime count at a time.
+
+    The arguments are close_leaves' own (omax = 1 stands for a prefix with
+    no prime power).  Returns the list of (p, ca, cp, found) of the leaves
+    closed in order, through the first barren one; the prime of that leaf,
+    or None; and the bound of the leaf at which the loop would have raised
+    CeilingExceeded, or None: the leaves listed are those before it.
+    """
+    leaves = [(p, s * (p + 1), p * d - s, p + 1, omax) for p in ps]
+    if head is not None:
+        leaves.insert(0, head)
+    out = []
+    for i, (p, s, d, spp, omax) in enumerate(leaves):
+        # largest integer q with q <= center(m), or q < center(m) for sfpan
+        upper = s // d if general else (s - 1) // d
+        if upper > ceiling:
+            return out, None, upper
+        lca = lcp = 0
+        lfound = False
+        if upper > p:
+            lo = max(p + 1, reduced_center_floor(s, d, (omax, spp)) + 1)
+            n_all = count_in_closed(p + 1, upper)
+            lfound = n_all > 0
+            if lo <= upper:
+                lca = n_all - count_in_closed(p + 1, lo - 1)
+            if lca and upper * d == s and is_prime(upper):
+                lca -= 1
+                lcp = 1  # the completion sitting exactly at the center
+        if general:
+            others = (omax,) if omax > 1 else ()
+            delta, primitive = same_prime_extension(s, d, p, spp, others)
+            lfound |= delta >= 0
+            if primitive:
+                if delta > 0:
+                    lca += 1
+                else:
+                    lcp += 1
+        out.append((p, lca, lcp, lfound))
+        if (head is None or i > 0) and (not lfound if general else lca == 0):
+            return out, p, None
+    return out, None, None

@@ -14,6 +14,7 @@ import warnings
 from fractions import Fraction
 
 from panweird import (
+    EnumOutcome,
     Factorization,
     NumberClass,
     abundance,
@@ -240,8 +241,9 @@ def test_criterion_8_out_of_scale_totals_are_shardable():
     # the published seven-factor totals, each from one run of the walk
     assert OUT_OF_SCALE["squarefree_omega_7"] == 12_566_567_699
     assert OUT_OF_SCALE["general_big_omega_7"] == 13_232_731_828
-    assert sfpan(7).count_abundant == OUT_OF_SCALE["squarefree_omega_7"]
-    assert pndn(7).count_abundant == OUT_OF_SCALE["general_big_omega_7"]
+    # pndn(7) closes one perfect completion, 2^6*127, at its leaf's center
+    assert sfpan(7) == EnumOutcome(OUT_OF_SCALE["squarefree_omega_7"], 0, True)
+    assert pndn(7) == EnumOutcome(OUT_OF_SCALE["general_big_omega_7"], 1, True)
     # a seed pins the walk to one subtree of that run, and finishes
     shard = pndn(7, seed="3^2*5*7")
     assert shard.found and shard.count_abundant > 0

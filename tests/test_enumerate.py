@@ -1,6 +1,9 @@
 import hashlib
 import math
+import random
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from panweird import (
@@ -17,9 +20,13 @@ from panweird import (
     sfpan,
     sigma,
 )
-from panweird.primes import PI_BOUND
+from panweird.arith import seed_state
+from panweird.classify import reduced_center_floor, same_prime_extension
+from panweird.enumerate import close_leaves
+from panweird.primes import _CACHE_CAP, PI_BOUND, PrimeTable, _table, next_prime
 
 from oracles import (
+    close_leaves_oracle,
     exponent_of,
     is_primitive_nondeficient_oracle,
     is_squarefree,
@@ -279,3 +286,178 @@ def test_shard_children_partition_the_count():
                     break
             assert shards > 1
             assert (ca, cp) == (whole.count_abundant, whole.count_perfect)
+
+
+def _leaf_parent(f):
+    """(s, d, omax, head) of a deficient f as the walk holds it at a leaf
+    parent: head is the leaf f with its last prime deepened, when that
+    stays deficient (pndn joins it to the parent's first row)."""
+    _, v, s, pairs, sigpps = seed_state(f, f.big_omega + 2, True)
+    d = 2 * v - s
+    head = None
+    if pairs:
+        p, _ = pairs[-1]
+        spp, others = sigpps[-1], sigpps[:-1]
+        delta, _ = same_prime_extension(s, d, p, spp, others)
+        if delta < 0:
+            head = (p, 2 * v * p + delta, -delta, spp * p + 1, max(others, default=1))
+    return s, d, max(sigpps, default=1), head
+
+
+def _check_row(general, ps, s, d, omax, ceiling, table, head=None):
+    """close_leaves against the scalar loop, per leaf and per row."""
+    want, stop, over = close_leaves_oracle(general, ps, s, d, omax, ceiling, head)
+    r = close_leaves(general, ps, s, d, omax, ceiling, table, head)
+    assert (r.n, r.stop, r.over) == (len(want), stop, over)
+    n = r.n
+    got = zip(r.cols[0][:n].tolist(), r.ca[:n].tolist(), r.cp[:n].tolist(), r.found[:n].tolist())
+    assert list(got) == want
+    assert r.totals() == (sum(w[1] for w in want), sum(w[2] for w in want),
+                          any(w[3] for w in want))
+    return r
+
+
+def _leaf_parents(k, odd_only=False):
+    """The leaf parents of a pndn(k) walk, from its on_stop events."""
+    parents = []
+    pndn(k, odd_only=odd_only,
+         on_stop=lambda pairs, stop, j: j == 2 and parents.append(Factorization(pairs)))
+    return parents
+
+
+def _random_rows(rng, count):
+    """count rows as the walks build them, over leaf parents m of pndn(6)
+    runs: consecutive primes above center(m) and m's last prime, from a
+    random start, with the deepened leaf as head now and then."""
+    parents = _leaf_parents(6) + _leaf_parents(6, odd_only=True)
+    for _ in range(count):
+        f = rng.choice(parents)
+        s, d, omax, head = _leaf_parent(f)
+        if rng.random() < 0.5:
+            head = None
+        start = max(s // d, f.factors[-1][0])
+        first = rng.randrange(4) * rng.randrange(50)
+        n = rng.randrange(0 if head else 1, 80)  # a head may close alone
+        yield s, d, omax, head, list(islice(iter_primes_above(start), first, first + n))
+
+
+def test_row_kernel_matches_the_scalar_loop_in_the_table():
+    table = _table(_CACHE_CAP)
+    rng = random.Random(0x1EAF)
+    heads = stops = 0
+    for s, d, omax, head, ps in _random_rows(rng, 400):
+        for general in (True, False):
+            r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
+            assert r.cols[0].dtype == np.int64
+            heads += head is not None
+            stops += r.stop is not None
+    assert heads > 100 and stops > 300
+
+
+def _primitivity_edge(p, s, d, spp):
+    """The least omax >= 3 from which p once more no longer clears the
+    reduced centers of the leaf (p, s, d, spp, omax), or None."""
+    lo, hi = 3, s + 1
+    if reduced_center_floor(s, d, (hi,)) < p * spp:
+        return None
+    while lo < hi:  # the floor grows with omax
+        mid = (lo + hi) // 2
+        if reduced_center_floor(s, d, (mid,)) >= p * spp:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_row_kernel_matches_the_scalar_loop_on_synthetic_rows():
+    # small integers no walk needs to reach: heads whose same-prime closing
+    # is perfect, centers that are primes outside [lo, upper], and prefix
+    # sigmas that decide the closing's primitivity
+    cap = _table(_CACHE_CAP)
+    rng = random.Random(0x5147)
+    perfect = centered = 0
+    for _ in range(3000):
+        s, d = rng.randrange(2, 3000), rng.randrange(1, 40)
+        omax = rng.choice((1, rng.randrange(3, 200)))
+        ps = list(islice(iter_primes_above(s // d + rng.randrange(4)), rng.randrange(30)))
+        head = None
+        if rng.random() < 0.7 or not ps:
+            hp = next_prime(rng.randrange(60))
+            hd, hspp = rng.randrange(1, 20), rng.randrange(3, 60)
+            if rng.random() < 0.5:
+                hs = hspp * hp * hd + rng.randrange(hspp)  # its closing is perfect
+                perfect += 1
+            else:
+                hs = hd * next_prime(rng.randrange(2 * hp))  # its center is a prime
+                centered += 1
+            edge = _primitivity_edge(hp, hs, hd, hspp)
+            choices = (1, rng.randrange(3, 2 * hs)) + ((edge - 1, edge) if edge else ())
+            head = (hp, hs, hd, hspp, rng.choice(choices))
+        w = rng.randrange(2048)
+        table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
+        ceiling = rng.choice((5 * 10**10, rng.randrange(1, 3000)))
+        for general in (True, False):
+            _check_row(general, ps, s, d, omax, ceiling, table, head)
+    assert perfect > 500 and centered > 500
+
+
+def test_row_kernel_straddling_the_table_limit():
+    # a table cut short, down to the empty one of a fresh process: leaves
+    # past it count one by one once the scan reaches them, in the same
+    # order as those inside it
+    cap = _table(_CACHE_CAP)
+    rng = random.Random(0x57AD)
+    straddled = 0
+    for s, d, omax, head, ps in _random_rows(rng, 300):
+        bounds = close_leaves(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4]
+        w = rng.randrange(int(bounds.max()) // 128 + 2)
+        table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
+        for general in (True, False):
+            r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
+            uppers = r.cols[4][: r.n]
+            straddled += bool((uppers > table.limit).any() and (uppers <= table.limit).any())
+    assert straddled > 40
+
+
+def test_row_kernel_ceilings_raise_where_the_scalar_loop_did():
+    # a ceiling at or just under each leaf's bound, those past the stop
+    # too; inside a row it raises after the leaves before it have closed
+    table = _table(_CACHE_CAP)
+    rng = random.Random(0xCE11)
+    raised = inside = 0
+    for s, d, omax, head, ps in _random_rows(rng, 60):
+        for general in (True, False):
+            full = close_leaves(general, ps, s, d, omax, 5 * 10**10, table, head)
+            for upper in set(full.cols[4].tolist()):
+                for ceiling in (upper - 1, upper):
+                    if ceiling >= 1:
+                        r = _check_row(general, ps, s, d, omax, ceiling, table, head)
+                        raised += r.over is not None
+                        inside += r.over is not None and r.n > 0
+    assert raised > 100 and inside > 100
+
+
+def test_row_kernel_past_int64_runs_on_python_ints():
+    # m = 2^a * q with q just past 2^(a+3): sigma(m) and deficiency(m) near
+    # 2^(2a+4) and 2^(a+3), so the row's products pass 2^63; leaves near
+    # 1.5 center(m) count inside the table or just past it, and those just
+    # above the center have bounds above the ceiling
+    table = _table(_CACHE_CAP)
+    counted = past = 0
+    for a, lengths in ((20, 24), (24, 3)):
+        q = next_prime((1 << (a + 3)) + (1 << (a + 1)))
+        s, d, omax, head = _leaf_parent(Factorization([(2, a), (q, 1)]))
+        c = s // d
+        assert head is not None and omax == q + 1
+        for start, n in ((c, 3), (c + c // 2, lengths), (2 * c - 40, lengths)):
+            ps = list(islice(iter_primes_above(start), n))
+            for general in (True, False):
+                for h in (None, head):
+                    r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, h)
+                    assert r.cols[0].dtype == object
+                    assert s * (ps[-1] + 1) > 1 << 63
+                    if start == c:
+                        assert r.over is not None
+                    counted += r.totals()[0] > 0
+                    past += bool((r.cols[4][: r.n] > table.limit).any())
+    assert counted > 10 and past > 4

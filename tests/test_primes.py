@@ -354,6 +354,9 @@ def test_table_grows_exactly(monkeypatch, order):
         decoded = table.primes(0, limit)
         assert np.all(decoded[1:] > decoded[:-1]) and decoded[-1] <= limit
         assert int(table.pi(limit)) == len(decoded) == int(sympy.primepi(limit))
+        # pi takes every x from 2 to limit, its two ends included
+        ends = [2, 3, limit - 1, limit]
+        assert table.pi(ends).tolist() == [int(sympy.primepi(x)) for x in ends]
     assert limit == _CACHE_CAP and len(decoded) == 3_957_809
 
 

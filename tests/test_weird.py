@@ -129,8 +129,8 @@ def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
     calls = []
     exact = weird.subset_sums_to
 
-    def record(values, target):
-        answer = exact(values, target)
+    def record(values, target, **kw):
+        answer = exact(values, target, **kw)
         calls.append((list(values), target, answer))
         return answer
 
