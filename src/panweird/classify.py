@@ -49,10 +49,25 @@ def reduced_center_floor(s: int, d: int, sigpps) -> int:
     the largest one matters.  An integer clears every center(m/q) exactly
     when it exceeds this floor.
     """
-    if not sigpps:
-        return 0
-    t = s // max(sigpps)
+    return center_floor(s, d, max(sigpps)) if sigpps else 0
+
+
+def center_floor(s, d, smax):
+    """floor of center(m/q) = (s - t)/(d + t), t = s/smax, for the prime
+    power q^alpha of m with sigma(q^alpha) = smax; m as in
+    reduced_center_floor.  Works on ints and on numpy arrays alike (int64
+    or object), elementwise; smax = 1 gives 0.
+    """
+    t = s // smax
     return (s - t) // (d + t)
+
+
+def same_prime_abundance(s, d, p, spp):
+    """Abundance of m*p, s/spp - p*d, for p^alpha exactly dividing m with
+    spp = sigma(p^alpha); m as in same_prime_extension.  Works on ints and
+    on numpy arrays alike, elementwise.
+    """
+    return s // spp - p * d
 
 
 def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int, bool]:
@@ -64,5 +79,5 @@ def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int,
     sigma(m*p) = 2*m*p + delta.  m*p is primitive when it is non-deficient
     and p*sigma(p^alpha) clears every center(m/q), q != p.
     """
-    delta = s // spp - p * d
+    delta = same_prime_abundance(s, d, p, spp)
     return delta, delta >= 0 and p * spp > reduced_center_floor(s, d, others)

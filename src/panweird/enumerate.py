@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import Factorization, seed_state
-from .classify import NumberClass, same_prime_extension
+from .classify import NumberClass, center_floor, same_prime_abundance, same_prime_extension
 from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
@@ -143,8 +143,10 @@ def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
     new prime q in [lo, upper], upper the largest integer at or below its
     center (below it for sfpan) and lo the least above p and above
     reduced_center_floor; in pndn also with p once more, as
-    same_prime_extension decides.  A leaf is barren when no prime above p
-    completes it at all (pndn) or it closes nothing (sfpan).
+    same_prime_extension decides; both rules run on the row's arrays
+    through classify's center_floor and same_prime_abundance.  A leaf is
+    barren when no prime above p completes it at all (pndn) or it closes
+    nothing (sfpan).
 
     One pi call on table answers pi(p), pi(lo - 1) and pi(upper) for every
     leaf whose upper lies in it, each bound in [2, table.limit].  A leaf
@@ -175,8 +177,7 @@ def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
         # centers are center(m) = s/d and below, all under p
         lo = p1
     else:
-        t = sl // np.maximum(spp, om)
-        lo = np.maximum((sl - t) // (dl + t) + 1, p1)
+        lo = np.maximum(center_floor(sl, dl, np.maximum(spp, om)) + 1, p1)
     live = upper > p
     tab = live & (upper <= table.limit)
     pend = live ^ tab
@@ -189,10 +190,10 @@ def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
         n_all[i] = r[2] - r[0]
         ca[i] = r[2] - r[1]
     if general:
-        delta = sl // spp - p * dl
+        delta = same_prime_abundance(sl, dl, p, spp)
         gain = delta >= 0
-        t = sl // om  # om = 1 makes the floor 0: nothing else to clear
-        prim = gain & (p * spp > (sl - t) // (dl + t))
+        # om = 1 makes the floor 0: nothing else to clear
+        prim = gain & (p * spp > center_floor(sl, dl, om))
         found = (n_all > 0) | gain
         barren = ~found
     else:

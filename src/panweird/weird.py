@@ -125,23 +125,24 @@ def _descend(desc: list[int], target: int, budget) -> bool | None:
             return False
 
 
-def subset_sums_to(values: list[int], target: int, *, capped: bool = False) -> bool:
+def subset_sums_to(values: list[int], target: int) -> bool:
     """Whether some subset of the (distinct) values sums exactly to target.
 
     Witness first: the descending branch and bound runs for every target.
     Up to _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when
     those run out the exact bitset sweep decides; above the limit it runs
     to the end.  True always comes from a witness, False from an exhausted
-    search or from the bitset.  Values above target are dropped first,
-    unless capped: the caller vouches that there are none.
+    search or from the bitset.  Values above target take part in neither:
+    the branch and bound steps over them and the sweep skips them, so the
+    walks' and searches' divisor lists, all at or below their target, are
+    never filtered first.
     """
     if target == 0:
         return True
-    vals = values if capped else [v for v in values if v <= target]
-    if sum(vals) < target:
+    if sum(values) < target:
         return False
     budget = _NODE_BUDGET if target <= _BITSET_LIMIT else None
-    found = _descend(sorted(vals, reverse=True), target, budget)
+    found = _descend(sorted(values, reverse=True), target, budget)
     if found is not None:
         return found
     # budget spent: sweep in the caller's order, not descending; on the
@@ -149,7 +150,9 @@ def subset_sums_to(values: list[int], target: int, *, capped: bool = False) -> b
     mask = (1 << (target + 1)) - 1
     bits = 1
     probe = 1 << target
-    for v in vals:
+    for v in values:
+        if v > target:
+            continue  # bits << v would be v bits long
         bits |= (bits << v) & mask
         if bits & probe:
             return True
@@ -327,11 +330,10 @@ class PwnRecord:
 
 def _weird_pairs(pairs, delta, values=None) -> bool:
     """Whether the number with these factor pairs and abundance delta is
-    weird; values, when the caller has them, are its divisors up to delta,
-    none above it, so the subset sum skips its filter."""
+    weird; values, when the caller has them, are its divisors up to delta."""
     if values is None:
-        return not subset_sums_to(divisors_up_to(Factorization._trusted(pairs), delta), delta)
-    return not subset_sums_to(values, delta, capped=True)
+        values = divisors_up_to(Factorization._trusted(pairs), delta)
+    return not subset_sums_to(values, delta)
 
 
 def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int:

@@ -129,8 +129,8 @@ def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
     calls = []
     exact = weird.subset_sums_to
 
-    def record(values, target, **kw):
-        answer = exact(values, target, **kw)
+    def record(values, target):
+        answer = exact(values, target)
         calls.append((list(values), target, answer))
         return answer
 
@@ -223,6 +223,16 @@ def test_subset_sums_random_lists_against_set_sweep(monkeypatch):
         monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
         for vals, target, want in cases:
             assert subset_sums_to(vals, target) == want
+
+
+def test_subset_sums_ignore_values_above_target(monkeypatch):
+    # the branch and bound steps over them, and so does the bitset sweep
+    # when the budget is spent at once
+    for budget in (weird._NODE_BUDGET, 0):
+        monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
+        assert subset_sums_to([1 << 20, 3, 5], 8)
+        assert not subset_sums_to([1 << 20, 3, 6], 8)
+        assert not subset_sums_to([9, 10, 4], 8)
 
 
 def test_is_weird_known_cases():
