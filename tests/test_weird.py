@@ -218,21 +218,13 @@ def test_subset_sums_random_lists_against_set_sweep(monkeypatch):
         cases.append((vals, rng.choice(sorted(sums)), True))
         cases += [(vals, t, t in sums)
                   for t in (rng.randrange(0, total + 50), total, total + 1)]
+    # values above the target, skipped by the branch and bound and the sweep
+    cases += [([1 << 20, 3, 5], 8, True), ([1 << 20, 3, 6], 8, False), ([9, 10, 4], 8, False)]
     assert False in [want for _, _, want in cases]
     for budget in (weird._NODE_BUDGET, 0):
         monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
         for vals, target, want in cases:
             assert subset_sums_to(vals, target) == want
-
-
-def test_subset_sums_ignore_values_above_target(monkeypatch):
-    # the branch and bound steps over them, and so does the bitset sweep
-    # when the budget is spent at once
-    for budget in (weird._NODE_BUDGET, 0):
-        monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
-        assert subset_sums_to([1 << 20, 3, 5], 8)
-        assert not subset_sums_to([1 << 20, 3, 6], 8)
-        assert not subset_sums_to([9, 10, 4], 8)
 
 
 def test_is_weird_known_cases():
