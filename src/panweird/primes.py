@@ -25,9 +25,12 @@ Every step to a neighbouring prime is next_prime (up) or _prev_prime
 (down); kth_prime_above and kth_prime_below take k of them.  Each reads a
 plain int64 array of the primes up to a floor, 2^16, built on first use by
 a direct sieve, below its last prime, 65,521; past that it steps over odd
-candidates with strong tests, exact below 3.3 * 10^24.  iter_primes_above
-reads that array, then chunks decoded from the table as it stands, then
-next_prime.
+candidates with is_prime's gcd screen and strong tests, exact below
+3.3 * 10^24.  A scan picks its witness set once, not per candidate, and
+again where the set's range ends: 3 bases below 4,759,123,141 and 4 below
+1.1 * 10^12 (Jaeschke, 1993), where most searches step.
+iter_primes_above reads that array, then chunks decoded from the table as
+it stands, then next_prime.
 Only Python ints leave the table.
 """
 
@@ -38,7 +41,8 @@ import operator
 import os
 import random
 import threading
-from math import gcd, isqrt, prod
+from bisect import bisect_right
+from math import gcd, inf, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -49,18 +53,26 @@ from .errors import CeilingExceeded, NoSuchPrime
 # deterministic (the first 13 primes; Sorenson and Webster, 2015).
 _DETERMINISTIC_BASE_CEILING = 3_317_044_064_679_887_385_961_981
 
-# (bound, bases): n below bound is correctly decided by these witnesses.
+# (bound, bases): bound is the least strong pseudoprime to all the bases, so
+# every composite n below it fails a strong test to one of them; the sets
+# (31, 73), (2, 7, 61) and (2, 13, 23, 1662803) are Jaeschke's (1993).  A
+# prime passes every base it does not divide, so a set decides every n below
+# its bound that exceeds its bases; is_prime and the stepping scans use it
+# from the previous bound up.
 _MR_BASE_SETS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (_DETERMINISTIC_BASE_CEILING, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+_BOUNDS = [bound for bound, _ in _MR_BASE_SETS]
 
 # The primes up to 251 and their product: one gcd screens out every n with
 # a factor among them, and an n below 257^2 that passes it is prime.
@@ -72,25 +84,54 @@ _DEFAULT_CEILING = 5 * 10**10
 _ROUNDS_ABOVE_CEILING = 24
 
 
-def _is_strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
-    a %= n
-    if a == 0:
-        return True
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _sprp(n: int, bases) -> bool:
+    """Whether the odd n is a strong probable prime to every base, each
+    from 2 to n - 2."""
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
+            return False
+    return True
+
+
+def _past_ceiling(n: int) -> bool:
+    """The rule for an odd n at or above _DETERMINISTIC_BASE_CEILING: a
+    strong base-2 test, then _ROUNDS_ABOVE_CEILING strong rounds whose bases
+    are derived from n."""
+    if not _sprp(n, (2,)):
+        return False
+    rng = random.Random(n ^ 0x5EED0F9E11E5)
+    return _sprp(n, [rng.randrange(3, n - 1) for _ in range(_ROUNDS_ABOVE_CEILING)])
+
+
+def _witnesses(n: int):
+    """(lo, hi, bases): the row of _MR_BASE_SETS that decides n, and the
+    range [lo, hi) it decides; at or above the ceiling, (ceiling, inf, None),
+    for _past_ceiling."""
+    i = bisect_right(_BOUNDS, n)
+    lo = _BOUNDS[i - 1] if i else 0
+    if i == len(_BOUNDS):
+        return lo, inf, None
+    return lo, _BOUNDS[i], _MR_BASE_SETS[i][1]
 
 
 def is_prime(n: int) -> bool:
     """Primality by one fixed rule.
 
-    Below _DETERMINISTIC_BASE_CEILING the proven witness sets decide n
-    exactly.  Above it, n passes a strong base-2 test and
+    After a gcd screen by the primes up to 251, n below
+    _DETERMINISTIC_BASE_CEILING is decided exactly by the least witness set
+    proven for it: 3 strong tests below 4,759,123,141 and 4 below
+    1,122,004,669,633 (Jaeschke's sets), up to the first 13 primes near the
+    ceiling.  Above it, n passes a strong base-2 test and
     _ROUNDS_ABOVE_CEILING more strong rounds whose bases are derived from n,
     so every run reaches the same verdict.
     """
@@ -100,22 +141,8 @@ def is_prime(n: int) -> bool:
         return n in _SMALL_PRIMES
     if n < _SCREEN_EXACT:
         return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for bound, bases in _MR_BASE_SETS:
-        if n < bound:
-            return all(_is_strong_probable_prime(n, a, d, s) for a in bases)
-    if not _is_strong_probable_prime(n, 2, d, s):
-        return False
-    rng = random.Random(n ^ 0x5EED0F9E11E5)
-    for _ in range(_ROUNDS_ABOVE_CEILING):
-        a = rng.randrange(3, n - 1)
-        if not _is_strong_probable_prime(n, a, d, s):
-            return False
-    return True
+    bases = _witnesses(n)[2]
+    return _sprp(n, bases) if bases else _past_ceiling(n)
 
 
 def certifiable(n: int) -> bool:
@@ -367,21 +394,25 @@ def count_in_closed(lo: int, hi: int) -> int:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than the integer n: from the floor
-    below _FLOOR_LAST, past it by strong tests on odd candidates."""
+    below _FLOOR_LAST, past it by is_prime's gcd screen and strong tests on
+    odd candidates, with the witness set picked once and again at its bound."""
     n = operator.index(n)
     if n < _FLOOR_LAST:
         floor = _floor()
         return int(floor[floor.searchsorted(max(n, 0), side="right")])
     c = n + 2 if n % 2 else n + 1
-    while not is_prime(c):
-        c += 2
-    return c
+    while True:
+        _, hi, bases = _witnesses(c)
+        while c < hi:
+            if gcd(c, _SMALL_PRODUCT) == 1 and (_sprp(c, bases) if bases else _past_ceiling(c)):
+                return c
+            c += 2
 
 
 def _prev_prime(n: int) -> int:
     """Largest prime strictly less than the integer n, NoSuchPrime when
-    there is none: from the floor for n <= _FLOOR_LAST + 1, past that by
-    strong tests on odd candidates, which reach _FLOOR_LAST at the latest."""
+    there is none: from the floor for n <= _FLOOR_LAST + 1, past that as
+    next_prime does, downward, which reaches _FLOOR_LAST at the latest."""
     n = operator.index(n)
     if n <= _FLOOR_LAST + 1:
         if n <= 2:
@@ -389,9 +420,12 @@ def _prev_prime(n: int) -> int:
         floor = _floor()
         return int(floor[floor.searchsorted(n) - 1])
     c = n - 2 if n % 2 else n - 1
-    while not is_prime(c):
-        c -= 2
-    return c
+    while True:
+        lo, _, bases = _witnesses(c)
+        while c >= lo:
+            if gcd(c, _SMALL_PRODUCT) == 1 and (_sprp(c, bases) if bases else _past_ceiling(c)):
+                return c
+            c -= 2
 
 
 def kth_prime_above(x: int, k: int) -> int:

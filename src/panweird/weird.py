@@ -9,9 +9,11 @@ divisors below delta of a possibly enormous number and runs an exact subset
 sum, witness first: a descending branch and bound with suffix-sum pruning
 looks for a subset, under a node budget when delta is small enough for a
 bitset sweep, and the exact bitset decides only when the budget runs out.
-Its first path is the greedy pass, which takes every value that still fits;
-that path alone decides most of the searches' calls, so it and every later
-path run as a plain loop, and only skipped branches wait on a stack.
+Its first path is the greedy pass, which takes every value that still fits.
+That path alone decides about four in five of the searches' calls, so it
+runs first, as one plain pass over the sorted values, before any suffix sum
+or stack is built.  Every later path runs as a plain loop too, and only
+skipped branches wait on a stack.
 
 Search trees follow the enumeration recursions but replace the open-ended
 prime scans with windows around the center: an interior level tries the
@@ -128,21 +130,30 @@ def _descend(desc: list[int], target: int, budget) -> bool | None:
 def subset_sums_to(values: list[int], target: int) -> bool:
     """Whether some subset of the (distinct) values sums exactly to target.
 
-    Witness first: the descending branch and bound runs for every target.
-    Up to _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when
-    those run out the exact bitset sweep decides; above the limit it runs
-    to the end.  True always comes from a witness, False from an exhausted
-    search or from the bitset.  Values above target take part in neither:
-    the branch and bound steps over them and the sweep skips them, so the
-    walks' and searches' divisor lists, all at or below their target, are
-    never filtered first.
+    Witness first: a greedy pass, the branch and bound's first path, takes
+    each value that still fits in decreasing order, and a zero remainder is
+    a witness.  Otherwise the descending branch and bound runs.  Up to
+    _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when those
+    run out the exact bitset sweep decides; above the limit it runs to the
+    end.  True always comes from a witness, False from an exhausted search
+    or from the bitset.  Values above target take part in none: the
+    greedy pass and the branch and bound step over them and the sweep
+    skips them, so the walks' and searches' divisor lists, all at or below
+    their target, are never filtered first.
     """
     if target == 0:
         return True
     if sum(values) < target:
         return False
+    desc = sorted(values, reverse=True)
+    t = target
+    for v in desc:  # the greedy pass, _descend's first path
+        if v <= t:
+            t -= v
+            if not t:
+                return True
     budget = _NODE_BUDGET if target <= _BITSET_LIMIT else None
-    found = _descend(sorted(values, reverse=True), target, budget)
+    found = _descend(desc, target, budget)
     if found is not None:
         return found
     # budget spent: sweep in the caller's order, not descending; on the

@@ -112,6 +112,15 @@ def naive_is_semiperfect(n):
     return bits >> n & 1 == 1
 
 
+def naive_subset_sum(values, target):
+    """Whether some subset of the distinct positive values sums to target,
+    from the set of every subset sum up to target."""
+    sums = {0}
+    for v in values:
+        sums |= {a + v for a in sums if a + v <= target}
+    return target in sums
+
+
 def naive_is_weird(n):
     return naive_sigma(n) > 2 * n and not naive_is_semiperfect(n)
 

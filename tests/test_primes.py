@@ -25,6 +25,8 @@ from panweird.primes import (
     _CACHE_CAP,
     _CAP_SHA256,
     _DETERMINISTIC_BASE_CEILING,
+    _MR_BASE_SETS,
+    _prev_prime,
     PI_BOUND,
     PrimeTable,
     count_in_closed,
@@ -48,8 +50,9 @@ def test_is_prime_on_strong_pseudoprime_bait():
     # composites that fool single-base or Fermat-style tests, and the least
     # strong pseudoprimes to the first 12 and 13 prime bases; the second is
     # the ceiling itself, so the rounds above it must catch it
-    for n in (341, 561, 2047, 41041, 3215031751, 3825123056546413051,
-              318665857834031151167461, 3317044064679887385961981):
+    for n in (341, 561, 2047, 41041, 3215031751, 4759123141, 1122004669633,
+              3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981):
         assert not is_prime(n)
     for n in (2**61 - 1, 563915507, 97919, 10965542434977103):
         assert is_prime(n)
@@ -79,6 +82,51 @@ def test_is_prime_gcd_screen_against_sympy():
     for n in cases:
         assert is_prime(n) == isprime(n), n
     assert all(is_prime(p) for p in screened)
+
+
+# the least strong pseudoprime to each witness set, ending at the ceiling
+WITNESS_BOUNDS = [
+    2_047, 1_373_653, 9_080_191, 4_759_123_141, 1_122_004_669_633,
+    2_152_302_898_747, 3_474_749_660_383, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    _DETERMINISTIC_BASE_CEILING,
+]
+
+
+def test_each_witness_set_ends_at_its_least_strong_pseudoprime():
+    mr = pytest.importorskip("sympy.ntheory.primetest").mr
+    assert [bound for bound, _ in _MR_BASE_SETS] == WITNESS_BOUNDS
+    for bound, bases in _MR_BASE_SETS:
+        # bound passes every strong test of its own set, so the next set
+        # (or the rounds past the ceiling) must catch it
+        assert mr(bound, list(bases))
+        assert not is_prime(bound)
+
+
+def test_is_prime_around_each_witness_bound_against_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    for bound in WITNESS_BOUNDS:
+        for n in range(bound - 3000, bound + 3001):
+            assert is_prime(n) == isprime(n), n
+
+
+def _sympy_steps(step, x, k):
+    for _ in range(k):
+        x = step(x)
+    return x
+
+
+def test_stepping_across_each_witness_bound_against_sympy():
+    # an upward scan that kept a witness set past its bound would stop on
+    # the bound, a strong pseudoprime to that set
+    sympy = pytest.importorskip("sympy")
+    for bound in WITNESS_BOUNDS:
+        below, above = sympy.prevprime(bound), sympy.nextprime(bound)
+        for x in (below - 1, below, bound - 1, bound, above, above + 1):
+            assert next_prime(x) == sympy.nextprime(x), x
+            assert _prev_prime(x) == sympy.prevprime(x), x
+            assert kth_prime_above(x, 20) == _sympy_steps(sympy.nextprime, x, 20), x
+            assert kth_prime_below(x, 20) == _sympy_steps(sympy.prevprime, x, 20), x
 
 
 def test_probabilistic_path_is_reproducible():

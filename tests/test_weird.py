@@ -40,6 +40,7 @@ from known_values import (
 from oracles import (
     is_primitive_nondeficient_oracle,
     naive_divisors,
+    naive_subset_sum,
 )
 
 F = Factorization.parse
@@ -225,6 +226,72 @@ def test_subset_sums_random_lists_against_set_sweep(monkeypatch):
         monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
         for vals, target, want in cases:
             assert subset_sums_to(vals, target) == want
+
+
+def _descended(monkeypatch, vals, target):
+    """subset_sums_to(vals, target), and whether the greedy pass left the
+    call to the branch and bound."""
+    calls = []
+    descend = weird._descend
+
+    def record(desc, target, budget):
+        calls.append(desc)
+        return descend(desc, target, budget)
+
+    monkeypatch.setattr(weird, "_descend", record)
+    answer = subset_sums_to(vals, target)
+    monkeypatch.undo()
+    return answer, bool(calls)
+
+
+@pytest.mark.parametrize("vals, target, want", [
+    ([6, 5, 4], 9, True),  # 6 leaves 3, which nothing fits; 5 + 4
+    ([4, 10, 6, 7], 13, True),  # 10 leaves 3; 7 + 6
+    ([20, 12, 11, 9], 21, True),  # 20 leaves 1; 12 + 9
+    ([6, 5, 4], 8, False),
+    ([9, 8, 5, 3, 30], 18, False),  # 9 + 8 leaves 1; no subset reaches 18
+])
+def test_subset_sums_when_the_greedy_pass_misses(monkeypatch, vals, target, want):
+    assert naive_subset_sum(vals, target) == want
+    assert _descended(monkeypatch, vals, target) == (want, True)
+
+
+def test_subset_sums_random_greedy_misses_against_naive(monkeypatch):
+    rng = random.Random(0x6EED)
+    answers = []
+    for _ in range(400):
+        vals = rng.sample(range(1, 40), rng.randrange(2, 9))
+        target = rng.randrange(1, sum(vals) + 1)
+        answer, descended = _descended(monkeypatch, vals, target)
+        assert answer == naive_subset_sum(vals, target)
+        if descended:
+            answers.append(answer)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("vals, target", [
+    ([10, 7, 3], 13),  # 10, skip 7, then 3 lands on 0
+    ([1, 2, 4, 8], 15),
+    ([50, 3, 10, 7], 13),  # 50 lies above the target
+    ([5], 5),
+])
+def test_subset_sums_greedy_pass_lands_on_its_last_value(monkeypatch, vals, target):
+    assert naive_subset_sum(vals, target)
+    assert _descended(monkeypatch, vals, target) == (True, False)
+
+
+def test_subset_sums_longer_than_the_budget_still_reach_the_bitset(monkeypatch):
+    # 2,001 even values, and an odd one that the greedy pass and the branch
+    # and bound take first: an even target is missed by the greedy pass,
+    # and the budget runs out in the odd subtree, so the bitset decides;
+    # an odd target without the odd value has no witness at all
+    evens = list(range(2, 2 * weird._NODE_BUDGET + 3, 2))
+    assert len(evens) > weird._NODE_BUDGET
+    for vals, target, want in ((evens + [len(evens) * 2 + 1], 8000, True),
+                               (evens, 8001, False)):
+        assert target <= weird._BITSET_LIMIT and _budget_spent(vals, target)
+        assert naive_subset_sum(vals, target) == want
+        assert _descended(monkeypatch, vals, target) == (want, True)
 
 
 def test_is_weird_known_cases():
