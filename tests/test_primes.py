@@ -48,8 +48,9 @@ def test_is_prime_matches_trial_division():
 
 def test_is_prime_on_strong_pseudoprime_bait():
     # composites that fool single-base or Fermat-style tests, and the least
-    # strong pseudoprimes to the first 12 and 13 prime bases; the second is
-    # the ceiling itself, so the rounds above it must catch it
+    # strong pseudoprimes to (2, 7, 61), to (2, 13, 23, 1662803) and to the
+    # first 12 and 13 prime bases; the last is the ceiling itself, so the
+    # rounds above it must catch it
     for n in (341, 561, 2047, 41041, 3215031751, 4759123141, 1122004669633,
               3825123056546413051, 318665857834031151167461,
               3317044064679887385961981):
