@@ -25,12 +25,10 @@ Every step to a neighbouring prime is next_prime (up) or _prev_prime
 (down); kth_prime_above and kth_prime_below take k of them.  Each reads a
 plain int64 array of the primes up to a floor, 2^16, built on first use by
 a direct sieve, below its last prime, 65,521; past that it steps over odd
-candidates with is_prime's gcd screen and strong tests, exact below
-3.3 * 10^24.  A scan picks its witness set once, not per candidate, and
-again where the set's range ends: 3 bases below 4,759,123,141 and 4 below
-1.1 * 10^12 (Jaeschke, 1993), where most searches step.
-iter_primes_above reads that array, then chunks decoded from the table as
-it stands, then next_prime.
+candidates with is_prime, exact below 3.3 * 10^24: 3 strong tests per
+prime below 4,759,123,141 and 4 below 1.1 * 10^12 (Jaeschke, 1993), where
+most searches step.  iter_primes_above reads that array, then chunks
+decoded from the table as it stands, then next_prime.
 Only Python ints leave the table.
 """
 
@@ -41,8 +39,7 @@ import operator
 import os
 import random
 import threading
-from bisect import bisect_right
-from math import gcd, inf, isqrt, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +54,8 @@ _DETERMINISTIC_BASE_CEILING = 3_317_044_064_679_887_385_961_981
 # every composite n below it fails a strong test to one of them; the sets
 # (31, 73), (2, 7, 61) and (2, 13, 23, 1662803) are Jaeschke's (1993).  A
 # prime passes every base it does not divide, so a set decides every n below
-# its bound that exceeds its bases; is_prime and the stepping scans use it
-# from the previous bound up.
+# its bound that exceeds its bases; is_prime uses it from the previous bound
+# up.
 _MR_BASE_SETS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -72,7 +69,6 @@ _MR_BASE_SETS = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (_DETERMINISTIC_BASE_CEILING, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-_BOUNDS = [bound for bound, _ in _MR_BASE_SETS]
 
 # The primes up to 251 and their product: one gcd screens out every n with
 # a factor among them, and an n below 257^2 that passes it is prime.
@@ -103,27 +99,6 @@ def _sprp(n: int, bases) -> bool:
     return True
 
 
-def _past_ceiling(n: int) -> bool:
-    """The rule for an odd n at or above _DETERMINISTIC_BASE_CEILING: a
-    strong base-2 test, then _ROUNDS_ABOVE_CEILING strong rounds whose bases
-    are derived from n."""
-    if not _sprp(n, (2,)):
-        return False
-    rng = random.Random(n ^ 0x5EED0F9E11E5)
-    return _sprp(n, [rng.randrange(3, n - 1) for _ in range(_ROUNDS_ABOVE_CEILING)])
-
-
-def _witnesses(n: int):
-    """(lo, hi, bases): the row of _MR_BASE_SETS that decides n, and the
-    range [lo, hi) it decides; at or above the ceiling, (ceiling, inf, None),
-    for _past_ceiling."""
-    i = bisect_right(_BOUNDS, n)
-    lo = _BOUNDS[i - 1] if i else 0
-    if i == len(_BOUNDS):
-        return lo, inf, None
-    return lo, _BOUNDS[i], _MR_BASE_SETS[i][1]
-
-
 def is_prime(n: int) -> bool:
     """Primality by one fixed rule.
 
@@ -141,8 +116,13 @@ def is_prime(n: int) -> bool:
         return n in _SMALL_PRIMES
     if n < _SCREEN_EXACT:
         return True
-    bases = _witnesses(n)[2]
-    return _sprp(n, bases) if bases else _past_ceiling(n)
+    for bound, bases in _MR_BASE_SETS:
+        if n < bound:
+            return _sprp(n, bases)
+    if not _sprp(n, (2,)):
+        return False
+    rng = random.Random(n ^ 0x5EED0F9E11E5)
+    return _sprp(n, [rng.randrange(3, n - 1) for _ in range(_ROUNDS_ABOVE_CEILING)])
 
 
 def certifiable(n: int) -> bool:
@@ -394,25 +374,21 @@ def count_in_closed(lo: int, hi: int) -> int:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than the integer n: from the floor
-    below _FLOOR_LAST, past it by is_prime's gcd screen and strong tests on
-    odd candidates, with the witness set picked once and again at its bound."""
+    below _FLOOR_LAST, past it by strong tests on odd candidates."""
     n = operator.index(n)
     if n < _FLOOR_LAST:
         floor = _floor()
         return int(floor[floor.searchsorted(max(n, 0), side="right")])
     c = n + 2 if n % 2 else n + 1
-    while True:
-        _, hi, bases = _witnesses(c)
-        while c < hi:
-            if gcd(c, _SMALL_PRODUCT) == 1 and (_sprp(c, bases) if bases else _past_ceiling(c)):
-                return c
-            c += 2
+    while not is_prime(c):
+        c += 2
+    return c
 
 
 def _prev_prime(n: int) -> int:
     """Largest prime strictly less than the integer n, NoSuchPrime when
-    there is none: from the floor for n <= _FLOOR_LAST + 1, past that as
-    next_prime does, downward, which reaches _FLOOR_LAST at the latest."""
+    there is none: from the floor for n <= _FLOOR_LAST + 1, past that by
+    strong tests on odd candidates, which reach _FLOOR_LAST at the latest."""
     n = operator.index(n)
     if n <= _FLOOR_LAST + 1:
         if n <= 2:
@@ -420,12 +396,9 @@ def _prev_prime(n: int) -> int:
         floor = _floor()
         return int(floor[floor.searchsorted(n) - 1])
     c = n - 2 if n % 2 else n - 1
-    while True:
-        lo, _, bases = _witnesses(c)
-        while c >= lo:
-            if gcd(c, _SMALL_PRODUCT) == 1 and (_sprp(c, bases) if bases else _past_ceiling(c)):
-                return c
-            c -= 2
+    while not is_prime(c):
+        c -= 2
+    return c
 
 
 def kth_prime_above(x: int, k: int) -> int:
