@@ -35,7 +35,7 @@ from .arith import Factorization, _parse_pairs, abundance, digits10
 from .classify import NumberClass, classify
 from .enumerate import pndn, sfpan, walk_start
 from .errors import CeilingExceeded, PanweirdError, ParseError
-from .primes import _DEFAULT_CEILING, PI_BOUND, certifiable, is_prime, prime_table
+from .primes import _DEFAULT_CEILING, PI_BOUND, _sprp, certifiable, is_prime, prime_table
 from .weird import (
     IndexSequence,
     decode_index_sequence,
@@ -273,12 +273,16 @@ def cmd_weird_certify(args) -> int:
             except ParseError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc)) from None
             for p, _ in pairs:
-                if not certifiable(p):
-                    skipped += 1
-                    sys.stderr.write("cannot certify %d (too large)\n" % p)
-                elif is_prime(p):
-                    checked += 1
+                if certifiable(p):
+                    prime = is_prime(p)
+                    checked += prime
                 else:
+                    # past the proven bound a failed strong test still proves p composite
+                    prime = _sprp(p, (2,))
+                    skipped += prime
+                    if prime:
+                        sys.stderr.write("cannot certify %d (too large)\n" % p)
+                if not prime:
                     bad += 1
                     sys.stderr.write("not prime: %d in %s\n" % (p, text))
     print("certified %d primes, %d skipped, %d failures" % (checked, skipped, bad))

@@ -20,19 +20,32 @@ count_perfect records.
 
 A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
-closes a barren leaf, so the scan stops by then and the rows end there.
-One array kernel, close_leaves, closes a whole row for counting and record
-runs alike: with numpy it computes every leaf's upper, lo, same-prime
-closing and barren test at once, and one rank call on the prime table,
-PrimeTable.pi, answers pi(p), pi(lo - 1) and pi(upper) for the leaves
-whose upper lies in the table.  It then sums the leaves through the first
-barren one.  A leaf whose upper lies past the table still counts with
-count_in_closed (Lucy's pi), once the in-order scan reaches it, so a row
-neither counts nor raises past its stop.  A row computes in int64 when one
-bound, taken from its largest prime, shows every intermediate fits below
-2^62, and otherwise in object arrays of Python ints.  The deepened leaf of
-a leaf parent (pndn) joins the parent's first row as its head, closed
-first and never a stop, so it pays no kernel call of its own; a seed with
+closes a barren leaf, so the scan stops by then and the rows end there.  A
+row that ends below 2^16, as nearly all do, is one slice of the floor's
+prime array.  The leaf parents under a node with three factors left, its
+deepened child first (pndn) and then its new primes, close in batches:
+one array kernel, _Batch, takes the first rows of several parents at once,
+each parent's sigma, deficiency and largest prime-power sigma as per-leaf
+columns, and computes every leaf's upper, lo, same-prime closing and
+barren test in one pass without side effects; one rank call on the prime
+table, PrimeTable.pi, answers pi(p), pi(lo - 1) and pi(upper) for the
+leaves whose upper lies in the table.  Then one in-order pass over the
+parents does all that has effects.  A leaf whose upper lies past the table
+counts with count_in_closed (Lucy's pi) once the scan reaches it, and a
+ceiling raises there after the leaves before it are emitted, so a row
+neither counts nor raises past its stop; a parent's further rows close
+before the next parent is scanned, then on_stop; and the node's scan stops
+at its first barren new-prime child, so a parent past that stop does
+nothing at all.  The first batch holds the first new prime and the
+deepened child before it, and each next one twice as many parents, up to
+what _BATCH leaves hold.  A node with one or two factors left and each
+further row are batches of one, and close_leaves is the one-row kernel.  So
+the benchmark's count-k7 repetition makes 327 kernel calls (906 when each
+leaf parent had its own) and unseeded pndn(7) makes 1,546 (4,749).  A batch
+computes in int64 when one bound per row, taken from its largest prime,
+shows every intermediate fits below 2^62, and otherwise in object arrays
+of Python ints.  The deepened leaf of a leaf parent (pndn) joins the
+parent's first row as its head, closed first and never a stop; a seed with
 one factor left is a row of just that head.  Records come from a plain
 in-order loop over the closed leaves, which lists each interval's primes.
 
@@ -49,8 +62,9 @@ primitivity when p already divides m.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +75,7 @@ from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
     PI_BOUND,
+    _floor,
     count_in_closed,
     is_prime,
     iter_primes_above,
@@ -95,10 +110,13 @@ class EnumOutcome:
 
 
 _ROW = 256  # new primes per row at most, to bound its memory; most leaf parents fit in one
+# Leaves per kernel call at most, which bounds its arrays' memory: a batch
+# takes as many leaf parents as full first rows and heads would fill.
+_BATCH = 4096
 # A row computes in int64 when (P + 1) * (P*d + s), for its largest prime P
 # and its parent's s and d, stays below this, and (p + 1) * (s + d) does for
-# its head: those bound every intermediate of close_leaves.  Otherwise it
-# computes on Python ints, in object arrays.
+# its head: those bound every intermediate of the kernel.  Otherwise its
+# batch computes on Python ints, in object arrays.
 _INT64_SAFE = 1 << 62
 
 
@@ -130,9 +148,115 @@ class LeafRow(NamedTuple):
         return int(self.ca[:n].sum()), int(self.cp[:n].sum()), bool(self.found[:n].any())
 
 
+class _Batch:
+    """The rows of several leaf parents, closed in one vectorised pass over
+    their concatenation; row i holds leaves first[i] to first[i + 1] - 1 of
+    every column.
+
+    Each row is close_leaves' (ps, s, d, omax, head), so the parent's s, d
+    and omax become per-leaf columns.  The pass has no side effects: it
+    counts only the leaves whose upper lies in the table, and its columns
+    run past every row's stop.  scan(i) then closes row i in order, with
+    the counts past the table that the row reaches.  acc holds each leaf's
+    (ca, cp, found).
+    """
+
+    def __init__(self, general, rows, ceiling, table):
+        self.general = general
+        self.first, parts, cols, lens, heads, at = [0], [], [], [], [], []
+        top = 0  # the largest bound on a row's intermediates
+        for ps, s, d, omax, head in rows:
+            if head is not None:
+                at.append(self.first[-1])
+                heads.append(head[1:])
+                parts.append(head[:1])
+                top = max(top, (head[0] + 1) * (head[1] + head[2]))
+            if len(ps):
+                top = max(top, (int(ps[-1]) + 1) * (int(ps[-1]) * d + s))
+                parts.append(ps)
+            lens.append(len(ps) + (head is not None))
+            self.first.append(self.first[-1] + lens[-1])
+            cols.append((s, d, omax))
+        self.heads = set(at)
+        dt = object if top >= _INT64_SAFE else np.int64
+        p = np.concatenate(parts).astype(dt, copy=False)
+        s, d, om = np.array(cols, dtype=dt).repeat(lens, axis=0).T
+        p1 = p + 1
+        sl, dl, spp, om = quad = np.array((s * p1, p * d - s, p1, om))
+        if heads:
+            quad[:, at] = np.array(heads, dtype=dt).T
+        upper = (sl if general else sl - 1) // dl
+        lo = np.maximum(center_floor(sl, dl, np.maximum(spp, om)) + 1, p1)
+        live = upper > p
+        tab = live & (upper <= table.limit)
+        r = np.zeros((3, len(p)), np.int64)  # pi(p), pi(lo - 1), pi(upper) for the leaves in the table
+        if table.limit:
+            bounds = np.array((p, np.minimum(lo - 1, upper), upper))
+            r = table.pi(np.maximum(np.minimum(bounds, table.limit), 2)).astype(np.int64) * tab
+        n_all = r[2] - r[0]  # the primes in (p, upper]
+        self.acc = np.zeros((3, len(p)), np.int64)
+        ca, cp, found = self.acc
+        ca += r[2] - r[1]  # the primes in [lo, upper], then the leaf's count
+        if general:
+            delta = same_prime_abundance(sl, dl, p, spp)
+            gain = delta >= 0
+            # om = 1 makes the floor 0: nothing else to clear
+            prim = gain & (p * spp > center_floor(sl, dl, om))
+            perfect = prim & (delta == 0)
+            cp += perfect
+            # a prime at the center completes m perfectly; never for sfpan,
+            # whose upper sits strictly below the center
+            self.centered = upper * dl == sl
+            for j in (self.centered & (ca > 0)).nonzero()[0].tolist():
+                if is_prime(int(upper[j])):
+                    ca[j] -= 1
+                    cp[j] += 1
+            ca += prim ^ perfect
+            barren = (n_all == 0) & ~gain
+        else:
+            delta = prim = gain = np.zeros(len(p), dtype=bool)
+            barren = ca == 0
+        found += (n_all > 0) | gain
+        barren[at] = False  # a head never stops its row
+        self.pend, self.over = live ^ tab, upper > ceiling
+        self.events = (barren | self.pend | self.over).nonzero()[0].tolist()
+        self.cols = (p, sl, dl, lo, upper, delta, prim)
+
+    def scan(self, i):
+        """Close row i in order through its first barren leaf, counting each
+        leaf past the table as the scan reaches it, so the row neither
+        counts nor reports a ceiling past its stop.  Returns (n, stop, over)
+        as LeafRow has them and the row's (ca, cp, found)."""
+        a, b = self.first[i], self.first[i + 1]
+        ca, cp, found = self.acc
+        p, _, _, lo, upper, _, _ = self.cols
+        n, stop, over = b - a, None, None
+        for j in self.events[bisect_left(self.events, a):]:
+            if j >= b:
+                break
+            if self.over[j]:
+                n, over = j - a, int(upper[j])
+                break
+            if self.pend[j]:
+                x, y, z = int(p[j]) + 1, int(lo[j]), int(upper[j])
+                n_all = count_in_closed(x, z)
+                n_in = n_all - count_in_closed(x, y - 1) if y <= z else 0
+                if n_in and self.general and self.centered[j] and is_prime(z):
+                    n_in -= 1
+                    cp[j] += 1
+                ca[j] += n_in
+                found[j] |= n_all > 0
+                if j in self.heads or (found[j] if self.general else n_in):
+                    continue  # the head never stops the row, nor does a leaf with a completion
+            n, stop = j - a + 1, int(p[j])
+            break
+        sca, scp, sfound = self.acc[:, a : a + n].sum(axis=1).tolist()
+        return n, stop, over, sca, scp, sfound > 0
+
+
 def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
     """Close a row of sibling leaves at once, in order, through the first
-    barren one.
+    barren one: a batch of one row.
 
     Leaf i is m * ps[i], for the row's parent m: deficient, with
     sigma(m) = s, deficiency d, and omax the largest sigma of its prime
@@ -154,82 +278,26 @@ def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
     reaches it, so the row never counts, nor reports a ceiling, past its
     stop.
     """
-    n = len(ps) + (head is not None)
-    big = bool(ps) and (ps[-1] + 1) * (ps[-1] * d + s) >= _INT64_SAFE
-    if head is not None:
-        hp, hs, hd, hspp, homax = head
-        big = big or (hp + 1) * (hs + hd) >= _INT64_SAFE
-        ps = [hp, *ps]
-    p = np.array(ps, dtype=object if big else np.int64)
-    p1 = p + 1
-    sl = s * p1
-    dl = p * d - s
-    spp = p1
-    om = omax
-    if head is not None:
-        spp = p1.copy()
-        sl[0], dl[0], spp[0] = hs, hd, hspp
-        om = np.full(n, omax, dtype=p.dtype)
-        om[0] = homax
-    upper = sl // dl if general else (sl - 1) // dl
-    if head is None and omax <= ps[0] + 1:
-        # each leaf's largest sigma is its new prime's, p + 1: its reduced
-        # centers are center(m) = s/d and below, all under p
-        lo = p1
-    else:
-        lo = np.maximum(center_floor(sl, dl, np.maximum(spp, om)) + 1, p1)
-    live = upper > p
-    tab = live & (upper <= table.limit)
-    pend = live ^ tab
-    n_all = np.zeros(n, np.int64)  # the primes in (p, upper]
-    ca = np.zeros(n, np.int64)  # the primes in [lo, upper], then the leaf's count
-    i = tab.nonzero()[0]
-    if len(i):
-        hi = upper[i]
-        r = table.pi(np.concatenate((p[i], np.minimum(lo[i] - 1, hi), hi))).reshape(3, -1)
-        n_all[i] = r[2] - r[0]
-        ca[i] = r[2] - r[1]
-    if general:
-        delta = same_prime_abundance(sl, dl, p, spp)
-        gain = delta >= 0
-        # om = 1 makes the floor 0: nothing else to clear
-        prim = gain & (p * spp > center_floor(sl, dl, om))
-        found = (n_all > 0) | gain
-        barren = ~found
-    else:
-        delta = prim = np.zeros(n, dtype=bool)
-        found = n_all > 0
-        barren = ca == 0
-    if head is not None:
-        barren[0] = False
-    over = upper > ceiling
-    k, stop, bound = n, None, None
-    for j in (barren | pend | over).nonzero()[0].tolist():
-        if over[j]:
-            k, bound = j, int(upper[j])
-            break
-        if pend[j]:
-            a, b, c = int(p[j]) + 1, int(lo[j]), int(upper[j])
-            n_all[j] = count_in_closed(a, c)
-            ca[j] = n_all[j] - count_in_closed(a, b - 1) if b <= c else 0
-            found[j] = n_all[j] > 0 or general and delta[j] >= 0
-            if (head is not None and j == 0) or (found[j] if general else ca[j]):
-                continue  # the head never stops the row, nor does a leaf with a completion
-        k, stop = j + 1, int(p[j])
-        break
-    if general:
-        perfect = prim & (delta == 0)
-        cp = perfect.astype(np.int64)
-        # a prime at the center completes m perfectly; never for sfpan,
-        # whose upper sits strictly below the center
-        for j in (upper[:k] * dl[:k] == sl[:k]).nonzero()[0].tolist():
-            if ca[j] and is_prime(int(upper[j])):
-                ca[j] -= 1
-                cp[j] += 1
-        ca += prim ^ perfect
-    else:
-        cp = np.zeros(n, np.int64)
-    return LeafRow(k, stop, bound, ca, cp, found, (p, sl, dl, lo, upper, delta, prim))
+    batch = _Batch(general, [(ps, s, d, omax, head)], ceiling, table)
+    n, stop, over, *_ = batch.scan(0)
+    return LeafRow(n, stop, over, *batch.acc, batch.cols)
+
+
+def _row_primes(start, bound, count=_ROW):
+    """A leaf parent's row: up to count primes above start, increasing,
+    through the first one past bound.  A row that ends in the floor's
+    array, as nearly all do, is one slice of it; any other is stepped with
+    iter_primes_above, into a list of ints."""
+    floor = _floor()
+    i = int(floor.searchsorted(start, side="right"))
+    j = int(floor.searchsorted(max(start, bound), side="right"))  # the first prime past bound
+    if j < len(floor) or i + count <= len(floor):
+        return floor[i : min(i + count, j + 1)]
+    row = []
+    for q in iter_primes_above(start):
+        row.append(q)
+        if q > bound or len(row) == count:
+            return row
 
 
 def walk_start(general, k, seed, odd_only, ceiling):
@@ -252,21 +320,53 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             sink(EnumRecord(Factorization._trusted(pairs),
                             NumberClass.from_abundance(delta), delta))
 
-    def close_row(pairs, sigpps, s, d, row, head=None):
-        """Close the leaves pairs * p for the new primes p of row, with
-        close_leaves, and emit them in order.  head is one more leaf, the
-        node (pairs, sigpps, s, d) whose last prime power it closes, placed
-        first.  Returns the row's (ca, cp, found) and the p of its barren
-        leaf, or None."""
-        if head is not None:
-            hpairs, hsigpps, hs, hd = head
-            head = (hpairs[-1][0], hs, hd, hsigpps[-1], max(hsigpps[:-1], default=1))
-        r = close_leaves(general, row, s, d, max(sigpps, default=1), ceiling,
-                         prime_table(), head)
+    def deepened(v, s, d, pairs, sigpps):
+        """The node's child (v, s, pairs, sigpps) that takes its last prime
+        p once more, while m*p stays deficient (pndn), or None."""
+        if general and pairs:
+            p, e = pairs[-1]
+            spp = sigpps[-1]
+            delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
+            if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
+                return v * p, 2 * v * p + delta, pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,)
+        return None
+
+    def above(s, d, pairs):
+        """The node's new primes lie above this: above s // d, so above
+        center(m), and above its last prime."""
+        # odd_only starts above 2; any odd_only node with primes holds odd ones
+        return max(s // d, pairs[-1][0] if pairs else (2 if odd_only else 1))
+
+    def as_head(v, s, pairs, sigpps):
+        """The leaf (pairs, sigpps) as a row's head: closed by its last
+        prime once more and by new primes above it."""
+        return pairs[-1][0], s, 2 * v - s, sigpps[-1], max(sigpps[:-1], default=1)
+
+    def leaf_parent(v, s, pairs, sigpps):
+        """A node with two factors left as closed() takes it: its pairs,
+        its first row as _Batch takes it, the bound 2s/d by which its rows
+        end, and its head's pairs.  Its deepened leaf (pndn) joins the
+        first row as its head, closed first and never a stop, so it pays no
+        row of its own."""
+        d = 2 * v - s
+        deeper = deepened(v, s, d, pairs, sigpps)
+        # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
+        # leaf is barren: the rows end at the first such prime at the latest.
+        bound = 2 * s // d
+        row = (_row_primes(above(s, d, pairs), bound), s, d, max(sigpps, default=1),
+               deeper and as_head(*deeper))
+        return pairs, row, bound, deeper and deeper[2]
+
+    def close(batch, i, pairs, hpairs):
+        """Close row i of batch and emit its leaves in order; hpairs are the
+        pairs of its head, or None.  Returns the row's (ca, cp, found) and
+        the p of its barren leaf, or None."""
+        n, stop, over, ca, cp, found = batch.scan(i)
         if emit is not None:
-            cols = zip(*(c[: r.n].tolist() for c in r.cols))
-            for i, (p, ls, ld, lo, upper, delta, prim) in enumerate(cols):
-                if i == 0 and head is not None:
+            a = batch.first[i]
+            cols = zip(*(c[a : a + n].tolist() for c in batch.cols))
+            for j, (p, ls, ld, lo, upper, delta, prim) in enumerate(cols):
+                if j == 0 and hpairs is not None:
                     prefix, e = hpairs[:-1], hpairs[-1][1]
                 else:
                     prefix, e = pairs, 1
@@ -276,63 +376,71 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
                         emit(leaf + ((q, 1),), ls - q * ld)  # q <= ls // ld: delta >= 0
                 if prim:
                     emit(prefix + ((p, e + 1),), delta)
-        if r.over is not None:
-            raise CeilingExceeded("leaf bound %d above ceiling %d" % (r.over, ceiling))
-        return (*r.totals(), r.stop)
+        if over is not None:
+            raise CeilingExceeded("leaf bound %d above ceiling %d" % (over, ceiling))
+        return ca, cp, found, stop
+
+    def closed(parents):
+        """Close the first rows of parents, as leaf_parent gives them and in
+        walk order, in one kernel call; then yield each parent's
+        (ca, cp, found) in turn, once all it does is done: its counts past
+        the table, its records, the ceiling it may reach, its further rows,
+        each closed before the next parent, and its on_stop.  A parent the
+        caller does not draw does nothing at all."""
+        batch = _Batch(general, [row for _, row, _, _ in parents], ceiling, prime_table())
+        for i, (pairs, (ps, s, d, omax, _), bound, hpairs) in enumerate(parents):
+            ca, cp, found, stop = close(batch, i, pairs, hpairs)
+            while stop is None:
+                ps = _row_primes(int(ps[-1]), bound)
+                more = _Batch(general, [(ps, s, d, omax, None)], ceiling, prime_table())
+                sca, scp, sfound, stop = close(more, 0, pairs, None)
+                ca, cp, found = ca + sca, cp + scp, found or sfound
+            if on_stop is not None:
+                on_stop(pairs, stop, 2)
+            yield ca, cp, found
+
+    def batched(kids, size):
+        """Yield (p, totals) for each of kids, leaf parents as walk yields
+        them, in order: closed in batches of size of them, then of twice as
+        many each time, up to what _BATCH leaves hold."""
+        while True:
+            batch = list(islice(kids, size))
+            yield from zip([p for p, *_ in batch], closed([leaf_parent(*c) for _, *c in batch]))
+            size = min(2 * size, _BATCH // (_ROW + 1))
 
     def walk(k, v, s, pairs, sigpps):
-        """One level.  A lone leaf (k == 1, a seed with one factor left) is
-        a row of its own; any other level deepens the last prime (pndn) and
-        then scans new primes above center(m) up to the first barren
-        subtree.  At k == 2 those subtrees are leaves, closed in rows, and
-        the deepened node, a leaf too, joins the first row as its head."""
-        d = 2 * v - s
+        """One level.  A node with one factor left is a lone head, a leaf
+        parent a batch of one.  Any other level deepens the last prime
+        (pndn) and then scans new primes above center(m) up to the first
+        barren subtree; at k == 3 those children are leaf parents, closed in
+        batches: the first holds the new prime and the deepened child before
+        it."""
         if k == 1:
             if not pairs:
                 return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
-            return close_row((), (), s, d, [], (pairs, sigpps, s, d))[:3]
+            row = ((), s, 2 * v - s, 1, as_head(v, s, pairs, sigpps))
+            return close(_Batch(general, [row], ceiling, prime_table()), 0, pairs, pairs)[:3]
+        if k == 2:
+            return next(closed([leaf_parent(v, s, pairs, sigpps)]))
+        d = 2 * v - s
+        deeper = deepened(v, s, d, pairs, sigpps)
+        kids = chain([(None, *deeper)] if deeper else [],
+                     ((p, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
+                      for p in iter_primes_above(above(s, d, pairs))))
+        if k == 3:
+            kids = batched(kids, 1 + (deeper is not None))
+        else:
+            kids = ((p, walk(k - 1, *child)) for p, *child in kids)
         ca = cp = 0
         found = False
-        head = None
-        # odd_only starts above 2; any odd_only node with primes holds odd ones
-        pr = pairs[-1][0] if pairs else (2 if odd_only else 1)
-        if general and pairs:
-            p, e = pairs[-1]
-            spp = sigpps[-1]
-            delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
-            if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
-                deeper = (pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,))
-                if k == 2:
-                    head = (*deeper, 2 * v * p + delta, -delta)
-                else:
-                    ca, cp, found = walk(k - 1, v * p, 2 * v * p + delta, *deeper)
-        primes = iter_primes_above(max(s // d, pr))  # above s // d: above center(m)
         stop = None  # the first prime whose subtree is barren
-        if k == 2:
-            # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
-            # leaf is barren: the last row ends at the first such prime at the latest.
-            bound = 2 * s // d
-            while stop is None:
-                row = []
-                for p in islice(primes, _ROW):
-                    row.append(p)
-                    if p > bound:
-                        break
-                sca, scp, sfound, stop = close_row(pairs, sigpps, s, d, row, head)
-                head = None
-                ca += sca
-                cp += scp
-                found |= sfound
-        else:
-            for p in primes:
-                sca, scp, sfound = walk(k - 1, v * p, s * (p + 1),
-                                        pairs + ((p, 1),), sigpps + (p + 1,))
-                ca += sca
-                cp += scp
-                found |= sfound
-                if not sfound if general else sca == 0:
-                    stop = p
-                    break
+        for p, (sca, scp, sfound) in kids:
+            ca += sca
+            cp += scp
+            found |= sfound
+            if p is not None and (not sfound if general else sca == 0):
+                stop = p
+                break
         if on_stop is not None:
             on_stop(pairs, stop, k)
         return ca, cp, found

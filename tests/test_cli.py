@@ -282,9 +282,27 @@ def test_weird_certify(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.strip() == "certified 8 primes, 0 skipped, 1 failures"
     assert "49" in err
+    # past the bound 11 and 19 pass a strong base-2 test and stay uncertified,
+    # while 49 fails it: composite
     monkeypatch.setattr(cli, "certifiable", lambda p: p < 11)
-    assert main(["weird", "certify", "--in", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "certified 6 primes, 3 skipped, 0 failures"
+    assert main(["weird", "certify", "--in", str(path)]) == 2
+    assert capsys.readouterr().out.strip() == "certified 6 primes, 2 skipped, 1 failures"
+
+
+def test_weird_certify_tests_factors_past_the_bound(tmp_path, capsys):
+    # a factor past the proven bound gets one strong base-2 test: a pass
+    # cannot certify it, a failure proves it composite
+    prime = 10**30 + 57
+    composite = (10**30 + 57) * (10**30 + 91)
+    path = tmp_path / "records.jsonl"
+    for factor, code, tally, verdict in (
+            (prime, 0, "1 skipped, 0 failures", "cannot certify %d (too large)" % prime),
+            (composite, 2, "0 skipped, 1 failures", "not prime: %d in " % composite)):
+        path.write_text(json.dumps({"factorization": "2^2*%d" % factor}) + "\n")
+        assert main(["weird", "certify", "--in", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert out.strip() == "certified 1 primes, " + tally
+        assert verdict in err
 
 
 def test_weird_certify_rejects_record_without_factorization(tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import panweird.enumerate
 from panweird import (
     CeilingExceeded,
     EnumOutcome,
@@ -22,8 +23,8 @@ from panweird import (
 )
 from panweird.arith import seed_state
 from panweird.classify import reduced_center_floor, same_prime_extension
-from panweird.enumerate import close_leaves
-from panweird.primes import _CACHE_CAP, PI_BOUND, PrimeTable, _table, next_prime
+from panweird.enumerate import _Batch, close_leaves
+from panweird.primes import _CACHE_CAP, PI_BOUND, PrimeTable, _table, next_prime, primes_in_closed
 
 from oracles import (
     close_leaves_oracle,
@@ -221,6 +222,37 @@ def test_reference_shard_reaches_past_the_table():
     # the benchmark's count-k7 shard: some of its leaf bounds lie past the
     # 2^26 prime table, so those leaves count through Lucy's pi(x)
     assert pndn(7, seed="2^2*13*17") == EnumOutcome(569_229_409, 0, True)
+
+
+def _spy_counts(monkeypatch):
+    """The (lo, hi) of every count_in_closed call enumerate makes, as a list."""
+    counts = []
+    real = panweird.enumerate.count_in_closed
+    monkeypatch.setattr(panweird.enumerate, "count_in_closed",
+                        lambda lo, hi: counts.append((lo, hi)) or real(lo, hi))
+    return counts
+
+
+def test_reference_counts_past_the_table_are_pinned(monkeypatch):
+    # sha256 of the (lo, hi) of every count_in_closed call that the
+    # benchmark's three count-k7 commands make, with the full table and with
+    # the table cut at 2^20, taken before leaf parents were closed in
+    # batches: nothing past a stop is counted, and no count moves
+    cap = _table(_CACHE_CAP)
+    counts = _spy_counts(monkeypatch)
+    pins = []
+    for w in (len(cap.words), 1 << 13):
+        table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
+        monkeypatch.setattr(panweird.enumerate, "prime_table", lambda: table)
+        del counts[:]
+        totals = (pndn(7, odd_only=True).count_abundant, sfpan(7, odd_only=True).count_abundant,
+                  pndn(7, seed="2^2*13*17").count_abundant)
+        assert totals == (102_896_101, 101_053_625, 569_229_409)
+        pins.append((len(counts), hashlib.sha256(repr(counts).encode()).hexdigest()))
+    assert pins == [
+        (34, "7bc64d69fc71ebe52d4f4c018b17c6ba6742c3af8ee1aab59788389ee81dab9f"),
+        (2502, "d7af9deb652b0e90eea8bc546f21e0f6ddb4257364e79ae979a845b92ccaebc6"),
+    ]
 
 
 def test_leaves_past_the_table_cap_hit_the_ceiling():
@@ -461,3 +493,140 @@ def test_row_kernel_past_int64_runs_on_python_ints():
                     counted += r.totals()[0] > 0
                     past += bool((r.cols[4][: r.n] > table.limit).any())
     assert counted > 10 and past > 4
+
+
+def _close_one_by_one(general, node, odd_only, ceiling, table, sink, events):
+    """The k = 3 level of a walk from node, which has three factors left,
+    with each leaf parent closed alone, row by row, by close_leaves: the
+    per-parent loop that the walk's batches replace.  Emits (pairs, delta)
+    to sink and the on_stop events to events as the walk does.  Returns
+    the totals, each parent's (ca, cp) and how many records were emitted
+    before and through it, and the bounds of the closed leaves in order."""
+    ca = cp = 0
+    found = False
+    stop = None
+    parents, uppers, emitted = [], [], []
+    for child, new_prime in walk_children(general, node, odd_only):
+        before = len(emitted)
+        s, d, omax, head = _leaf_parent(child)
+        head = head if general else None
+        pairs = child.factors
+        primes = iter_primes_above(max(s // d, pairs[-1][0]))
+        bound = 2 * s // d
+        totals = [0, 0, False]
+        r = None
+        while r is None or r.stop is None:
+            row = []
+            for p in primes:
+                row.append(p)
+                if p > bound or len(row) == 256:
+                    break
+            r = close_leaves(general, row, s, d, omax, ceiling, table, head)
+            for i, (p, ls, ld, lo, upper, delta, prim) in enumerate(
+                    zip(*(c[: r.n].tolist() for c in r.cols))):
+                prefix, e = (pairs[:-1], pairs[-1][1] + 1) if i == 0 and head else (pairs, 1)
+                for q in primes_in_closed(lo, upper):
+                    emitted.append((prefix + ((p, e), (q, 1)), ls - q * ld))
+                    sink(emitted[-1])
+                if prim:
+                    emitted.append((prefix + ((p, e + 1),), delta))
+                    sink(emitted[-1])
+                uppers.append(upper)
+            if r.over is not None:
+                raise CeilingExceeded("leaf bound %d above ceiling %d" % (r.over, ceiling))
+            head = None
+            totals = [t + u for t, u in zip(totals, r.totals())]
+        events.append((pairs, r.stop, 2))
+        parents.append((*totals[:2], before, len(emitted)))
+        ca, cp, found = ca + totals[0], cp + totals[1], found or totals[2]
+        if new_prime and (not totals[2] if general else totals[0] == 0):
+            stop = pairs[-1][0]
+            break
+    events.append((node.factors, stop, 3))
+    return (ca, cp, found), parents, uppers
+
+
+def test_sibling_batches_match_closing_each_leaf_parent_alone(monkeypatch):
+    # The walk closes the leaf parents under a k = 3 node in batches, and a
+    # parent past the scan's stop does nothing.  Against closing each one
+    # alone, with tables cut short so that counts past the table fall
+    # inside batches, under a ceiling at the largest bound the scan reaches
+    # (neither raises) and just under a random one (both raise after the
+    # same records): same totals, per parent too, records, on_stop events
+    # and prime counts, in order.
+    cap = _table(_CACHE_CAP)
+    counts = _spy_counts(monkeypatch)
+    rng = random.Random(0x5B1B)
+    groups = raised = pending = 0
+    for general in (True, False):
+        run = pndn if general else sfpan
+        for odd_only in (False, True):
+            nodes = []
+            run(6, odd_only=odd_only,
+                on_stop=lambda pairs, stop, j: j == 3 and nodes.append(Factorization(pairs)))
+            for node in rng.sample(nodes, min(12, len(nodes))):
+                k = (node.big_omega if general else node.omega) + 3
+                _, _, uppers = _close_one_by_one(general, node, odd_only, 5 * 10**10,
+                                                 cap, lambda record: None, [])
+                w = rng.choice(uppers) // 128  # a cut among the bounds the scan reaches
+                table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
+                monkeypatch.setattr(panweird.enumerate, "prime_table", lambda: table)
+                for ceiling in sorted({max(uppers), max(1, rng.choice(uppers) - 1)}):
+                    runs = []
+                    for alone in (False, True):
+                        records, events = [], []
+                        del counts[:]
+                        try:
+                            if alone:
+                                totals, parents, _ = _close_one_by_one(
+                                    general, node, odd_only, ceiling, table, records.append, events)
+                            else:
+                                out = run(k, node, ceiling=ceiling,
+                                          sink=lambda r: records.append((r.factorization.factors, r.abundance)),
+                                          on_stop=lambda *event: events.append(event))
+                                totals = (out.count_abundant, out.count_perfect, out.found)
+                        except CeilingExceeded as exc:
+                            totals = str(exc)
+                        runs.append((totals, records, events, list(counts)))
+                    assert runs[0] == runs[1]
+                    groups += 1
+                    pending += bool(counts)
+                    if isinstance(totals, str):
+                        raised += 1
+                        continue
+                    for pca, pcp, a, b in parents:  # the walk's records of each parent
+                        deltas = [delta for _, delta in runs[0][1][a:b]]
+                        assert (len(deltas) - deltas.count(0), deltas.count(0)) == (pca, pcp)
+    assert groups > 80 and raised > 25 and pending > 25
+
+
+def test_batched_rows_scan_as_each_row_closes_alone(monkeypatch):
+    # Building a batch counts nothing; scanning its row i answers as
+    # close_leaves on that row alone and counts only that row's leaves past
+    # the table, in order, whatever the ceiling does to the other rows.
+    cap = _table(_CACHE_CAP)
+    counts = _spy_counts(monkeypatch)
+    rng = random.Random(0xBA7C)
+    rows = list(_random_rows(rng, 300))
+    raised = pending = 0
+    for _ in range(80):
+        group = rng.sample(rows, rng.randrange(1, 9))
+        bounds = [u for s, d, omax, head, ps in group
+                  for u in close_leaves(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4].tolist()]
+        w = rng.randrange(max(bounds) // 128 + 2)
+        table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
+        ceiling = rng.choice((5 * 10**10, max(1, rng.choice(bounds) - 1)))
+        for general in (True, False):
+            del counts[:]
+            batch = _Batch(general, [(ps, s, d, omax, head) for s, d, omax, head, ps in group],
+                           ceiling, table)
+            assert counts == []
+            for i, (s, d, omax, head, ps) in enumerate(group):
+                got = batch.scan(i), list(counts)
+                del counts[:]
+                r = close_leaves(general, ps, s, d, omax, ceiling, table, head)
+                assert got == ((r.n, r.stop, r.over, *r.totals()), counts)
+                raised += r.over is not None
+                pending += bool(counts)
+                del counts[:]
+    assert raised > 40 and pending > 40
