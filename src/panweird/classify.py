@@ -10,7 +10,8 @@ For a prime p new to deficient m, with s = sigma(m) and d its deficiency,
 m*p has abundance s - p*d, so it is non-deficient exactly when p <= s // d,
 and primitive exactly when p also exceeds reduced_center_floor: p clears
 every reduced center, center(m/q).  same_prime_extension decides m*p for a
-p that already divides m.
+p that already divides m, and deepen applies it to a node's last prime: the
+one deepening step of both walks and both searches.
 """
 
 from __future__ import annotations
@@ -81,3 +82,16 @@ def same_prime_extension(s: int, d: int, p: int, spp: int, others) -> tuple[int,
     """
     delta = same_prime_abundance(s, d, p, spp)
     return delta, delta >= 0 and p * spp > reduced_center_floor(s, d, others)
+
+
+def deepen(v: int, s: int, pairs, sigpps):
+    """m*p for the last prime p of the deficient node m: (delta, primitive,
+    child), where delta and primitive are same_prime_extension's and child
+    is the node (v, s, pairs, sigpps) of m*p, as the walks and searches
+    hold nodes.  The walks and searches descend into child only while
+    delta < 0; a non-deficient m*p has no primitive extension."""
+    p, e = pairs[-1]
+    spp = sigpps[-1]
+    delta, primitive = same_prime_extension(s, 2 * v - s, p, spp, sigpps[:-1])
+    return delta, primitive, (v * p, 2 * v * p + delta, pairs[:-1] + ((p, e + 1),),
+                              sigpps[:-1] + (spp * p + 1,))

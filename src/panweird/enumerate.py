@@ -22,32 +22,21 @@ A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
 closes a barren leaf, so the scan stops by then and the rows end there.  A
 row that ends below 2^16, as nearly all do, is one slice of the floor's
-prime array.  The leaf parents under a node with three factors left, its
-deepened child first (pndn) and then its new primes, close in batches:
-one array kernel, _Batch, takes the first rows of several parents at once,
-each parent's sigma, deficiency and largest prime-power sigma as per-leaf
-columns, and computes every leaf's upper, lo, same-prime closing and
-barren test in one pass without side effects; one rank call on the prime
-table, PrimeTable.pi, answers pi(p), pi(lo - 1) and pi(upper) for the
-leaves whose upper lies in the table.  Then one in-order pass over the
-parents does all that has effects.  A leaf whose upper lies past the table
-counts with count_in_closed (Lucy's pi) once the scan reaches it, and a
-ceiling raises there after the leaves before it are emitted, so a row
-neither counts nor raises past its stop; a parent's further rows close
-before the next parent is scanned, then on_stop; and the node's scan stops
-at its first barren new-prime child, so a parent past that stop does
-nothing at all.  The first batch holds the first new prime and the
-deepened child before it, and each next one twice as many parents, up to
-what _BATCH leaves hold.  A node with one or two factors left and each
-further row are batches of one, and close_leaves is the one-row kernel.  So
-the benchmark's count-k7 repetition makes 327 kernel calls (906 when each
-leaf parent had its own) and unseeded pndn(7) makes 1,546 (4,749).  A batch
-computes in int64 when one bound per row, taken from its largest prime,
-shows every intermediate fits below 2^62, and otherwise in object arrays
-of Python ints.  The deepened leaf of a leaf parent (pndn) joins the
-parent's first row as its head, closed first and never a stop; a seed with
-one factor left is a row of just that head.  Records come from a plain
-in-order loop over the closed leaves, which lists each interval's primes.
+prime array.  Every row closes in one array kernel, _Batch, whose
+docstring holds the leaf contract: one call takes the rows of several
+parents, and its in-order scan then does all that has effects.  The leaf
+parents under a node with three factors left, its deepened child first
+(pndn) and then its new primes, share batches: the first holds the first
+new prime and the deepened child before it, and each next one twice as
+many parents, up to what _BATCH leaves hold.  A node with one or two
+factors left and each further row are batches of one.  A parent's further
+rows close before the next parent is scanned, then on_stop, and a parent
+past the node's first barren new-prime child does nothing at all.  So the
+benchmark's count-k7 repetition makes 327 kernel calls and unseeded
+pndn(7) makes 1,546.  The deepened leaf of a leaf parent (pndn) joins the
+parent's first row as its head; a seed with one factor left is a row of
+just that head.  Records come from a plain in-order loop over the closed
+leaves, which lists each interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -56,8 +45,8 @@ A node is (left, v, s, pairs, sigpps), as in the searches; pairs and
 sigpps are tuples, so a child is built anew and nothing is undone.  Every
 predicate is decided by integer cross-multiplication: delta(m*p) =
 sigma(m) - p*deficiency(m) for a new prime p makes the leaf trichotomy one
-multiply, and classify.same_prime_extension decides m*p's class and
-primitivity when p already divides m.
+multiply, and classify.deepen decides the child that takes the last prime
+once more, as the searches' deepening step does.
 """
 
 from __future__ import annotations
@@ -65,12 +54,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import NamedTuple
 
 import numpy as np
 
 from .arith import Factorization, seed_state
-from .classify import NumberClass, center_floor, same_prime_abundance, same_prime_extension
+from .classify import NumberClass, center_floor, deepen, same_prime_abundance
 from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
@@ -120,45 +108,37 @@ _BATCH = 4096
 _INT64_SAFE = 1 << 62
 
 
-class LeafRow(NamedTuple):
-    """close_leaves' answer, leaf by leaf.
-
-    Leaves [0, n) are closed, in order: through the barren leaf of prime
-    stop, or the whole row when none is barren, or up to leaf n when its
-    bound over lies above the ceiling; the caller raises that once it has
-    emitted the closed leaves.  ca, cp and found hold each leaf's totals,
-    read for the closed leaves only.  cols are the emission loop's columns
-    (p, s, d, lo, upper, delta, prim): leaf i has last prime p[i], sigma
-    s[i] and deficiency d[i]; it closes with each new prime in
-    [lo[i], upper[i]] and, when prim[i], with p[i] once more, of abundance
-    delta[i] (prim is all false for sfpan).
-    """
-
-    n: int
-    stop: int | None
-    over: int | None
-    ca: np.ndarray
-    cp: np.ndarray
-    found: np.ndarray
-    cols: tuple
-
-    def totals(self):
-        """The row's (ca, cp, found) over its closed leaves."""
-        n = self.n
-        return int(self.ca[:n].sum()), int(self.cp[:n].sum()), bool(self.found[:n].any())
-
-
 class _Batch:
     """The rows of several leaf parents, closed in one vectorised pass over
     their concatenation; row i holds leaves first[i] to first[i + 1] - 1 of
     every column.
 
-    Each row is close_leaves' (ps, s, d, omax, head), so the parent's s, d
-    and omax become per-leaf columns.  The pass has no side effects: it
-    counts only the leaves whose upper lies in the table, and its columns
-    run past every row's stop.  scan(i) then closes row i in order, with
-    the counts past the table that the row reaches.  acc holds each leaf's
-    (ca, cp, found).
+    Each row is (ps, s, d, omax, head).  Its leaf j is m * ps[j], for the
+    row's parent m: deficient, with sigma(m) = s, deficiency d, and omax
+    the largest sigma of its prime powers (1 for m = 1); ps holds new
+    primes above s // d, increasing.  head, when not None, is one more leaf
+    (p, s, d, spp, omax), closed first and never a stop: its last prime p
+    has sigma(p^alpha) = spp, and omax bounds the sigma of its other prime
+    powers.  A leaf closes with each new prime q in [lo, upper], upper the
+    largest integer at or below its center (below it for sfpan) and lo the
+    least above p and above reduced_center_floor; in pndn also with p once
+    more, as same_prime_extension decides; both rules run on the arrays
+    through classify's center_floor and same_prime_abundance.  A leaf is
+    barren when no prime above p completes it at all (pndn) or it closes
+    nothing (sfpan).
+
+    The pass has no side effects, and its columns run past every row's
+    stop.  One pi call on table answers pi(p), pi(lo - 1) and pi(upper)
+    for every leaf whose upper lies in it, each bound in [2, table.limit].
+    scan(i) then closes row i in order through its first barren leaf; a
+    leaf past the table counts with count_in_closed once the scan reaches
+    it, so a row never counts, nor reports a ceiling, past its stop.
+
+    acc holds each leaf's (ca, cp, found), read for closed leaves only.
+    cols are the emission loop's columns (p, s, d, lo, upper, delta, prim):
+    leaf j has last prime p[j], sigma s[j] and deficiency d[j]; it closes
+    with each new prime in [lo[j], upper[j]] and, when prim[j], with p[j]
+    once more, of abundance delta[j] (prim is all false for sfpan).
     """
 
     def __init__(self, general, rows, ceiling, table):
@@ -223,10 +203,12 @@ class _Batch:
         self.cols = (p, sl, dl, lo, upper, delta, prim)
 
     def scan(self, i):
-        """Close row i in order through its first barren leaf, counting each
-        leaf past the table as the scan reaches it, so the row neither
-        counts nor reports a ceiling past its stop.  Returns (n, stop, over)
-        as LeafRow has them and the row's (ca, cp, found)."""
+        """Close row i in order; returns (n, stop, over, ca, cp, found).
+        Its first n leaves are closed: through the barren leaf of prime
+        stop, or the whole row when none is barren, or up to the leaf whose
+        bound over lies above the ceiling, which the caller raises once it
+        has emitted the closed leaves.  ca, cp and found are the row's
+        totals over its closed leaves."""
         a, b = self.first[i], self.first[i + 1]
         ca, cp, found = self.acc
         p, _, _, lo, upper, _, _ = self.cols
@@ -254,49 +236,20 @@ class _Batch:
         return n, stop, over, sca, scp, sfound > 0
 
 
-def close_leaves(general, ps, s, d, omax, ceiling, table, head=None) -> LeafRow:
-    """Close a row of sibling leaves at once, in order, through the first
-    barren one: a batch of one row.
-
-    Leaf i is m * ps[i], for the row's parent m: deficient, with
-    sigma(m) = s, deficiency d, and omax the largest sigma of its prime
-    powers (1 for m = 1); ps holds new primes above s // d, increasing.
-    head, when given, is one more leaf (p, s, d, spp, omax), closed first
-    and never a stop: its last prime p has sigma(p^alpha) = spp, and omax
-    bounds the sigma of its other prime powers.  A leaf closes with each
-    new prime q in [lo, upper], upper the largest integer at or below its
-    center (below it for sfpan) and lo the least above p and above
-    reduced_center_floor; in pndn also with p once more, as
-    same_prime_extension decides; both rules run on the row's arrays
-    through classify's center_floor and same_prime_abundance.  A leaf is
-    barren when no prime above p completes it at all (pndn) or it closes
-    nothing (sfpan).
-
-    One pi call on table answers pi(p), pi(lo - 1) and pi(upper) for every
-    leaf whose upper lies in it, each bound in [2, table.limit].  A leaf
-    past the table counts with count_in_closed once the in-order scan
-    reaches it, so the row never counts, nor reports a ceiling, past its
-    stop.
-    """
-    batch = _Batch(general, [(ps, s, d, omax, head)], ceiling, table)
-    n, stop, over, *_ = batch.scan(0)
-    return LeafRow(n, stop, over, *batch.acc, batch.cols)
-
-
-def _row_primes(start, bound, count=_ROW):
-    """A leaf parent's row: up to count primes above start, increasing,
+def _row_primes(start, bound):
+    """A leaf parent's row: up to _ROW primes above start, increasing,
     through the first one past bound.  A row that ends in the floor's
     array, as nearly all do, is one slice of it; any other is stepped with
     iter_primes_above, into a list of ints."""
     floor = _floor()
     i = int(floor.searchsorted(start, side="right"))
     j = int(floor.searchsorted(max(start, bound), side="right"))  # the first prime past bound
-    if j < len(floor) or i + count <= len(floor):
-        return floor[i : min(i + count, j + 1)]
+    if j < len(floor) or i + _ROW <= len(floor):
+        return floor[i : min(i + _ROW, j + 1)]
     row = []
     for q in iter_primes_above(start):
         row.append(q)
-        if q > bound or len(row) == count:
+        if q > bound or len(row) == _ROW:
             return row
 
 
@@ -320,15 +273,13 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             sink(EnumRecord(Factorization._trusted(pairs),
                             NumberClass.from_abundance(delta), delta))
 
-    def deepened(v, s, d, pairs, sigpps):
+    def deepened(v, s, pairs, sigpps):
         """The node's child (v, s, pairs, sigpps) that takes its last prime
         p once more, while m*p stays deficient (pndn), or None."""
         if general and pairs:
-            p, e = pairs[-1]
-            spp = sigpps[-1]
-            delta, _ = same_prime_extension(s, d, p, spp, sigpps[:-1])
-            if delta < 0:  # m*p stays deficient; perfect or abundant would be sterile
-                return v * p, 2 * v * p + delta, pairs[:-1] + ((p, e + 1),), sigpps[:-1] + (spp * p + 1,)
+            delta, _, child = deepen(v, s, pairs, sigpps)
+            if delta < 0:  # perfect or abundant m*p would be sterile
+                return child
         return None
 
     def above(s, d, pairs):
@@ -349,7 +300,7 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
         first row as its head, closed first and never a stop, so it pays no
         row of its own."""
         d = 2 * v - s
-        deeper = deepened(v, s, d, pairs, sigpps)
+        deeper = deepened(v, s, pairs, sigpps)
         # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
         # leaf is barren: the rows end at the first such prime at the latest.
         bound = 2 * s // d
@@ -423,7 +374,7 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
         if k == 2:
             return next(closed([leaf_parent(v, s, pairs, sigpps)]))
         d = 2 * v - s
-        deeper = deepened(v, s, d, pairs, sigpps)
+        deeper = deepened(v, s, pairs, sigpps)
         kids = chain([(None, *deeper)] if deeper else [],
                      ((p, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
                       for p in iter_primes_above(above(s, d, pairs))))

@@ -56,7 +56,7 @@ from .arith import (
     seed_state,
     sigma_prime_power,
 )
-from .classify import reduced_center_floor, same_prime_extension
+from .classify import deepen, reduced_center_floor
 from .errors import (
     CeilingExceeded,
     InvalidSequence,
@@ -352,8 +352,9 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
 
     It starts from a seed_state: left factors to add to the seed with value
     v, sigma s, factor pairs and prime-power sigmas sigpps.  The mode
-    decides only the interior step that deepens the last prime; in both, a
-    leaf prime must exceed reduced_center_floor, the exact primitivity bound.
+    decides only whether a node deepens its last prime, by the walks' step,
+    classify.deepen; in both, a leaf prime must exceed reduced_center_floor,
+    the exact primitivity bound.
     """
     count = 0
 
@@ -373,16 +374,12 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
         d = 2 * v - s
         pr = pairs[-1][0] if pairs else 1
         if general and pairs:
-            p, e = pairs[-1]
-            spp = sigpps[-1]
-            delta, primitive = same_prime_extension(s, d, p, spp, sigpps[:-1])
-            deeper = pairs[:-1] + ((p, e + 1),)
+            delta, primitive, child = deepen(v, s, pairs, sigpps)
             if left == 1:
                 if delta > 0 and primitive:
-                    emit(deeper, v * p, delta)
+                    emit(child[2], child[0], delta)
             elif delta < 0:  # still deficient with one more p
-                rec(left - 1, v * p, 2 * v * p + delta, deeper,
-                    sigpps[:-1] + (spp * p + 1,))
+                rec(left - 1, *child)
         if left > 1:
             p = s // d  # the primes above it are the primes above the center
             for _ in range(amplitude):

@@ -197,12 +197,13 @@ def weird_numbers_below(limit):
 # ---------------------------------------------------------------------------
 # Leaf rows, one leaf at a time.
 
-def close_leaves_oracle(general, ps, s, d, omax, ceiling, head=None):
-    """What enumerate.close_leaves answers, from the scalar loop it
-    replaced, one leaf and one prime count at a time.
+def leaf_row_oracle(general, ps, s, d, omax, ceiling, head=None):
+    """What enumerate._Batch answers for a batch of the one row
+    (ps, s, d, omax, head), from the scalar loop it replaced, one leaf and
+    one prime count at a time.
 
-    The arguments are close_leaves' own (omax = 1 stands for a prefix with
-    no prime power).  Returns the list of (p, ca, cp, found) of the leaves
+    The row is as _Batch takes it (omax = 1 stands for a prefix with no
+    prime power).  Returns the list of (p, ca, cp, found) of the leaves
     closed in order, through the first barren one; the prime of that leaf,
     or None; and the bound of the leaf at which the loop would have raised
     CeilingExceeded, or None: the leaves listed are those before it.

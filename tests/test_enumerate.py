@@ -23,14 +23,16 @@ from panweird import (
 )
 from panweird.arith import seed_state
 from panweird.classify import reduced_center_floor, same_prime_extension
-from panweird.enumerate import _Batch, close_leaves
-from panweird.primes import _CACHE_CAP, PI_BOUND, PrimeTable, _table, next_prime, primes_in_closed
+from panweird.enumerate import _ROW, _Batch, _row_primes
+from panweird.primes import (
+    _CACHE_CAP, PI_BOUND, PrimeTable, _floor, _table, next_prime, primes_in_closed,
+)
 
 from oracles import (
-    close_leaves_oracle,
     exponent_of,
     is_primitive_nondeficient_oracle,
     is_squarefree,
+    leaf_row_oracle,
     naive_sigma,
     primitive_census,
 )
@@ -336,17 +338,22 @@ def _leaf_parent(f):
     return s, d, max(sigpps, default=1), head
 
 
+def _batch_of_one(general, ps, s, d, omax, ceiling, table, head=None):
+    return _Batch(general, [(ps, s, d, omax, head)], ceiling, table)
+
+
 def _check_row(general, ps, s, d, omax, ceiling, table, head=None):
-    """close_leaves against the scalar loop, per leaf and per row."""
-    want, stop, over = close_leaves_oracle(general, ps, s, d, omax, ceiling, head)
-    r = close_leaves(general, ps, s, d, omax, ceiling, table, head)
-    assert (r.n, r.stop, r.over) == (len(want), stop, over)
-    n = r.n
-    got = zip(r.cols[0][:n].tolist(), r.ca[:n].tolist(), r.cp[:n].tolist(), r.found[:n].tolist())
+    """A batch of the one row against the scalar loop, per leaf and per
+    row.  Returns the batch and its scan(0), (n, stop, over, ca, cp, found)."""
+    want, stop, over = leaf_row_oracle(general, ps, s, d, omax, ceiling, head)
+    batch = _batch_of_one(general, ps, s, d, omax, ceiling, table, head)
+    scan = batch.scan(0)
+    assert scan == (len(want), stop, over, sum(w[1] for w in want),
+                    sum(w[2] for w in want), any(w[3] for w in want))
+    n = scan[0]
+    got = zip(batch.cols[0][:n].tolist(), *(c[:n].tolist() for c in batch.acc))
     assert list(got) == want
-    assert r.totals() == (sum(w[1] for w in want), sum(w[2] for w in want),
-                          any(w[3] for w in want))
-    return r
+    return batch, scan
 
 
 def _leaf_parents(k, odd_only=False):
@@ -373,16 +380,35 @@ def _random_rows(rng, count):
         yield s, d, omax, head, list(islice(iter_primes_above(start), first, first + n))
 
 
+def test_row_primes_at_the_edge_of_the_floor():
+    # The floor's array ends at 65,521, the last prime below 2^16; the next
+    # prime is 65,537.  A row that ends inside the array is a slice of it,
+    # any other is stepped: either way, the first _ROW primes above start,
+    # through the first one past bound.
+    floor = _floor()
+    assert floor[-1] == 65_521
+    full, short = int(floor[-_ROW - 1]), int(floor[-_ROW])  # _ROW, _ROW - 1 primes left
+    for start in (65_519, 65_520, 65_521, full, short):
+        for bound in (0, 65_520, 65_521, 65_522, 65_536, 65_537, 65_538, 10**6):
+            ahead = list(islice(iter_primes_above(start), _ROW))
+            cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _ROW)
+            row = _row_primes(start, bound)
+            assert [int(q) for q in row] == ahead[:cut], (start, bound)
+    assert len(_row_primes(full, 10**6)) == _ROW
+    assert isinstance(_row_primes(full, 10**6), np.ndarray)
+    assert isinstance(_row_primes(short, 10**6), list)
+
+
 def test_row_kernel_matches_the_scalar_loop_in_the_table():
     table = _table(_CACHE_CAP)
     rng = random.Random(0x1EAF)
     heads = stops = 0
     for s, d, omax, head, ps in _random_rows(rng, 400):
         for general in (True, False):
-            r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
-            assert r.cols[0].dtype == np.int64
+            batch, (_, stop, *_) = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
+            assert batch.cols[0].dtype == np.int64
             heads += head is not None
-            stops += r.stop is not None
+            stops += stop is not None
     assert heads > 100 and stops > 300
 
 
@@ -441,12 +467,12 @@ def test_row_kernel_straddling_the_table_limit():
     rng = random.Random(0x57AD)
     straddled = 0
     for s, d, omax, head, ps in _random_rows(rng, 300):
-        bounds = close_leaves(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4]
+        bounds = _batch_of_one(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4]
         w = rng.randrange(int(bounds.max()) // 128 + 2)
         table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
         for general in (True, False):
-            r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
-            uppers = r.cols[4][: r.n]
+            batch, (n, *_) = _check_row(general, ps, s, d, omax, 5 * 10**10, table, head)
+            uppers = batch.cols[4][:n]
             straddled += bool((uppers > table.limit).any() and (uppers <= table.limit).any())
     assert straddled > 40
 
@@ -459,13 +485,14 @@ def test_row_kernel_ceilings_raise_where_the_scalar_loop_did():
     raised = inside = 0
     for s, d, omax, head, ps in _random_rows(rng, 60):
         for general in (True, False):
-            full = close_leaves(general, ps, s, d, omax, 5 * 10**10, table, head)
+            full = _batch_of_one(general, ps, s, d, omax, 5 * 10**10, table, head)
             for upper in set(full.cols[4].tolist()):
                 for ceiling in (upper - 1, upper):
                     if ceiling >= 1:
-                        r = _check_row(general, ps, s, d, omax, ceiling, table, head)
-                        raised += r.over is not None
-                        inside += r.over is not None and r.n > 0
+                        _, (n, _, over, *_) = _check_row(general, ps, s, d, omax, ceiling,
+                                                         table, head)
+                        raised += over is not None
+                        inside += over is not None and n > 0
     assert raised > 100 and inside > 100
 
 
@@ -485,21 +512,23 @@ def test_row_kernel_past_int64_runs_on_python_ints():
             ps = list(islice(iter_primes_above(start), n))
             for general in (True, False):
                 for h in (None, head):
-                    r = _check_row(general, ps, s, d, omax, 5 * 10**10, table, h)
-                    assert r.cols[0].dtype == object
+                    batch, (closed, _, over, ca, _, _) = _check_row(general, ps, s, d, omax,
+                                                                    5 * 10**10, table, h)
+                    assert batch.cols[0].dtype == object
                     assert s * (ps[-1] + 1) > 1 << 63
                     if start == c:
-                        assert r.over is not None
-                    counted += r.totals()[0] > 0
-                    past += bool((r.cols[4][: r.n] > table.limit).any())
+                        assert over is not None
+                    counted += ca > 0
+                    past += bool((batch.cols[4][:closed] > table.limit).any())
     assert counted > 10 and past > 4
 
 
 def _close_one_by_one(general, node, odd_only, ceiling, table, sink, events):
     """The k = 3 level of a walk from node, which has three factors left,
-    with each leaf parent closed alone, row by row, by close_leaves: the
-    per-parent loop that the walk's batches replace.  Emits (pairs, delta)
-    to sink and the on_stop events to events as the walk does.  Returns
+    with each leaf parent closed alone, row by row, each row a batch of
+    one checked against the scalar loop: the per-parent loop that the
+    walk's batches replace.  Emits (pairs, delta) to sink and the on_stop
+    events to events as the walk does.  Returns
     the totals, each parent's (ca, cp) and how many records were emitted
     before and through it, and the bounds of the closed leaves in order."""
     ca = cp = 0
@@ -514,16 +543,17 @@ def _close_one_by_one(general, node, odd_only, ceiling, table, sink, events):
         primes = iter_primes_above(max(s // d, pairs[-1][0]))
         bound = 2 * s // d
         totals = [0, 0, False]
-        r = None
-        while r is None or r.stop is None:
+        row_stop = None
+        while row_stop is None:
             row = []
             for p in primes:
                 row.append(p)
                 if p > bound or len(row) == 256:
                     break
-            r = close_leaves(general, row, s, d, omax, ceiling, table, head)
+            batch, (n, row_stop, over, *row_totals) = _check_row(
+                general, row, s, d, omax, ceiling, table, head)
             for i, (p, ls, ld, lo, upper, delta, prim) in enumerate(
-                    zip(*(c[: r.n].tolist() for c in r.cols))):
+                    zip(*(c[:n].tolist() for c in batch.cols))):
                 prefix, e = (pairs[:-1], pairs[-1][1] + 1) if i == 0 and head else (pairs, 1)
                 for q in primes_in_closed(lo, upper):
                     emitted.append((prefix + ((p, e), (q, 1)), ls - q * ld))
@@ -532,11 +562,11 @@ def _close_one_by_one(general, node, odd_only, ceiling, table, sink, events):
                     emitted.append((prefix + ((p, e + 1),), delta))
                     sink(emitted[-1])
                 uppers.append(upper)
-            if r.over is not None:
-                raise CeilingExceeded("leaf bound %d above ceiling %d" % (r.over, ceiling))
+            if over is not None:
+                raise CeilingExceeded("leaf bound %d above ceiling %d" % (over, ceiling))
             head = None
-            totals = [t + u for t, u in zip(totals, r.totals())]
-        events.append((pairs, r.stop, 2))
+            totals = [t + u for t, u in zip(totals, row_totals)]
+        events.append((pairs, row_stop, 2))
         parents.append((*totals[:2], before, len(emitted)))
         ca, cp, found = ca + totals[0], cp + totals[1], found or totals[2]
         if new_prime and (not totals[2] if general else totals[0] == 0):
@@ -601,9 +631,10 @@ def test_sibling_batches_match_closing_each_leaf_parent_alone(monkeypatch):
 
 
 def test_batched_rows_scan_as_each_row_closes_alone(monkeypatch):
-    # Building a batch counts nothing; scanning its row i answers as
-    # close_leaves on that row alone and counts only that row's leaves past
-    # the table, in order, whatever the ceiling does to the other rows.
+    # Building a batch counts nothing; scanning its row i answers as a
+    # batch of that row alone, which the scalar loop checks, and counts only
+    # that row's leaves past the table, in order, whatever the ceiling does
+    # to the other rows.
     cap = _table(_CACHE_CAP)
     counts = _spy_counts(monkeypatch)
     rng = random.Random(0xBA7C)
@@ -612,7 +643,7 @@ def test_batched_rows_scan_as_each_row_closes_alone(monkeypatch):
     for _ in range(80):
         group = rng.sample(rows, rng.randrange(1, 9))
         bounds = [u for s, d, omax, head, ps in group
-                  for u in close_leaves(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4].tolist()]
+                  for u in _batch_of_one(True, ps, s, d, omax, 5 * 10**10, cap, head).cols[4].tolist()]
         w = rng.randrange(max(bounds) // 128 + 2)
         table = PrimeTable(128 * w, cap.words[:w], cap.ranks[:w])
         ceiling = rng.choice((5 * 10**10, max(1, rng.choice(bounds) - 1)))
@@ -624,9 +655,9 @@ def test_batched_rows_scan_as_each_row_closes_alone(monkeypatch):
             for i, (s, d, omax, head, ps) in enumerate(group):
                 got = batch.scan(i), list(counts)
                 del counts[:]
-                r = close_leaves(general, ps, s, d, omax, ceiling, table, head)
-                assert got == ((r.n, r.stop, r.over, *r.totals()), counts)
-                raised += r.over is not None
+                _, alone = _check_row(general, ps, s, d, omax, ceiling, table, head)
+                assert got == (alone, counts)
+                raised += alone[2] is not None
                 pending += bool(counts)
                 del counts[:]
     assert raised > 40 and pending > 40

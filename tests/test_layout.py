@@ -9,7 +9,8 @@ base for primality, so the walk and the search, which build one
 factorization per node or record, use Factorization._trusted instead.
 
 Every name in panweird.__all__ resolves, once, so `from panweird import *`
-works."""
+works.  Every other module-level function, class and constant is named by
+some other statement of the package, so no dead entry point lingers."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,25 @@ def test_public_names_resolve_once():
     names = panweird.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(panweird, name)] == []
+
+
+def test_every_module_level_name_is_exported_or_used():
+    stmts = [(path.stem, stmt) for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    refs = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom) for a in n.names}
+            for _, stmt in stmts]
+    unused = []
+    for i, (module, stmt) in enumerate(stmts):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        unused += ["%s.%s" % (module, name) for name in defined
+                   if not name.startswith("__") and name not in panweird.__all__
+                   and not any(name in r for j, r in enumerate(refs) if j != i)]
+    assert unused == []
