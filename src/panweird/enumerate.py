@@ -22,21 +22,22 @@ A leaf parent (two factors left) closes its new-prime children in rows of
 consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
 closes a barren leaf, so the scan stops by then and the rows end there.  A
 row that ends below 2^16, as nearly all do, is one slice of the floor's
-prime array.  Every row closes in one array kernel, _Batch, whose
-docstring holds the leaf contract: one call takes the rows of several
-parents, and its in-order scan then does all that has effects.  The leaf
-parents under a node with three factors left, its deepened child first
-(pndn) and then its new primes, share batches: the first holds the first
-new prime and the deepened child before it, and each next one twice as
-many parents, up to what _BATCH leaves hold.  A node with one or two
-factors left and each further row are batches of one.  A parent's further
-rows close before the next parent is scanned, then on_stop, and a parent
-past the node's first barren new-prime child does nothing at all.  So the
-benchmark's count-k7 repetition makes 327 kernel calls and unseeded
-pndn(7) makes 1,546.  The deepened leaf of a leaf parent (pndn) joins the
-parent's first row as its head; a seed with one factor left is a row of
-just that head.  Records come from a plain in-order loop over the closed
-leaves, which lists each interval's primes.
+prime array, and one that ends inside the prime table one decode of it.
+Every row closes in one array kernel, _Batch, whose docstring holds the
+leaf contract: one call takes the rows of several parents, and its
+in-order scan then does all that has effects.  The leaf parents under a
+node with three factors left, its deepened child first (pndn) and then its
+new primes, share batches: the first holds the first new prime and the
+deepened child before it, and each next one twice as many parents, up to
+what _BATCH leaves hold.  A node with one or two factors left and each
+further row are batches of one.  A parent's further rows close before the
+next parent is scanned, then on_stop, and a parent past the node's first
+barren new-prime child does nothing at all.  So the benchmark's count-k7
+repetition makes 327 kernel calls and unseeded pndn(7) makes 1,546.  The
+deepened leaf of a leaf parent (pndn) joins the parent's first row as its
+head; a seed with one factor left is a row of just that head.  Records
+come from a plain in-order loop over the closed leaves, which lists each
+interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -239,13 +240,24 @@ class _Batch:
 def _row_primes(start, bound):
     """A leaf parent's row: up to _ROW primes above start, increasing,
     through the first one past bound.  A row that ends in the floor's
-    array, as nearly all do, is one slice of it; any other is stepped with
-    iter_primes_above, into a list of ints."""
+    array, as nearly all do, is one slice of it.  Past the floor, the table
+    as it stands is decoded once, up to _ROW past bound or past
+    start + _ROW * log2(start), whichever is less: that spans about 1.44
+    times _ROW primes.  When the decode holds _ROW primes or one past bound,
+    it gives the row; any other row is stepped with iter_primes_above, into
+    a list of ints."""
     floor = _floor()
     i = int(floor.searchsorted(start, side="right"))
     j = int(floor.searchsorted(max(start, bound), side="right"))  # the first prime past bound
     if j < len(floor) or i + _ROW <= len(floor):
         return floor[i : min(i + _ROW, j + 1)]
+    table = prime_table()
+    end = min(max(start, bound), start + _ROW * start.bit_length()) + _ROW
+    if end <= table.limit:
+        row = table.primes(start + 1, end)
+        j = int(row.searchsorted(bound, side="right"))
+        if j < len(row) or len(row) >= _ROW:
+            return row[: min(_ROW, j + 1)]
     row = []
     for q in iter_primes_above(start):
         row.append(q)

@@ -17,10 +17,14 @@ sieved, but only when the file's sha256 is _CAP_SHA256, the digest compiled
 in here; any other file counts as absent.  A sieve that reaches the cap is
 checked against that digest too, and then written for the next process.
 Only counting grows the table: prime_pi(x) reads x's rank; past the table,
-nothing is sieved: pi(x) comes from Lucy_Hedgehog's recurrence over the
-primes up to cbrt(x) and then Meissel's P2 sum over those up to isqrt(x),
-all decoded from the bits, in O(x^(3/4)) time and O(sqrt(x)) memory, for x
-up to PI_BOUND.  A count over [lo, hi] is prime_pi(hi) - prime_pi(lo - 1).
+nothing is sieved.  Lucy_Hedgehog's recurrence starts from the wheel of
+the primes up to 13 and runs over the primes up to x^(1/4); Lehmer's P2
+and P3 sums then read their pi values off the table's ranks, which reach
+them for x up to about 2.7 * 10^10.  Past that the recurrence runs to
+cbrt(x) and Meissel's P2 sum reads its own array.  The primes come decoded
+from the bits; it takes O(x^(3/4)) time and under three sqrt(x)-long
+int64 arrays, for x up to PI_BOUND.  A count over [lo, hi] is
+prime_pi(hi) - prime_pi(lo - 1).
 Every step to a neighbouring prime is next_prime (up) or _prev_prime
 (down); kth_prime_above and kth_prime_below take k of them.  Each reads a
 plain int64 array of the primes up to a floor, 2^16, built on first use by
@@ -140,8 +144,9 @@ _CACHE_CAP = 1 << 26  # the table stops growing here
 _TABLE_FLOOR = 1 << 16
 _FLOOR_LAST = 65_521  # the largest prime up to _TABLE_FLOOR
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
-# Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries each
-# (about 0.5 GB with temporaries), and the table holds every prime <= isqrt(x).
+# Largest x for prime_pi: there Lucy's arrays hold isqrt(x) = 10^7 entries
+# each (a process peaks at about 0.27 GB), and the table holds every prime
+# <= isqrt(x).
 PI_BOUND = 10**14
 _WORD = np.dtype("<u8")  # 64 consecutive odd numbers, the least in bit 0
 _ONES = np.uint64(2**64 - 1)
@@ -330,39 +335,117 @@ def prime_pi(x: int) -> int:
     t = _table(x)
     if x <= t.limit:
         return int(t.pi(x))
-    return _lucy_pi(x, t.primes(2, isqrt(x)))
+    return _lucy_pi(x, t)
 
 
-def _lucy_pi(x: int, primes: np.ndarray) -> int:
-    """pi(x) by Lucy_Hedgehog's recurrence, from the primes <= isqrt(x), in order.
+# The wheel of the first six primes: phi(y, 6), the count of n in [1, y]
+# prime to all of them, is (y // _WHEEL) * _WHEEL_PHI + _wheel()[y % _WHEEL].
+_WHEEL = 2 * 3 * 5 * 7 * 11 * 13
+_WHEEL_PHI = 1 * 2 * 4 * 6 * 10 * 12
+_wheel_counts = None
 
-    S(v) counts the numbers in [2, v] that are prime or have no prime factor
-    below p; moving past p takes S(v) -= S(v // p) - S(p - 1) for every
-    v >= p*p, and once p passes isqrt(v), S(v) = pi(v).  Only the values
-    v = x // i occur: small[v] holds S(v) for v <= r and large[i - 1] holds
-    S(x // i) for i <= r, so large[0] ends as pi(x).  Each right-hand side is
-    read whole before it is subtracted, so every update for p sees the values
-    left by the primes below p.
+
+def _wheel() -> np.ndarray:
+    """W[y] = phi(y, 6) for 0 <= y < _WHEEL, int64, built on first use."""
+    global _wheel_counts
+    if _wheel_counts is None:
+        prime_to = np.ones(_WHEEL, dtype=np.int64)
+        prime_to[0] = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            prime_to[::p] = 0
+        _wheel_counts = np.cumsum(prime_to)
+    return _wheel_counts
+
+
+def _lucy_pi(x: int, table: PrimeTable) -> int:
+    """pi(x) for x >= 2^16, from table, which holds every prime <= isqrt(x).
+
+    S(v, a) counts the numbers in [2, v] that are prime or have no prime
+    factor among the first a primes; _sieved_counts gives S(x // i, a) for
+    the i <= isqrt(x) it is asked for.  With a = pi(x^(1/4)), Lehmer's
+    formula (1959) is pi(x) = S(x, a) - P2 - P3: P2 sums
+    pi(x // p) - pi(p) + 1 over the primes p in (x^(1/4), sqrt(x)], P3 sums
+    pi(x // (p*q)) - pi(q) + 1 over the primes p <= q with p in
+    (x^(1/4), cbrt(x)] and p*q*q <= x.  No argument exceeds x // p, p the
+    least prime above x^(1/4); when the table answers that, each sum is one
+    rank call, and the recurrence needs S(x // i) only at the squarefree
+    products i of the primes from 17 to x^(1/4).  Past that bound the
+    recurrence runs to a = pi(cbrt(x)) at every i prime to 2*3*5*7*11*13,
+    and Meissel's pi(x) = S(x, a) - P2 reads every pi(x // p) off it.
     """
     r = isqrt(x)
-    q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
-    large = q - 1
-    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
-    cube = int(np.count_nonzero(primes * primes <= x // primes))  # p^3 <= x
-    for j, p in enumerate(primes[:cube].tolist()):
-        # j = S(p - 1): the primes below p
-        n = min(r, x // (p * p))  # i <= n have x // i >= p * p
+    primes = table.primes(2, r)
+    sq = primes * primes
+    a = int(np.count_nonzero(sq <= x // sq))  # p^4 <= x
+    c = int(np.count_nonzero(sq <= x // primes))  # p^3 <= x
+    if x // int(primes[a]) > table.limit:
+        prime_to = np.diff(_wheel(), prepend=0).astype(bool)  # i prime to the wheel
+        large = _sieved_counts(x, primes[:c], np.flatnonzero(np.resize(prime_to, r + 1)))
+        # For p^3 > x every prime q with q^2 <= x // p has q^3 < x, so
+        # large[p] = S(x // p, c) = pi(x // p).
+        rest = primes[c:]
+        return int(large[1] - (large[rest] - np.arange(c, len(primes))).sum())
+    need = np.ones(1, dtype=np.int64)
+    for p in primes[6:a].tolist():
+        need = np.concatenate((need, need[need <= r // p] * p))
+    s = int(_sieved_counts(x, primes[:a], np.sort(need))[1])
+    xp = x // primes[a:]  # P2's arguments
+    # P3's pairs: p = primes[i] for a <= i < c, q = primes[j] for i <= j with
+    # q * q <= x // p, j running through one block per i
+    i = np.arange(a, c)
+    lens = sq.searchsorted(xp[: c - a], side="right") - i
+    j = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(i - (np.cumsum(lens) - lens), lens)
+    p2 = int((table.pi(xp) - np.arange(a, len(primes))).sum())
+    p3 = int((table.pi(np.repeat(xp[: c - a], lens) // primes[j]) - j).sum())
+    return s - p2 - p3
+
+
+def _sieved_counts(x: int, primes: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """large, an array in which large[i] = S(x // i, a) for every i in need,
+    where primes are the first a >= 6 primes, by Lucy_Hedgehog's recurrence
+    started at stage 6.
+
+    need is sorted, its entries lie in [1, r], r = isqrt(x), and are prime to
+    2*3*5*7*11*13, and with an entry i it holds i * p for every p in primes
+    below the least prime factor of i, while i * p <= r.  small[v] holds
+    S(v) for every v <= r; both start at S(v, 6) = phi(v, 6) + 5, read off the wheel (wrong for
+    v < 13, but every read is at v >= 17).  Moving past the (j+1)-th prime p
+    takes S(v) -= S(v // p) - j for every v >= p*p, and once p passes
+    isqrt(v), S(v) stays pi(v).  For v = x // i that reads large[i * p]
+    while i * p <= r, else small[x // (i * p)]; so past p, the multiples of
+    p leave need, and so do the i with x // i < p*p, whose S is final.  Each
+    right-hand side is read whole before it is subtracted, so every update
+    for p sees the values left by the primes below p.  small is updated
+    densely, through one buffer of r // 17 entries allocated once.
+    """
+    r = isqrt(x)
+    wheel = _wheel()
+    small = np.empty(r + 1, dtype=np.int64)
+    k = (r + 1) // _WHEEL
+    rows = small[: k * _WHEEL].reshape(k, _WHEEL)
+    rows[:] = wheel + 5
+    rows += (np.arange(k, dtype=np.int64) * _WHEEL_PHI)[:, None]
+    small[k * _WHEEL :] = wheel[: r + 1 - k * _WHEEL] + (k * _WHEEL_PHI + 5)
+    large = np.empty(r + 1, dtype=np.int64)
+    y = x // need
+    large[need] = y // _WHEEL * _WHEEL_PHI + wheel[y % _WHEEL] + 5
+    del y
+    buf = np.empty(r // 17 + 1, dtype=np.int64)
+    for j, p in enumerate(primes[6:].tolist(), 6):
         m = r // p  # i <= m have i * p <= r, so S(x // (i*p)) sits in large
-        large[:m] -= large[p - 1 : m * p : p] - j
-        large[m:n] -= small[q[m:n] // p] - j
+        need = need[: need.searchsorted(x // (p * p), side="right")]
+        need = need[need % p != 0]
+        cut = int(need.searchsorted(m, side="right"))
+        lo, hi = need[:cut], need[cut:]
+        large[lo] -= large[lo * p] - j
+        large[hi] -= small[x // (hi * p)] - j
         if p * p <= r:
-            small[p * p :] -= small[np.arange(p * p, r + 1) // p] - j
-    # Past the cube root only large[0] is still read.  For p^3 > x every prime
-    # q with q^2 <= x // p has q^3 < x, so the loop above has already made
-    # large[p - 1] = pi(x // p), and large[0] -= pi(x // p) - j over those p
-    # is Meissel's P2 sum.
-    rest = primes[cube:]
-    return int(large[0] - (large[rest - 1] - np.arange(cube, cube + len(rest))).sum())
+            # v in [u*p, u*p + p) reads S(u), for u from p to m
+            np.subtract(small[p : m + 1], j, out=buf[: m + 1 - p])
+            rows = small[p * p : m * p].reshape(m - p, p)
+            rows -= buf[: m - p, None]
+            small[m * p :] -= buf[m - p]
+    return large
 
 
 def count_in_closed(lo: int, hi: int) -> int:

@@ -380,23 +380,44 @@ def _random_rows(rng, count):
         yield s, d, omax, head, list(islice(iter_primes_above(start), first, first + n))
 
 
-def test_row_primes_at_the_edge_of_the_floor():
+def test_row_primes_at_the_edge_of_the_floor(monkeypatch):
     # The floor's array ends at 65,521, the last prime below 2^16; the next
     # prime is 65,537.  A row that ends inside the array is a slice of it,
-    # any other is stepped: either way, the first _ROW primes above start,
-    # through the first one past bound.
+    # one past it a decode of the table, or stepped when the table does not
+    # reach that far: each way, the first _ROW primes above start, through
+    # the first one past bound.
+    empty = PrimeTable(0, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32))
     floor = _floor()
     assert floor[-1] == 65_521
     full, short = int(floor[-_ROW - 1]), int(floor[-_ROW])  # _ROW, _ROW - 1 primes left
-    for start in (65_519, 65_520, 65_521, full, short):
-        for bound in (0, 65_520, 65_521, 65_522, 65_536, 65_537, 65_538, 10**6):
-            ahead = list(islice(iter_primes_above(start), _ROW))
-            cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _ROW)
+    for table in (empty, _table(_CACHE_CAP)):
+        monkeypatch.setattr(panweird.primes, "_state", table)
+        for start in (65_519, 65_520, 65_521, full, short):
+            for bound in (0, 65_520, 65_521, 65_522, 65_536, 65_537, 65_538, 10**6):
+                ahead = list(islice(iter_primes_above(start), _ROW))
+                cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _ROW)
+                row = _row_primes(start, bound)
+                assert [int(q) for q in row] == ahead[:cut], (start, bound)
+        assert len(_row_primes(full, 10**6)) == _ROW
+        assert isinstance(_row_primes(full, 10**6), np.ndarray)
+        assert isinstance(_row_primes(short, 10**6), np.ndarray if table.limit else list)
+
+
+def test_row_primes_past_the_floor_against_sympy():
+    # rows inside the table are one decode of it; rows that run past its end
+    # are stepped
+    sympy = pytest.importorskip("sympy")
+    _table(_CACHE_CAP)
+    rng = random.Random(0x20E5)
+    for start in [rng.randrange(2**16, 2**25) for _ in range(30)] + [2**26 - 3000, 2**26 - 10]:
+        for bound in (start - 1, start + rng.randrange(1, 300), start + 5000, 10**9):
+            want = [int(sympy.nextprime(start))]
+            while len(want) < _ROW and want[-1] <= bound:
+                want.append(int(sympy.nextprime(want[-1])))
             row = _row_primes(start, bound)
-            assert [int(q) for q in row] == ahead[:cut], (start, bound)
-    assert len(_row_primes(full, 10**6)) == _ROW
-    assert isinstance(_row_primes(full, 10**6), np.ndarray)
-    assert isinstance(_row_primes(short, 10**6), list)
+            assert [int(p) for p in row] == want, (start, bound)
+            assert isinstance(row, np.ndarray) or start > 2**25, (start, bound)
+    assert isinstance(_row_primes(2**26 - 10, 10**9), list)
 
 
 def test_row_kernel_matches_the_scalar_loop_in_the_table():

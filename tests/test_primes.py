@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -29,6 +30,7 @@ from panweird.primes import (
     _prev_prime,
     PI_BOUND,
     PrimeTable,
+    _table,
     count_in_closed,
     prime_table,
 )
@@ -312,6 +314,85 @@ def test_prime_pi_past_the_table_against_sympy():
     # a long interval wholly past the table
     lo, hi = _CACHE_CAP + 1, 3 * 10**9
     assert count_in_closed(lo, hi) == int(sympy_primepi(hi)) - int(sympy_primepi(lo - 1))
+
+
+def _recorded_stages(monkeypatch):
+    """How many primes each _sieved_counts call runs its recurrence over:
+    pi(x^(1/4)) in Lehmer's branch, pi(cbrt(x)) in Meissel's."""
+    stages = []
+    sieved = panweird.primes._sieved_counts
+
+    def record(x, primes, need):
+        stages.append(len(primes))
+        return sieved(x, primes, need)
+
+    monkeypatch.setattr(panweird.primes, "_sieved_counts", record)
+    return stages
+
+
+def _sympy_pi_around(x, d):
+    """pi(y) for y from x - d to x + d: one sympy call, then is_prime steps."""
+    pi = [int(pytest.importorskip("sympy").primepi(x - d))]
+    for y in range(x - d + 1, x + d + 1):
+        pi.append(pi[-1] + is_prime(y))
+    return pi
+
+
+def test_prime_pi_across_the_lehmer_switch_against_sympy(monkeypatch):
+    # Below 409^4 the least prime above x^(1/4) is 409, so Lehmer's sums stay
+    # in the 2^26 table while x // 409 <= 2^26: up to 409 * 2^26 + 408.
+    # From 409^4 on it is 419, which takes the table back up to
+    # 419 * 2^26 + 418.  Past each, the recurrence runs to cbrt(x).
+    stages = _recorded_stages(monkeypatch)
+    for x in (409 * _CACHE_CAP + 408, 409**4):
+        assert [prime_pi(y) for y in range(x - 2, x + 3)] == _sympy_pi_around(x, 2)
+    # pi(401) = 79 and pi(409) = 80; pi(cbrt(x)) is 432 or more there
+    assert stages[:3] == [79] * 3 and min(stages[3:7]) >= 432 and stages[7:] == [80] * 3
+
+
+def test_prime_pi_at_prime_powers_and_wheel_multiples_against_sympy():
+    # x = p^4 moves p into the recurrence, x = p^3 into Meissel's or
+    # Lehmer's cube-root set; the wheel of 2*3*5*7*11*13 wraps at 30030 k
+    for x in (97**4, 211**4, 409**3, 1009**3, 30030 * 2235, 30030**2, 30030 * 10**5):
+        assert [prime_pi(y) for y in (x - 1, x, x + 1)] == _sympy_pi_around(x, 1), x
+    wheel = panweird.primes._wheel()
+    want = np.cumsum([math.gcd(n, 30030) == 1 for n in range(30030)])
+    assert wheel.tolist() == want.tolist() and wheel[-1] == 5760
+
+
+def test_lehmer_and_meissel_branches_agree(monkeypatch):
+    # a table of 2^20 holds every prime up to isqrt(x) here, but not
+    # x // p for the least prime p above x^(1/4), so it forces the
+    # cube-root branch at every x
+    table = _table(_CACHE_CAP)
+    small = PrimeTable(2**20, table.words[: 2**20 // 128], table.ranks[: 2**20 // 128])
+    stages = _recorded_stages(monkeypatch)
+    rng = random.Random(0x1E4)
+    for x in [rng.randrange(_CACHE_CAP + 1, 27 * 10**9) for _ in range(12)]:
+        del stages[:]
+        want = panweird.primes._lucy_pi(x, table)
+        assert panweird.primes._lucy_pi(x, small) == want, x
+        fourth = sum(1 for p in range(2, math.isqrt(math.isqrt(x)) + 1) if is_prime(p))
+        assert stages[0] == fourth < stages[1], x
+
+
+def test_prime_pi_past_the_table_holds_five_arrays_at_most():
+    # The recurrence holds two isqrt(x)-long int64 arrays, and the entries
+    # its large side updates; the peak RSS of prime_pi(10^11) may grow by
+    # five such arrays, plus slack for the allocator and the wheel.
+    x = 10**11
+    src = os.path.dirname(os.path.dirname(panweird.primes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource\n"
+            "from panweird.primes import _CACHE_CAP, _table, prime_pi\n"
+            "_table(_CACHE_CAP)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "pi = prime_pi(%d)\n"
+            "print(pi, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)" % x)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert int(out[0]) == PUBLISHED_PI[11]
+    assert int(out[1]) * 1024 <= 5 * 8 * math.isqrt(x) + 2 * 2**20
 
 
 def test_prime_pi_refuses_past_its_bound_before_any_work(monkeypatch):
