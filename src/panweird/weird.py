@@ -34,10 +34,15 @@ with one integer rule: the primes above s/d are the primes above s // d,
 the primes below it the primes below -(-s // d), and a prime sits at the
 center exactly when d divides s and s // d is prime.
 
-The final level closes its leaves in a row: the parent m collects its leaf
-primes, sorts its divisors up to the row's largest delta once, and each
-leaf m*p takes its values by bisection, the divisors e <= delta of m and,
-when p <= delta, the p*e <= delta, instead of listing its own divisors.
+No search node lists its own divisors: each carries every divisor of its
+value down the walk.  The final level closes its leaves in a row: the
+parent m sorts its carried list once, cuts it at the row's largest delta
+and sums its prefixes, and each leaf m*p takes its values by bisection,
+the divisors e <= delta of m and, when p <= delta, the p*e <= delta.  The
+weirdness test takes values in decreasing order with their sum.  A leaf
+with p > delta, about two in five of the searches' leaves, has no p*e:
+its values are a slice of the reversed list and their sum a prefix sum,
+so it sorts and adds nothing.
 """
 
 from __future__ import annotations
@@ -127,25 +132,13 @@ def _descend(desc: list[int], target: int, budget) -> bool | None:
             return False
 
 
-def subset_sums_to(values: list[int], target: int) -> bool:
-    """Whether some subset of the (distinct) values sums exactly to target.
-
-    Witness first: a greedy pass, the branch and bound's first path, takes
-    each value that still fits in decreasing order, and a zero remainder is
-    a witness.  Otherwise the descending branch and bound runs.  Up to
-    _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when those
-    run out the exact bitset sweep decides; above the limit it runs to the
-    end.  True always comes from a witness, False from an exhausted search
-    or from the bitset.  Values above target take part in none: the
-    greedy pass and the branch and bound step over them and the sweep
-    skips them, so the walks' and searches' divisor lists, all at or below
-    their target, are never filtered first.
-    """
+def _subset_sums_desc(desc: list[int], total: int, target: int) -> bool:
+    """subset_sums_to for values already in decreasing order, total their
+    sum: the search leaves call it with both in hand."""
     if target == 0:
         return True
-    if sum(values) < target:
+    if total < target:
         return False
-    desc = sorted(values, reverse=True)
     t = target
     for v in desc:  # the greedy pass, _descend's first path
         if v <= t:
@@ -156,18 +149,35 @@ def subset_sums_to(values: list[int], target: int) -> bool:
     found = _descend(desc, target, budget)
     if found is not None:
         return found
-    # budget spent: sweep in the caller's order, not descending; on the
-    # searches' divisor lists a descending sweep is about 3x slower
+    # budget spent: sweep in increasing order; on the searches' divisor
+    # lists a decreasing sweep is about 3x slower
     mask = (1 << (target + 1)) - 1
     bits = 1
     probe = 1 << target
-    for v in values:
+    for v in reversed(desc):
         if v > target:
-            continue  # bits << v would be v bits long
+            break  # bits << v would be v bits long, and so would the rest
         bits |= (bits << v) & mask
         if bits & probe:
             return True
     return False
+
+
+def subset_sums_to(values: list[int], target: int) -> bool:
+    """Whether some subset of the (distinct) values sums exactly to target.
+
+    Witness first: a greedy pass, the branch and bound's first path, takes
+    each value that still fits in decreasing order, and a zero remainder is
+    a witness.  Otherwise the descending branch and bound runs.  Up to
+    _BITSET_LIMIT it runs under _NODE_BUDGET visited nodes, and when those
+    run out the exact bitset sweep decides, in increasing order; above the
+    limit it runs to the end.  True always comes from a witness, False from
+    an exhausted search or from the bitset.  Values above target take part
+    in none: the greedy pass and the branch and bound step over them and
+    the sweep stops at them, so the walks' and searches' divisor lists, all
+    at or below their target, are never filtered first.
+    """
+    return _subset_sums_desc(sorted(values, reverse=True), sum(values), target)
 
 
 def is_weird(f: Factorization) -> bool:
@@ -339,12 +349,20 @@ class PwnRecord:
     certified: bool
 
 
-def _weird_pairs(pairs, delta, values=None) -> bool:
-    """Whether the number with these factor pairs and abundance delta is
-    weird; values, when the caller has them, are its divisors up to delta."""
-    if values is None:
-        values = divisors_up_to(Factorization._trusted(pairs), delta)
-    return not subset_sums_to(values, delta)
+def _weird_pairs(pairs, delta, desc, total) -> bool:
+    """Whether the search leaf with these factor pairs is weird: delta is
+    its abundance, desc its divisors up to delta in decreasing order, total
+    their sum.  Every leaf of _search is decided here, so one patch of this
+    name sees each leaf with its pairs and values."""
+    return not _subset_sums_desc(desc, total, delta)
+
+
+def _deepened(divs, pair) -> list[int]:
+    """Every divisor of m*q, from divs, every divisor of m, and m's last
+    factor pair (q, e): the new ones are q times those that q^e divides."""
+    q, e = pair
+    qe = q**e
+    return divs + [q * x for x in divs if x % qe == 0]
 
 
 def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int:
@@ -354,13 +372,15 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
     v, sigma s, factor pairs and prime-power sigmas sigpps.  The mode
     decides only whether a node deepens its last prime, by the walks' step,
     classify.deepen; in both, a leaf prime must exceed reduced_center_floor,
-    the exact primitivity bound.
+    the exact primitivity bound.  Each node carries every divisor of its
+    value, unordered, down the walk: a new prime p adds p times each, and
+    deepening adds _deepened's.
     """
     count = 0
 
-    def emit(pairs, value, delta, values=None):
+    def emit(pairs, value, delta, desc, total):
         nonlocal count
-        if not _weird_pairs(pairs, delta, values):
+        if not _weird_pairs(pairs, delta, desc, total):
             return
         count += 1
         if sink is not None:
@@ -370,23 +390,26 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
                 certify and all(certifiable(q) for q, _ in pairs),
             ))
 
-    def rec(left, v, s, pairs, sigpps):
+    def rec(left, v, s, pairs, sigpps, divs):
         d = 2 * v - s
         pr = pairs[-1][0] if pairs else 1
         if general and pairs:
             delta, primitive, child = deepen(v, s, pairs, sigpps)
             if left == 1:
                 if delta > 0 and primitive:
-                    emit(child[2], child[0], delta)
+                    desc = sorted((x for x in _deepened(divs, pairs[-1]) if x <= delta),
+                                  reverse=True)
+                    emit(child[2], child[0], delta, desc, sum(desc))
             elif delta < 0:  # still deficient with one more p
-                rec(left - 1, *child)
+                rec(left - 1, *child, _deepened(divs, pairs[-1]))
         if left > 1:
             p = s // d  # the primes above it are the primes above the center
             for _ in range(amplitude):
                 p = kth_prime_above(p, 1)
                 if p <= pr:
                     continue  # slot spent on a prime already behind us
-                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
+                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,),
+                    divs + [p * x for x in divs])
             return
         p = -(-s // d)  # the primes below it are the primes below the center
         floor = reduced_center_floor(s, d, sigpps)  # a leaf prime must exceed it
@@ -405,16 +428,23 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
             return
         # the leaf v*p has delta s - p*d, largest for the row's last p; its
         # divisors up to delta are v's divisors e <= delta and, p being
-        # new, the p*e <= delta
-        divs = sorted(divisors_up_to(Factorization._trusted(pairs), s - row[-1] * d))
+        # new, the p*e <= delta, none of them among the e
+        divs = sorted(divs)
+        divs = divs[:bisect_right(divs, s - row[-1] * d)]
+        prefix = list(accumulate(divs, initial=0))  # prefix[i] = sum(divs[:i])
+        desc = divs[::-1]
         for p in row:
             delta = s - p * d
-            values = divs[:bisect_right(divs, delta)]
-            if p <= delta:
-                values += [p * e for e in divs[:bisect_right(divs, delta // p)]]
-            emit(pairs + ((p, 1),), v * p, delta, values)
+            i = bisect_right(divs, delta)
+            if p > delta:  # no p*e fits: the e <= delta, a slice of desc
+                values, total = desc[len(divs) - i:], prefix[i]
+            else:
+                j = bisect_right(divs, delta // p)
+                values = sorted(divs[:i] + [p * e for e in divs[:j]], reverse=True)
+                total = prefix[i] + p * prefix[j]
+            emit(pairs + ((p, 1),), v * p, delta, values, total)
 
-    rec(left, v, s, pairs, sigpps)
+    rec(left, v, s, pairs, sigpps, divisors_up_to(Factorization._trusted(pairs), v))
     return count
 
 

@@ -132,6 +132,39 @@ def test_stepping_across_each_witness_bound_against_sympy():
             assert kth_prime_below(x, 20) == _sympy_steps(sympy.prevprime, x, 20), x
 
 
+def test_stepping_at_the_floor_and_screen_edges_against_sympy(monkeypatch):
+    # below 65,521 a step bisects the floor's primes; past it the odd
+    # candidates with a factor 3, 5 or 7 are skipped and is_prime decides
+    # every other one; 105*j - 2 .. 105*j + 2 straddle a multiple of 105
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0x105)
+    points = list(range(65_519, 65_524)) + [65_537]
+    for _ in range(40):
+        j = rng.randrange(2**17, 2**60 + 1)
+        points += [105 * j + r for r in range(-2, 3)]
+    tested = []
+    exact = panweird.primes.is_prime
+
+    def record(n):
+        tested.append(n)
+        return exact(n)
+
+    monkeypatch.setattr(panweird.primes, "is_prime", record)
+    for n in points:
+        for step, want in ((next_prime, sympy.nextprime(n)), (_prev_prime, sympy.prevprime(n))):
+            tested.clear()
+            got = step(n)
+            assert got == want and type(got) is int, (n, step)
+            if n > 65_522:  # past the floor
+                lo, hi = (n + 1, got) if step is next_prime else (got, n - 1)
+                assert tested == sorted((c for c in range(lo | 1, hi + 1, 2)
+                                         if math.gcd(c, 105) == 1), reverse=step is _prev_prime)
+    assert _prev_prime(3) == 2 and next_prime(2) == 3
+    for n in (2, 1, 0, -7):
+        with pytest.raises(NoSuchPrime):
+            _prev_prime(n)
+
+
 def test_probabilistic_path_is_reproducible():
     p = 3317044064679887385962123        # first prime above the ceiling
     c = 2199023255579 * 3298534883417    # a semiprime above it

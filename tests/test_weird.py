@@ -125,17 +125,17 @@ def _budget_spent(vals, target):
 
 
 def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
-    # every call the two smoke searches make, replayed with the bitset
+    # every leaf the two smoke searches test, replayed with the bitset
     # deciding each target after 0 or 1 popped nodes
     calls = []
-    exact = weird.subset_sums_to
+    weird_pairs = weird._weird_pairs
 
-    def record(values, target):
-        answer = exact(values, target)
-        calls.append((list(values), target, answer))
-        return answer
+    def record(pairs, delta, desc, total):
+        answer = not weird_pairs(pairs, delta, desc, total)
+        calls.append((list(desc), delta, answer))
+        return not answer
 
-    monkeypatch.setattr(weird, "subset_sums_to", record)
+    monkeypatch.setattr(weird, "_weird_pairs", record)
     run_squarefree("2^3", 5, 6)
     run_general("2", 5, 4)
     monkeypatch.undo()
@@ -154,23 +154,63 @@ def test_subset_sums_forced_fallback_matches_on_search_calls(monkeypatch):
 
 
 def test_search_leaf_rows_match_divisors_up_to(monkeypatch):
-    # every leaf of the two smoke searches takes its values from its
-    # parent's sorted divisors; they must be its divisors up to delta
+    # every leaf of the two smoke searches takes its values from the
+    # divisors carried down the walk; they must be its divisors up to
+    # delta, in decreasing order, with their sum
     leaves = []
     weird_pairs = weird._weird_pairs
 
-    def record(pairs, delta, values=None):
-        if values is not None:
-            leaves.append((pairs, delta, list(values)))
-        return weird_pairs(pairs, delta, values)
+    def record(pairs, delta, desc, total):
+        leaves.append((pairs, delta, list(desc), total))
+        return weird_pairs(pairs, delta, desc, total)
 
     monkeypatch.setattr(weird, "_weird_pairs", record)
     found = run_squarefree("2^3", 5, 6) + run_general("2", 5, 4)
     assert found and len(leaves) > 1000
-    for pairs, delta, values in leaves:
+    for pairs, delta, values, total in leaves:
         want = divisors_up_to(Factorization._trusted(pairs), delta)
         assert len(values) == len(set(values)) and set(values) == set(want)
+        assert values == sorted(want, reverse=True) and total == sum(want)
         assert delta == abundance(Factorization._trusted(pairs))
+
+
+def test_squares_search_carries_each_leaf_parents_divisors(monkeypatch):
+    # the --squares reference search deepens interior nodes; each leaf
+    # parent sorts the divisors carried down to it and cuts them at its
+    # row's largest delta, and its row leaves draw on that list: it is the
+    # leaf values that the leaf's new prime does not divide
+    deepened, leaves = [], []
+    deepen, weird_pairs = weird._deepened, weird._weird_pairs
+
+    def record_deepened(divs, pair):
+        out = deepen(divs, pair)
+        deepened.append((list(divs), pair, out))
+        return out
+
+    def record_leaf(pairs, delta, desc, total):
+        leaves.append((pairs, delta, list(desc)))
+        return weird_pairs(pairs, delta, desc, total)
+
+    monkeypatch.setattr(weird, "_deepened", record_deepened)
+    monkeypatch.setattr(weird, "_weird_pairs", record_leaf)
+    assert len(run_general("2", 7, 4)) == 16
+    for divs, (q, e), out in deepened:
+        # the distinct divisors of max(divs) * q, as many as tau gives
+        m = max(divs)
+        assert len(set(out)) == len(out) and all(m * q % x == 0 for x in out)
+        assert len(out) * (e + 1) == len(divs) * (e + 2)
+    rows = {}
+    for pairs, delta, desc in leaves:
+        p, e = pairs[-1]
+        if e == 1:  # a row leaf, not one closed by deepening
+            top, held = rows.setdefault(pairs[:-1], [0, set()])
+            rows[pairs[:-1]][0] = max(top, delta)
+            held.update(x for x in desc if x % p)
+    assert len(rows) > 100 and len(rows) < len(leaves)
+    assert any(e > 1 for parent in rows for _, e in parent[1:])  # deepened above a row
+    for parent, (top, held) in rows.items():
+        want = sorted(divisors_up_to(Factorization._trusted(parent), top))
+        assert sorted(held) == want, parent
 
 
 def test_squarefree_search_leaves_use_the_exact_primitivity_floor(monkeypatch):
@@ -180,9 +220,9 @@ def test_squarefree_search_leaves_use_the_exact_primitivity_floor(monkeypatch):
     leaves = []
     weird_pairs = weird._weird_pairs
 
-    def record(pairs, delta, values=None):
+    def record(pairs, delta, desc, total):
         leaves.append(str(Factorization._trusted(pairs)))
-        return weird_pairs(pairs, delta, values)
+        return weird_pairs(pairs, delta, desc, total)
 
     monkeypatch.setattr(weird, "_weird_pairs", record)
     assert run_squarefree("2^3", 2, 2) == []
@@ -226,6 +266,26 @@ def test_subset_sums_random_lists_against_set_sweep(monkeypatch):
         monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
         for vals, target, want in cases:
             assert subset_sums_to(vals, target) == want
+
+
+def test_presorted_subset_sums_against_all_subset_sums(monkeypatch):
+    # the routine the search leaves call, with values in decreasing order
+    # and their sum given; some values exceed their target
+    rng = random.Random(0xDE5C)
+    cases = []
+    for _ in range(60):
+        desc = sorted(rng.sample(range(1, 600), rng.randrange(1, 26)), reverse=True)
+        sums = _all_subset_sums(desc)
+        total = sum(desc)
+        for target in (rng.choice(sorted(sums)), rng.randrange(0, total + 2), total,
+                       total + 1, 0, desc[0] - 1):
+            cases.append((desc, total, target, target in sums))
+    wants = [want for *_, want in cases]
+    assert True in wants and False in wants
+    for budget in (weird._NODE_BUDGET, 0):
+        monkeypatch.setattr(weird, "_NODE_BUDGET", budget)
+        for desc, total, target, want in cases:
+            assert weird._subset_sums_desc(desc, total, target) == want, (desc, target)
 
 
 def _descended(monkeypatch, vals, target):
