@@ -10,8 +10,8 @@ For a prime p new to deficient m, with s = sigma(m) and d its deficiency,
 m*p has abundance s - p*d, so it is non-deficient exactly when p <= s // d,
 and primitive exactly when p also exceeds reduced_center_floor: p clears
 every reduced center, center(m/q).  same_prime_extension decides m*p for a
-p that already divides m, and deepen applies it to a node's last prime: the
-one deepening step of both walks and both searches.
+p that already divides m, and deepen applies it to a node's last prime.
+children, the one child step of both walks and both searches, builds on it.
 """
 
 from __future__ import annotations
@@ -88,10 +88,23 @@ def deepen(v: int, s: int, pairs, sigpps):
     """m*p for the last prime p of the deficient node m: (delta, primitive,
     child), where delta and primitive are same_prime_extension's and child
     is the node (v, s, pairs, sigpps) of m*p, as the walks and searches
-    hold nodes.  The walks and searches descend into child only while
-    delta < 0; a non-deficient m*p has no primitive extension."""
+    hold nodes.  children yields child only while delta < 0; the searches'
+    leaves complete with it when delta > 0 and primitive."""
     p, e = pairs[-1]
     spp = sigpps[-1]
     delta, primitive = same_prime_extension(s, 2 * v - s, p, spp, sigpps[:-1])
     return delta, primitive, (v * p, 2 * v * p + delta, pairs[:-1] + ((p, e + 1),),
                               sigpps[:-1] + (spp * p + 1,))
+
+
+def children(general: bool, v: int, s: int, pairs, sigpps, primes):
+    """The children of the deficient node m = (v, s, pairs, sigpps) in walk
+    order: (None, child) for deepen's child while it is deficient (general
+    only), then (p, child) for m*p, p each new prime of the caller's
+    iterable primes.  The only place a child node is built."""
+    if general and pairs:
+        delta, _, child = deepen(v, s, pairs, sigpps)
+        if delta < 0:  # a non-deficient m*p has no primitive extension
+            yield None, child
+    for p in primes:
+        yield p, (v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))

@@ -27,39 +27,39 @@ Every row closes in one array kernel, _Batch, whose docstring holds the
 leaf contract: one call takes the rows of several parents, and its
 in-order scan then does all that has effects.  The leaf parents under a
 node with three factors left, its deepened child first (pndn) and then its
-new primes, share batches: the first holds the first new prime and the
-deepened child before it, and each next one twice as many parents, up to
-what _BATCH leaves hold.  A node with one or two factors left and each
-further row are batches of one.  A parent's further rows close before the
-next parent is scanned, then on_stop, and a parent past the node's first
-barren new-prime child does nothing at all.  So the benchmark's count-k7
-repetition makes 327 kernel calls and unseeded pndn(7) makes 1,546.  The
-deepened leaf of a leaf parent (pndn) joins the parent's first row as its
-head; a seed with one factor left is a row of just that head.  Records
-come from a plain in-order loop over the closed leaves, which lists each
-interval's primes.
+new primes, share batches: the first holds two of them when pndn has a
+last prime to deepen and one otherwise, each next one twice as many
+parents, up to what _BATCH leaves hold.  A node with one or two factors
+left and each further row are batches of one.  A parent's further rows
+close before the next parent is scanned, then on_stop, and a parent past
+the node's first barren new-prime child does nothing at all.  So the
+benchmark's count-k7 repetition makes 324 kernel calls and unseeded
+pndn(7) makes 1,543.  The deepened leaf of a leaf parent (pndn) joins the
+parent's first row as its head; a seed with one factor left is a row of
+just that head.  Records come from a plain in-order loop over the closed
+leaves, which lists each interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
 
 A node is (left, v, s, pairs, sigpps), as in the searches; pairs and
-sigpps are tuples, so a child is built anew and nothing is undone.  Every
-predicate is decided by integer cross-multiplication: delta(m*p) =
-sigma(m) - p*deficiency(m) for a new prime p makes the leaf trichotomy one
-multiply, and classify.deepen decides the child that takes the last prime
-once more, as the searches' deepening step does.
+sigpps are tuples, so a child is built anew and nothing is undone, by
+classify.children, the searches' child step too, which also gives each
+leaf parent its head.  Every predicate is decided by integer
+cross-multiplication: delta(m*p) = sigma(m) - p*deficiency(m) for a new
+prime p makes the leaf trichotomy one multiply.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .arith import Factorization, seed_state
-from .classify import NumberClass, center_floor, deepen, same_prime_abundance
+from .classify import NumberClass, center_floor, children, same_prime_abundance
 from .errors import CeilingExceeded
 from .primes import (
     _DEFAULT_CEILING,
@@ -285,15 +285,6 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             sink(EnumRecord(Factorization._trusted(pairs),
                             NumberClass.from_abundance(delta), delta))
 
-    def deepened(v, s, pairs, sigpps):
-        """The node's child (v, s, pairs, sigpps) that takes its last prime
-        p once more, while m*p stays deficient (pndn), or None."""
-        if general and pairs:
-            delta, _, child = deepen(v, s, pairs, sigpps)
-            if delta < 0:  # perfect or abundant m*p would be sterile
-                return child
-        return None
-
     def above(s, d, pairs):
         """The node's new primes lie above this: above s // d, so above
         center(m), and above its last prime."""
@@ -312,7 +303,7 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
         first row as its head, closed first and never a stop, so it pays no
         row of its own."""
         d = 2 * v - s
-        deeper = deepened(v, s, pairs, sigpps)
+        deeper = next(children(general, v, s, pairs, sigpps, ()), (None, None))[1]
         # A new prime p > 2s/d leaves upper <= p and a deficient m*p^2, so its
         # leaf is barren: the rows end at the first such prime at the latest.
         bound = 2 * s // d
@@ -363,21 +354,20 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             yield ca, cp, found
 
     def batched(kids, size):
-        """Yield (p, totals) for each of kids, leaf parents as walk yields
-        them, in order: closed in batches of size of them, then of twice as
+        """Yield (p, totals) for each of kids, leaf parents as children
+        yields them, in order: closed in batches of size of them, then of twice as
         many each time, up to what _BATCH leaves hold."""
         while True:
             batch = list(islice(kids, size))
-            yield from zip([p for p, *_ in batch], closed([leaf_parent(*c) for _, *c in batch]))
+            yield from zip([p for p, _ in batch], closed([leaf_parent(*c) for _, c in batch]))
             size = min(2 * size, _BATCH // (_ROW + 1))
 
     def walk(k, v, s, pairs, sigpps):
         """One level.  A node with one factor left is a lone head, a leaf
-        parent a batch of one.  Any other level deepens the last prime
-        (pndn) and then scans new primes above center(m) up to the first
-        barren subtree; at k == 3 those children are leaf parents, closed in
-        batches: the first holds the new prime and the deepened child before
-        it."""
+        parent a batch of one.  Any other level draws its children, the
+        deepened last prime (pndn) and then new primes above center(m), up
+        to the first barren subtree; at k == 3 they are leaf parents,
+        closed in batches."""
         if k == 1:
             if not pairs:
                 return 0, 0, False  # m = 1: no prime lies at or below center(1) = 1
@@ -385,15 +375,12 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
             return close(_Batch(general, [row], ceiling, prime_table()), 0, pairs, pairs)[:3]
         if k == 2:
             return next(closed([leaf_parent(v, s, pairs, sigpps)]))
-        d = 2 * v - s
-        deeper = deepened(v, s, pairs, sigpps)
-        kids = chain([(None, *deeper)] if deeper else [],
-                     ((p, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,))
-                      for p in iter_primes_above(above(s, d, pairs))))
+        kids = children(general, v, s, pairs, sigpps,
+                        iter_primes_above(above(s, 2 * v - s, pairs)))
         if k == 3:
-            kids = batched(kids, 1 + (deeper is not None))
+            kids = batched(kids, 2 if general and pairs else 1)
         else:
-            kids = ((p, walk(k - 1, *child)) for p, *child in kids)
+            kids = ((p, walk(k - 1, *child)) for p, child in kids)
         ca = cp = 0
         found = False
         stop = None  # the first prime whose subtree is barren

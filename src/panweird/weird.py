@@ -15,19 +15,20 @@ runs first, as one plain pass over the sorted values, before any suffix sum
 or stack is built.  Every later path runs as a plain loop too, and only
 skipped branches wait on a stack.
 
-Search trees follow the enumeration recursions but replace the open-ended
-prime scans with windows around the center: an interior level tries the
-first `amplitude` primes above center(m), the final level the last
-`amplitude` primes below it.  Window slots shadowed by earlier factors are
-skipped but still spent, so every emitted number has all index magnitudes
-within the amplitude, and widening the amplitude only adds emissions.  A
-record's index sequence is its codec encoding, encode_index_sequence of
-its factorization: the window's j-th slot is the j-th prime the codec
-counts from the same center.  Both searches start from search_start:
-arith.seed_state, as the enumeration walks do, and the amplitude check;
-both close leaves with the walks' primitivity floor, reduced_center_floor.
-The codec steps at most MAX_INDEX primes from a center, and an amplitude
-may not exceed it, so every search record stays encodable.
+Search trees follow the enumeration recursions, through their child step
+classify.children, but replace the open-ended prime scans with windows
+around the center: an interior level tries the first `amplitude` primes
+above center(m), the final level the last `amplitude` primes below it.
+Window slots shadowed by earlier factors are skipped but still spent, so
+every emitted number has all index magnitudes within the amplitude, and
+widening the amplitude only adds emissions.  A record's index sequence is
+its codec encoding, encode_index_sequence of its factorization: the
+window's j-th slot is the j-th prime the codec counts from the same center.
+Both searches start from search_start: arith.seed_state, as the enumeration
+walks do, and the amplitude check; both close leaves with the walks'
+primitivity floor, reduced_center_floor.  The codec steps at most MAX_INDEX
+primes from a center, and an amplitude may not exceed it, so every search
+record stays encodable.
 
 Centers s/d are never built as ratios.  The searches and the codec step
 with one integer rule: the primes above s/d are the primes above s // d,
@@ -50,7 +51,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .arith import (
     MAX_INPUT_BITS,
@@ -61,7 +62,7 @@ from .arith import (
     seed_state,
     sigma_prime_power,
 )
-from .classify import deepen, reduced_center_floor
+from .classify import children, deepen, reduced_center_floor
 from .errors import (
     CeilingExceeded,
     InvalidSequence,
@@ -73,6 +74,7 @@ from .errors import (
 from .primes import (
     certifiable,
     is_prime,
+    iter_primes_above,
     kth_prime_above,
     kth_prime_below,
 )
@@ -369,12 +371,13 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
     """Amplitude-windowed walk behind both searches; general picks the mode.
 
     It starts from a seed_state: left factors to add to the seed with value
-    v, sigma s, factor pairs and prime-power sigmas sigpps.  The mode
-    decides only whether a node deepens its last prime, by the walks' step,
-    classify.deepen; in both, a leaf prime must exceed reduced_center_floor,
-    the exact primitivity bound.  Each node carries every divisor of its
-    value, unordered, down the walk: a new prime p adds p times each, and
-    deepening adds _deepened's.
+    v, sigma s, factor pairs and prime-power sigmas sigpps.  The interior
+    takes the walks' child step, classify.children, over its window; the
+    mode decides only whether a node deepens its last prime.  In both, a
+    leaf prime must exceed reduced_center_floor, the exact primitivity
+    bound.  Each node carries every divisor of its value, unordered, down
+    the walk: a new prime p adds p times each, and deepening adds
+    _deepened's.
     """
     count = 0
 
@@ -393,24 +396,19 @@ def _search(general, left, v, s, pairs, sigpps, sink, amplitude, certify) -> int
     def rec(left, v, s, pairs, sigpps, divs):
         d = 2 * v - s
         pr = pairs[-1][0] if pairs else 1
+        if left > 1:
+            # the primes above the center; a slot on a prime behind us is spent
+            window = (p for p in islice(iter_primes_above(s // d), amplitude) if p > pr)
+            for p, child in children(general, v, s, pairs, sigpps, window):
+                rec(left - 1, *child,
+                    _deepened(divs, pairs[-1]) if p is None else divs + [p * x for x in divs])
+            return
         if general and pairs:
             delta, primitive, child = deepen(v, s, pairs, sigpps)
-            if left == 1:
-                if delta > 0 and primitive:
-                    desc = sorted((x for x in _deepened(divs, pairs[-1]) if x <= delta),
-                                  reverse=True)
-                    emit(child[2], child[0], delta, desc, sum(desc))
-            elif delta < 0:  # still deficient with one more p
-                rec(left - 1, *child, _deepened(divs, pairs[-1]))
-        if left > 1:
-            p = s // d  # the primes above it are the primes above the center
-            for _ in range(amplitude):
-                p = kth_prime_above(p, 1)
-                if p <= pr:
-                    continue  # slot spent on a prime already behind us
-                rec(left - 1, v * p, s * (p + 1), pairs + ((p, 1),), sigpps + (p + 1,),
-                    divs + [p * x for x in divs])
-            return
+            if delta > 0 and primitive:
+                desc = sorted((x for x in _deepened(divs, pairs[-1]) if x <= delta),
+                              reverse=True)
+                emit(child[2], child[0], delta, desc, sum(desc))
         p = -(-s // d)  # the primes below it are the primes below the center
         floor = reduced_center_floor(s, d, sigpps)  # a leaf prime must exceed it
         row = []  # the leaf primes, from the center down

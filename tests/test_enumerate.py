@@ -21,8 +21,8 @@ from panweird import (
     sfpan,
     sigma,
 )
-from panweird.arith import seed_state
-from panweird.classify import reduced_center_floor, same_prime_extension
+from panweird.arith import seed_state, sigma_prime_power
+from panweird.classify import children, reduced_center_floor, same_prime_extension
 from panweird.enumerate import _ROW, _Batch, _row_primes
 from panweird.primes import (
     _CACHE_CAP, PI_BOUND, PrimeTable, _floor, _table, next_prime, primes_in_closed,
@@ -298,6 +298,44 @@ def walk_children(general, node, odd_only):
     start = max(math.floor(center(node)), last[0], 2 if odd_only else 0)
     for p in iter_primes_above(start):
         yield Factorization(node.factors + ((p, 1),)), True
+
+
+def test_children_match_the_walk_children_oracle():
+    # classify.children, fed the walk's new primes, yields the oracle's
+    # children in order, each node as the walks and searches hold it
+    def node_of(f):
+        return (f.value, sigma(f), f.factors,
+                tuple(sigma_prime_power(q, e) for q, e in f.factors))
+
+    rng = random.Random(27)
+    squares = sterile = 0
+    for odd_only in (False, True):
+        # random descents of the walk's own tree from m = 1, through one of
+        # each node's first two children, until 20 nodes whose deepened
+        # child is not deficient are among them
+        nodes, deep = [F("1")], 0
+        while deep < 20:
+            node = F("1")
+            for _ in range(rng.randrange(1, 8)):
+                node = rng.choice(list(islice(walk_children(True, node, odd_only), 2)))[0]
+                if next(walk_children(True, node, odd_only))[1]:
+                    nodes.append(node)
+                    deep += 1
+                elif len(nodes) < 300:
+                    nodes.append(node)
+        for general in (True, False):
+            for node in nodes:
+                v, s, pairs, sigpps = node_of(node)
+                start = max(s // (2 * v - s), pairs[-1][0] if pairs else 0,
+                            2 if odd_only else 0)
+                got = list(islice(children(general, v, s, pairs, sigpps,
+                                           iter_primes_above(start)), 20))
+                want = [(f.factors[-1][0] if new_prime else None, node_of(f))
+                        for f, new_prime in islice(walk_children(general, node, odd_only), 20)]
+                assert got == want, (general, node, odd_only)
+                squares += any(e > 1 for _, e in pairs)
+                sterile += general and bool(pairs) and got[0][0] is not None
+    assert squares > 100 and sterile >= 40
 
 
 def test_shard_children_partition_the_count():

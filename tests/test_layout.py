@@ -8,6 +8,9 @@ The public Factorization constructor and Factorization.parse test every
 base for primality, so the walk and the search, which build one
 factorization per node or record, use Factorization._trusted instead.
 
+classify.children is the one child step of the walks and the searches, so
+no other module extends a node's prime-power sigmas with `sigpps + ...`.
+
 Every name in panweird.__all__ resolves, once, so `from panweird import *`
 works.  Every other module-level function, class and constant is named by
 some other statement of the package, so no dead entry point lingers."""
@@ -55,6 +58,22 @@ def test_hot_modules_never_build_checked_factorizations():
                 and func.value.id == "Factorization"
             ):
                 offenders.append("%s:%d" % (name, node.lineno))
+    assert offenders == []
+
+
+def test_only_classify_builds_child_nodes():
+    def is_sigpps(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "sigpps"
+
+    paths = sorted(SRC.glob("*.py"))
+    offenders = [
+        "%s:%d" % (path.name, node.lineno) for path in paths if path.name != "classify.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (is_sigpps(node.left) or is_sigpps(node.right))
+    ]
     assert offenders == []
 
 

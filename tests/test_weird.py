@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import partial
 
@@ -211,6 +212,25 @@ def test_squares_search_carries_each_leaf_parents_divisors(monkeypatch):
     for parent, (top, held) in rows.items():
         want = sorted(divisors_up_to(Factorization._trusted(parent), top))
         assert sorted(held) == want, parent
+
+
+def test_search_traversal_is_pinned_leaf_by_leaf(monkeypatch):
+    # the record pins see only the weird leaves; this digest sees every
+    # leaf the two reference searches test, in order, with its abundance
+    # and the sum of its values
+    leaves = []
+    weird_pairs = weird._weird_pairs
+
+    def record(pairs, delta, desc, total):
+        leaves.append((pairs, delta, total))
+        return weird_pairs(pairs, delta, desc, total)
+
+    monkeypatch.setattr(weird, "_weird_pairs", record)
+    pwn_search_squarefree(6, "2^3", amplitude=6)
+    pwn_search_general(7, "2", amplitude=4)
+    digest = hashlib.sha256(b"".join(repr(leaf).encode() for leaf in leaves)).hexdigest()
+    assert len(leaves) == 11_982
+    assert digest == "1d0f257cc0d3d6f9d8a750d2aadb1de643187e6ea96698f3c403c56c65f8f1ad"
 
 
 def test_squarefree_search_leaves_use_the_exact_primitivity_floor(monkeypatch):
