@@ -25,16 +25,19 @@ row that ends below 2^16, as nearly all do, is one slice of the floor's
 prime array, and one that ends inside the prime table one decode of it.
 Every row closes in one array kernel, _Batch, whose docstring holds the
 leaf contract: one call takes the rows of several parents, and its
-in-order scan then does all that has effects.  The leaf parents under a
-node with three factors left, its deepened child first (pndn) and then its
-new primes, share batches: the first holds two of them when pndn has a
-last prime to deepen and one otherwise, each next one twice as many
-parents, up to what _BATCH leaves hold.  A node with one or two factors
-left and each further row are batches of one.  A parent's further rows
-close before the next parent is scanned, then on_stop, and a parent past
-the node's first barren new-prime child does nothing at all.  So the
-benchmark's count-k7 repetition makes 324 kernel calls and unseeded
-pndn(7) makes 1,543.  The deepened leaf of a leaf parent (pndn) joins the
+in-order scan then does all that has effects, its counts past the table
+in one count_in_closed_many call per row.  Calls are sized by leaves.
+The leaf parents under a node with three factors left, its deepened child
+first (pndn) and then its new primes, share batches: the first holds two
+of them when pndn has a last prime to deepen and one otherwise, each next
+one twice as many parents, and a batch ends early once its first rows
+hold _BATCH leaves.  A first row holds up to _ROW primes, and a parent's
+further rows twice as many each time, up to _BATCH; a node with one or two
+factors left and each further row are batches of one.  A parent's further
+rows close before the next parent is scanned, then on_stop, and a parent
+past the node's first barren new-prime child does nothing at all.  So the
+benchmark's count-k7 repetition makes 204 kernel calls and unseeded
+pndn(7) makes 925.  The deepened leaf of a leaf parent (pndn) joins the
 parent's first row as its head; a seed with one factor left is a row of
 just that head.  Records come from a plain in-order loop over the closed
 leaves, which lists each interval's primes.
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -65,9 +67,10 @@ from .primes import (
     _DEFAULT_CEILING,
     PI_BOUND,
     _floor,
-    count_in_closed,
+    count_in_closed_many,
     is_prime,
     iter_primes_above,
+    next_prime,
     prime_table,
     primes_in_closed,
 )
@@ -98,9 +101,13 @@ class EnumOutcome:
     found: bool = False
 
 
-_ROW = 256  # new primes per row at most, to bound its memory; most leaf parents fit in one
-# Leaves per kernel call at most, which bounds its arrays' memory: a batch
-# takes as many leaf parents as full first rows and heads would fill.
+# New primes per first row at most; most leaf parents fit in one.  512
+# takes a count-k7 repetition from 247 kernel calls (at 256) to 204, and
+# 1,024 only to 190 (BENCH_row_batches.json).
+_ROW = 512
+# Leaves per batch of first rows, which bounds its arrays' memory: a batch
+# takes leaf parents until their rows and heads fill this, and a parent's
+# further rows grow to this many primes.
 _BATCH = 4096
 # A row computes in int64 when (P + 1) * (P*d + s), for its largest prime P
 # and its parent's s and d, stays below this, and (p + 1) * (s + d) does for
@@ -130,10 +137,13 @@ class _Batch:
 
     The pass has no side effects, and its columns run past every row's
     stop.  One pi call on table answers pi(p), pi(lo - 1) and pi(upper)
-    for every leaf whose upper lies in it, each bound in [2, table.limit].
-    scan(i) then closes row i in order through its first barren leaf; a
-    leaf past the table counts with count_in_closed once the scan reaches
-    it, so a row never counts, nor reports a ceiling, past its stop.
+    for every leaf whose upper lies in it, each bound in [2, table.limit];
+    for a pending leaf, whose upper lies past it, the same call with each
+    bound cut at the limit tells whether the table holds a prime of its
+    intervals (held).  scan(i) then closes row i in order through its first
+    barren leaf, deciding whether a pending leaf stops the row before it
+    counts any, so a row never counts, nor reports a ceiling, past its
+    stop.
 
     acc holds each leaf's (ca, cp, found), read for closed leaves only.
     cols are the emission loop's columns (p, s, d, lo, upper, delta, prim):
@@ -170,10 +180,14 @@ class _Batch:
         lo = np.maximum(center_floor(sl, dl, np.maximum(spp, om)) + 1, p1)
         live = upper > p
         tab = live & (upper <= table.limit)
-        r = np.zeros((3, len(p)), np.int64)  # pi(p), pi(lo - 1), pi(upper) for the leaves in the table
+        r = np.zeros((3, len(p)), np.int64)  # pi(p), pi(lo - 1), pi(upper), each cut at the limit
         if table.limit:
             bounds = np.array((p, np.minimum(lo - 1, upper), upper))
-            r = table.pi(np.maximum(np.minimum(bounds, table.limit), 2)).astype(np.int64) * tab
+            r = table.pi(np.maximum(np.minimum(bounds, table.limit), 2)).astype(np.int64)
+        # a prime in (p, upper], and one in [lo, upper], that the table holds
+        self.held = r[2] > r[0], r[2] > r[1]
+        self.limit = table.limit
+        r *= tab
         n_all = r[2] - r[0]  # the primes in (p, upper]
         self.acc = np.zeros((3, len(p)), np.int64)
         ca, cp, found = self.acc
@@ -209,11 +223,19 @@ class _Batch:
         stop, or the whole row when none is barren, or up to the leaf whose
         bound over lies above the ceiling, which the caller raises once it
         has emitted the closed leaves.  ca, cp and found are the row's
-        totals over its closed leaves."""
+        totals over its closed leaves.
+
+        A pending leaf stops the row, unless it is the head, when no prime
+        completes it: in pndn when it has no same-prime gain and no prime
+        lies in (p, upper], in sfpan when none lies in [lo, upper].  The
+        table's share of the interval or one next_prime decides that; then
+        one count_in_closed_many call counts the pending leaves through the
+        stop, (p, upper] and then (p, lo - 1] of each in turn."""
         a, b = self.first[i], self.first[i + 1]
         ca, cp, found = self.acc
         p, _, _, lo, upper, _, _ = self.cols
         n, stop, over = b - a, None, None
+        pending = []
         for j in self.events[bisect_left(self.events, a):]:
             if j >= b:
                 break
@@ -222,46 +244,58 @@ class _Batch:
                 break
             if self.pend[j]:
                 x, y, z = int(p[j]) + 1, int(lo[j]), int(upper[j])
-                n_all = count_in_closed(x, z)
-                n_in = n_all - count_in_closed(x, y - 1) if y <= z else 0
-                if n_in and self.general and self.centered[j] and is_prime(z):
-                    n_in -= 1
-                    cp[j] += 1
-                ca[j] += n_in
-                found[j] |= n_all > 0
-                if j in self.heads or (found[j] if self.general else n_in):
-                    continue  # the head never stops the row, nor does a leaf with a completion
+                pending.append((j, x, y, z))
+                if j in self.heads:
+                    continue  # the head never stops the row
+                if self.general:
+                    if found[j] or self.held[0][j] or next_prime(max(x - 1, self.limit)) <= z:
+                        continue
+                elif y <= z and (self.held[1][j] or next_prime(max(y - 1, self.limit)) <= z):
+                    continue
             n, stop = j - a + 1, int(p[j])
             break
+        if pending:
+            intervals = []
+            for _, x, y, z in pending:
+                intervals += ((x, z), (x, y - 1)) if y <= z else ((x, z),)
+            counts = iter(count_in_closed_many(intervals))
+        for j, x, y, z in pending:
+            n_all = next(counts)
+            n_in = n_all - next(counts) if y <= z else 0
+            if n_in and self.general and self.centered[j] and is_prime(z):
+                n_in -= 1
+                cp[j] += 1
+            ca[j] += n_in
+            found[j] |= n_all > 0
         sca, scp, sfound = self.acc[:, a : a + n].sum(axis=1).tolist()
         return n, stop, over, sca, scp, sfound > 0
 
 
-def _row_primes(start, bound):
-    """A leaf parent's row: up to _ROW primes above start, increasing,
+def _row_primes(start, bound, size=_ROW):
+    """A leaf parent's row: up to size primes above start, increasing,
     through the first one past bound.  A row that ends in the floor's
     array, as nearly all do, is one slice of it.  Past the floor, the table
-    as it stands is decoded once, up to _ROW past bound or past
-    start + _ROW * log2(start), whichever is less: that spans about 1.44
-    times _ROW primes.  When the decode holds _ROW primes or one past bound,
+    as it stands is decoded once, up to size past bound or past
+    start + size * log2(start), whichever is less: that spans about 1.44
+    times size primes.  When the decode holds size primes or one past bound,
     it gives the row; any other row is stepped with iter_primes_above, into
     a list of ints."""
     floor = _floor()
     i = int(floor.searchsorted(start, side="right"))
     j = int(floor.searchsorted(max(start, bound), side="right"))  # the first prime past bound
-    if j < len(floor) or i + _ROW <= len(floor):
-        return floor[i : min(i + _ROW, j + 1)]
+    if j < len(floor) or i + size <= len(floor):
+        return floor[i : min(i + size, j + 1)]
     table = prime_table()
-    end = min(max(start, bound), start + _ROW * start.bit_length()) + _ROW
+    end = min(max(start, bound), start + size * start.bit_length()) + size
     if end <= table.limit:
         row = table.primes(start + 1, end)
         j = int(row.searchsorted(bound, side="right"))
-        if j < len(row) or len(row) >= _ROW:
-            return row[: min(_ROW, j + 1)]
+        if j < len(row) or len(row) >= size:
+            return row[: min(size, j + 1)]
     row = []
     for q in iter_primes_above(start):
         row.append(q)
-        if q > bound or len(row) == _ROW:
+        if q > bound or len(row) == size:
             return row
 
 
@@ -344,8 +378,10 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
         batch = _Batch(general, [row for _, row, _, _ in parents], ceiling, prime_table())
         for i, (pairs, (ps, s, d, omax, _), bound, hpairs) in enumerate(parents):
             ca, cp, found, stop = close(batch, i, pairs, hpairs)
+            size = _ROW
             while stop is None:
-                ps = _row_primes(int(ps[-1]), bound)
+                size = min(2 * size, _BATCH)
+                ps = _row_primes(int(ps[-1]), bound, size)
                 more = _Batch(general, [(ps, s, d, omax, None)], ceiling, prime_table())
                 sca, scp, sfound, stop = close(more, 0, pairs, None)
                 ca, cp, found = ca + sca, cp + scp, found or sfound
@@ -355,12 +391,20 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
 
     def batched(kids, size):
         """Yield (p, totals) for each of kids, leaf parents as children
-        yields them, in order: closed in batches of size of them, then of twice as
-        many each time, up to what _BATCH leaves hold."""
+        yields them, in order: closed in batches of size of them, then of
+        twice as many each time, a batch ending early once its first rows
+        hold _BATCH leaves."""
         while True:
-            batch = list(islice(kids, size))
-            yield from zip([p for p, _ in batch], closed([leaf_parent(*c) for _, c in batch]))
-            size = min(2 * size, _BATCH // (_ROW + 1))
+            ps, parents, leaves = [], [], 0
+            for p, c in kids:
+                ps.append(p)
+                parents.append(leaf_parent(*c))
+                row = parents[-1][1]
+                leaves += len(row[0]) + (row[4] is not None)
+                if len(ps) == size or leaves >= _BATCH:
+                    break
+            yield from zip(ps, closed(parents))
+            size *= 2
 
     def walk(k, v, s, pairs, sigpps):
         """One level.  A node with one factor left is a lone head, a leaf

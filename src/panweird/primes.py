@@ -16,15 +16,21 @@ $XDG_CACHE_HOME/panweird (or ~/.cache/panweird) and loaded instead of
 sieved, but only when the file's sha256 is _CAP_SHA256, the digest compiled
 in here; any other file counts as absent.  A sieve that reaches the cap is
 checked against that digest too, and then written for the next process.
-Only counting grows the table: prime_pi(x) reads x's rank; past the table,
-nothing is sieved.  Lucy_Hedgehog's recurrence starts from the wheel of
-the primes up to 13 and runs over the primes up to x^(1/4); Lehmer's P2
-and P3 sums then read their pi values off the table's ranks, which reach
-them for x up to about 2.7 * 10^10.  Past that the recurrence runs to
-cbrt(x) and Meissel's P2 sum reads its own array.  The primes come decoded
-from the bits; it takes O(x^(3/4)) time and under three sqrt(x)-long
-int64 arrays, for x up to PI_BOUND.  A count over [lo, hi] is
-prime_pi(hi) - prime_pi(lo - 1).
+Only counting grows the table, and every count goes through
+count_in_closed_many: a count over [lo, hi] is pi(hi) - pi(lo - 1), and
+prime_pi and count_in_closed are batches of one.  A call reads the ranks
+of all its bounds in the table at once; past the table, nothing is
+sieved.  Its bounds past the table share one run of Lucy_Hedgehog's
+recurrence, started from the wheel of the primes up to 13 and run over the
+primes up to x^(1/4): the run keeps one dense int32 array of counts up to
+the largest sqrt(x), and each x adds only the squarefree products of the
+primes from 17 to x^(1/4).  Lehmer's P2 sum then reads its pi values off
+the table's ranks, which reach them for x up to about 2.7 * 10^10, and
+P3 off that dense array.  Past that bound, x by x, the recurrence runs to
+cbrt(x) over the i <= sqrt(x) prime to the wheel, and Meissel's P2 sum
+reads its own entries.  The primes come decoded from the bits; it takes
+O(x^(3/4)) time per x and, for one x, about two sqrt(x)-long int64
+arrays' worth of memory, for x up to PI_BOUND.
 Every step to a neighbouring prime is next_prime (up) or _prev_prime
 (down); kth_prime_above and kth_prime_below take k of them.  Below the
 floor's last prime, 65,521, a step is one bisect of the primes up to the
@@ -335,15 +341,8 @@ def prime_table() -> PrimeTable:
 
 
 def prime_pi(x: int) -> int:
-    """Number of primes <= x: a table lookup, or Lucy's recurrence past it."""
-    if x < 2:
-        return 0
-    if x > PI_BOUND:
-        raise CeilingExceeded("pi(%d) above the bound %d" % (x, PI_BOUND))
-    t = _table(x)
-    if x <= t.limit:
-        return int(t.pi(x))
-    return _lucy_pi(x, t)
+    """Number of primes <= x: count_in_closed_many's batch of one."""
+    return count_in_closed_many([(2, x)])[0]
 
 
 # The wheel of the first six primes: phi(y, 6), the count of n in [1, y]
@@ -365,8 +364,16 @@ def _wheel() -> np.ndarray:
     return _wheel_counts
 
 
-def _lucy_pi(x: int, table: PrimeTable) -> int:
-    """pi(x) for x >= 2^16, from table, which holds every prime <= isqrt(x).
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lens[k] - 1 for each k in
+    turn, as one int64 array."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1], dtype=np.int64) + np.repeat(starts - ends + lens, lens)
+
+
+def _lucy_pi(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
+    """pi(x) for every x of xs, sorted, distinct and each above 2^16, from
+    table, which holds every prime <= isqrt(x).
 
     S(v, a) counts the numbers in [2, v] that are prime or have no prime
     factor among the first a primes; _sieved_counts gives S(x // i, a) for
@@ -374,93 +381,162 @@ def _lucy_pi(x: int, table: PrimeTable) -> int:
     formula (1959) is pi(x) = S(x, a) - P2 - P3: P2 sums
     pi(x // p) - pi(p) + 1 over the primes p in (x^(1/4), sqrt(x)], P3 sums
     pi(x // (p*q)) - pi(q) + 1 over the primes p <= q with p in
-    (x^(1/4), cbrt(x)] and p*q*q <= x.  No argument exceeds x // p, p the
-    least prime above x^(1/4); when the table answers that, each sum is one
-    rank call, and the recurrence needs S(x // i) only at the squarefree
-    products i of the primes from 17 to x^(1/4).  Past that bound the
-    recurrence runs to a = pi(cbrt(x)) at every i prime to 2*3*5*7*11*13,
-    and Meissel's pi(x) = S(x, a) - P2 reads every pi(x // p) off it.
+    (x^(1/4), cbrt(x)] and p*q*q <= x.  Every P3 argument is below sqrt(x),
+    where the recurrence leaves pi, and no P2 argument exceeds x // p, p the
+    least prime above x^(1/4).  The x for which the table answers that
+    share one recurrence, which needs S(x // i) only at the squarefree
+    products i of the primes from 17 to x^(1/4); then each x's P2 is one
+    rank call and its P3 one read of the recurrence's dense counts.  Past
+    that bound, x by x, the recurrence runs to a = pi(cbrt(x)) at every i
+    prime to 2*3*5*7*11*13, and Meissel's pi(x) = S(x, a) - P2 reads every
+    pi(x // p) off it.
     """
-    r = isqrt(x)
-    primes = table.primes(2, r)
+    r = np.array([isqrt(x) for x in xs.tolist()], dtype=np.int64)
+    primes = table.primes(2, int(r[-1]))
     sq = primes * primes
-    a = int(np.count_nonzero(sq <= x // sq))  # p^4 <= x
-    c = int(np.count_nonzero(sq <= x // primes))  # p^3 <= x
-    if x // int(primes[a]) > table.limit:
+    a = sq.searchsorted(r, side="right")  # p^4 <= x, that is p^2 <= isqrt(x)
+    # p^3 <= x; cbrt(PI_BOUND) < 2^16
+    c = (primes[: primes.searchsorted(1 << 16)] ** 3).searchsorted(xs, side="right")
+    pr = primes.searchsorted(r, side="right")
+    pis = np.empty(len(xs), dtype=np.int64)
+    lehmer = xs // primes[a] <= table.limit
+    for k in (~lehmer).nonzero()[0].tolist():
         prime_to = np.diff(_wheel(), prepend=0).astype(bool)  # i prime to the wheel
-        large = _sieved_counts(x, primes[:c], np.flatnonzero(np.resize(prime_to, r + 1)))
+        need = np.flatnonzero(np.resize(prime_to, int(r[k]) + 1))
+        large, _ = _sieved_counts(xs[k : k + 1], c[k : k + 1], np.array([len(need)]), primes, need)
         # For p^3 > x every prime q with q^2 <= x // p has q^3 < x, so
-        # large[p] = S(x // p, c) = pi(x // p).
-        rest = primes[c:]
-        return int(large[1] - (large[rest] - np.arange(c, len(primes))).sum())
+        # S(x // p, c) = pi(x // p).
+        rest = np.arange(c[k], pr[k])
+        pis[k] = large[0] - (large[need.searchsorted(primes[rest])] - rest).sum()
+    if not lehmer.any():
+        return pis
+    xs, r, a, c, pr = (v[lehmer] for v in (xs, r, a, c, pr))
+    # every squarefree product of primes[6:a] up to r for the largest x; each
+    # x takes those up to its own r, the ones with a larger prime unused
     need = np.ones(1, dtype=np.int64)
-    for p in primes[6:a].tolist():
-        need = np.concatenate((need, need[need <= r // p] * p))
-    s = int(_sieved_counts(x, primes[:a], np.sort(need))[1])
-    xp = x // primes[a:]  # P2's arguments
-    # P3's pairs: p = primes[i] for a <= i < c, q = primes[j] for i <= j with
-    # q * q <= x // p, j running through one block per i
-    i = np.arange(a, c)
-    lens = sq.searchsorted(xp[: c - a], side="right") - i
-    j = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(i - (np.cumsum(lens) - lens), lens)
-    p2 = int((table.pi(xp) - np.arange(a, len(primes))).sum())
-    p3 = int((table.pi(np.repeat(xp[: c - a], lens) // primes[j]) - j).sum())
-    return s - p2 - p3
+    for p in primes[6 : a[-1]].tolist():
+        need = np.concatenate((need, need[need <= r[-1] // p] * p))
+    need.sort()
+    lens = need.searchsorted(r, side="right")
+    large, pi = _sieved_counts(xs, a, lens, primes, need)
+    s = large[np.cumsum(lens) - lens]  # S(x, a), at each x's entry 1
+    for k, (x, ak, ck, rk) in enumerate(zip(xs.tolist(), a.tolist(), c.tolist(), pr.tolist())):
+        xp = x // primes[ak:rk]  # P2's arguments
+        # P3's pairs: p = primes[i] for ak <= i < ck, q = primes[j] for
+        # i <= j with q * q <= x // p, j running through one block per i
+        i = np.arange(ak, ck)
+        lens = sq.searchsorted(xp[: ck - ak], side="right") - i
+        j = _ragged(i, lens)
+        p2 = int((table.pi(xp) - np.arange(ak, rk)).sum())
+        p3 = int((pi[np.repeat(xp[: ck - ak], lens) // primes[j]] - j).sum())
+        s[k] -= p2 + p3
+    pis[lehmer] = s
+    return pis
 
 
-def _sieved_counts(x: int, primes: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """large, an array in which large[i] = S(x // i, a) for every i in need,
-    where primes are the first a >= 6 primes, by Lucy_Hedgehog's recurrence
-    started at stage 6.
+def _sieved_counts(xs: np.ndarray, stages: np.ndarray, lens: np.ndarray,
+                   primes: np.ndarray, need: np.ndarray):
+    """(large, small): large[e] = S(x // i, a) for every entry e, and
+    small[v] = pi(v) for 13 <= v <= isqrt(xs[-1]), by Lucy_Hedgehog's
+    recurrence over the first a primes, started at stage 6, for every x at
+    once.
 
-    need is sorted, its entries lie in [1, r], r = isqrt(x), and are prime to
-    2*3*5*7*11*13, and with an entry i it holds i * p for every p in primes
-    below the least prime factor of i, while i * p <= r.  small[v] holds
-    S(v) for every v <= r; both start at S(v, 6) = phi(v, 6) + 5, read off the wheel (wrong for
-    v < 13, but every read is at v >= 17).  Moving past the (j+1)-th prime p
-    takes S(v) -= S(v // p) - j for every v >= p*p, and once p passes
-    isqrt(v), S(v) stays pi(v).  For v = x // i that reads large[i * p]
-    while i * p <= r, else small[x // (i * p)]; so past p, the multiples of
-    p leave need, and so do the i with x // i < p*p, whose S is final.  Each
-    right-hand side is read whole before it is subtracted, so every update
-    for p sees the values left by the primes below p.  small is updated
-    densely, through one buffer of r // 17 entries allocated once.
+    Entry e is (x, i) for the x of xs in turn, and for i in
+    need[:lens[x]], each up to isqrt(x); a is x's stage count in stages.
+    xs is sorted, stages does not decrease along it, every a is at least 6,
+    and the last counts every prime up to the last x^(1/4), so that small
+    ends as pi.  need is sorted and
+    its entries are prime to 2*3*5*7*11*13, and with an entry i it holds
+    i * p for every p among the first max(stages) primes below the least
+    prime factor of i, while i * p <= isqrt(xs[-1]).
+    small[v] holds S(v) for every v <= R = isqrt(xs[-1]), as int32; it and
+    every entry start at S(v, 6) = phi(v, 6) + 5, read off the wheel (wrong
+    for v < 13, but every read is at v >= 17).  Moving past the (j+1)-th
+    prime p takes S(v) -= S(v // p) - j for every v >= p*p, and once p
+    passes isqrt(v), S(v) stays pi(v).  For v = x // i that reads the
+    entry (x, i * p) while i * p <= isqrt(x), else small[v // p]; so past
+    p, the multiples of p leave the entries updated, and so do the i with
+    v < p*p, whose S is final, and x's entries once its a primes are done.
+    Each right-hand side is read whole before it is subtracted, so every
+    update for p sees the values left by the primes below p.  small does
+    not depend on x and is updated densely, through one buffer of R // 17
+    entries allocated once.
     """
-    r = isqrt(x)
+    R = isqrt(int(xs[-1]))
     wheel = _wheel()
-    small = np.empty(r + 1, dtype=np.int64)
-    k = (r + 1) // _WHEEL
+    small = np.empty(R + 1, dtype=np.int32)
+    k = (R + 1) // _WHEEL
     rows = small[: k * _WHEEL].reshape(k, _WHEEL)
     rows[:] = wheel + 5
     rows += (np.arange(k, dtype=np.int64) * _WHEEL_PHI)[:, None]
-    small[k * _WHEEL :] = wheel[: r + 1 - k * _WHEEL] + (k * _WHEEL_PHI + 5)
-    large = np.empty(r + 1, dtype=np.int64)
-    y = x // need
-    large[need] = y // _WHEEL * _WHEEL_PHI + wheel[y % _WHEEL] + 5
-    del y
-    buf = np.empty(r // 17 + 1, dtype=np.int64)
-    for j, p in enumerate(primes[6:].tolist(), 6):
-        m = r // p  # i <= m have i * p <= r, so S(x // (i*p)) sits in large
-        need = need[: need.searchsorted(x // (p * p), side="right")]
-        need = need[need % p != 0]
-        cut = int(need.searchsorted(m, side="right"))
-        lo, hi = need[:cut], need[cut:]
-        large[lo] -= large[lo * p] - j
-        large[hi] -= small[x // (hi * p)] - j
-        if p * p <= r:
+    small[k * _WHEEL :] = wheel[: R + 1 - k * _WHEEL] + (k * _WHEEL_PHI + 5)
+    i = need[_ragged(np.zeros(len(xs), dtype=np.int64), lens)]
+    v = np.repeat(xs, lens) // i
+    large = v // _WHEEL * _WHEEL_PHI + wheel[v % _WHEEL] + 5
+    place = np.empty(R + 1, dtype=np.int32)  # x's entry i lies at start[x] + place[i]
+    place[need] = np.arange(len(need), dtype=np.int32)
+    start = np.cumsum(lens) - lens
+    at = np.arange(len(i))  # the entries still updated, with their i and v
+    buf = np.empty(R // 17 + 1, dtype=np.int32)
+    ends = stages.tolist()
+    done = 0  # xs[:done] have had all their stages; their entries lie before start[done]
+    for j, p in enumerate(primes[6 : ends[-1]].tolist(), 6):
+        keep = (i % p != 0) & (v >= p * p)
+        if ends[done] == j:
+            while ends[done] == j:
+                done += 1
+            keep &= at >= start[done]
+        at, i, v = at[keep], i[keep], v[keep]
+        near = i * (p * p) <= v  # i * p <= isqrt(x): (x, i * p) is an entry
+        e, f = at[near], i[near]
+        large[e] -= large[e + (place[f * p] - place[f])] - j
+        far = ~near
+        large[at[far]] -= small[v[far] // p] - j
+        if p * p <= R:
+            m = R // p
             # v in [u*p, u*p + p) reads S(u), for u from p to m
             np.subtract(small[p : m + 1], j, out=buf[: m + 1 - p])
             rows = small[p * p : m * p].reshape(m - p, p)
             rows -= buf[: m - p, None]
             small[m * p :] -= buf[m - p]
-    return large
+    return large, small
 
 
 def count_in_closed(lo: int, hi: int) -> int:
-    """Count primes in [lo, hi] as prime_pi(hi) - prime_pi(lo - 1)."""
-    if hi < lo or hi < 2:
-        return 0
-    return prime_pi(hi) - prime_pi(lo - 1)
+    """Count primes in [lo, hi]: count_in_closed_many's batch of one."""
+    return count_in_closed_many([(lo, hi)])[0]
+
+
+def count_in_closed_many(intervals) -> list[int]:
+    """The count of primes in [lo, hi] for each (lo, hi) of intervals, in
+    order, as ints: pi(hi) - pi(lo - 1), and 0 when hi < lo.
+
+    A bound past PI_BOUND raises CeilingExceeded before any work.  The
+    table first grows as pi(hi) and then pi(lo - 1) of each interval in
+    turn would grow it; a bound below 2 counts 0 and never reaches it.
+    Then one pi call on the table answers every bound in it, and one
+    _lucy_pi call every distinct bound past it.
+    """
+    bounds = []  # pi(1) = 0 stands for every bound below 2
+    for lo, hi in intervals:
+        lo, hi = operator.index(lo), operator.index(hi)
+        bounds += (max(hi, 1), max(lo - 1, 1)) if lo <= hi else (1, 1)
+    for x in bounds:
+        if x > PI_BOUND:
+            raise CeilingExceeded("pi(%d) above the bound %d" % (x, PI_BOUND))
+    t = _state
+    for x in bounds:
+        if x > t.limit and x >= 2:
+            t = _table(x)
+    xs = np.array(bounds, dtype=np.int64)
+    pis = np.zeros(len(xs), dtype=np.int64)
+    inside = (xs >= 2) & (xs <= t.limit)
+    pis[inside] = t.pi(xs[inside])
+    past = xs > max(t.limit, 1)
+    if past.any():
+        xs, back = np.unique(xs[past], return_inverse=True)
+        pis[past] = _lucy_pi(xs, t)[back]
+    return (pis[0::2] - pis[1::2]).tolist()
 
 
 # _PRIME_TO_105[c % 105] is 1 when c has no factor 3, 5 or 7: a candidate

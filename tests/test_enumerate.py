@@ -23,7 +23,7 @@ from panweird import (
 )
 from panweird.arith import seed_state, sigma_prime_power
 from panweird.classify import children, reduced_center_floor, same_prime_extension
-from panweird.enumerate import _ROW, _Batch, _row_primes
+from panweird.enumerate import _BATCH, _ROW, _Batch, _row_primes
 from panweird.primes import (
     _CACHE_CAP, PI_BOUND, PrimeTable, _floor, _table, next_prime, primes_in_closed,
 )
@@ -227,19 +227,21 @@ def test_reference_shard_reaches_past_the_table():
 
 
 def _spy_counts(monkeypatch):
-    """The (lo, hi) of every count_in_closed call enumerate makes, as a list."""
+    """The (lo, hi) of every interval enumerate counts with
+    count_in_closed_many, in order, as a list."""
     counts = []
-    real = panweird.enumerate.count_in_closed
-    monkeypatch.setattr(panweird.enumerate, "count_in_closed",
-                        lambda lo, hi: counts.append((lo, hi)) or real(lo, hi))
+    real = panweird.enumerate.count_in_closed_many
+    monkeypatch.setattr(panweird.enumerate, "count_in_closed_many",
+                        lambda intervals: counts.extend(intervals) or real(intervals))
     return counts
 
 
 def test_reference_counts_past_the_table_are_pinned(monkeypatch):
-    # sha256 of the (lo, hi) of every count_in_closed call that the
-    # benchmark's three count-k7 commands make, with the full table and with
-    # the table cut at 2^20, taken before leaf parents were closed in
-    # batches: nothing past a stop is counted, and no count moves
+    # sha256 of the (lo, hi) of every interval counted past the table by the
+    # benchmark's three count-k7 commands, with the full table and with
+    # the table cut at 2^20, taken when each leaf made its own
+    # count_in_closed calls, before leaf parents were closed in batches:
+    # nothing past a stop is counted, and no count moves
     cap = _table(_CACHE_CAP)
     counts = _spy_counts(monkeypatch)
     pins = []
@@ -255,6 +257,16 @@ def test_reference_counts_past_the_table_are_pinned(monkeypatch):
         (34, "7bc64d69fc71ebe52d4f4c018b17c6ba6742c3af8ee1aab59788389ee81dab9f"),
         (2502, "d7af9deb652b0e90eea8bc546f21e0f6ddb4257364e79ae979a845b92ccaebc6"),
     ]
+
+
+def test_odd_omega8_shard_past_the_table_is_pinned(monkeypatch):
+    # 469 leaves of each walk count past the 2^26 table, in a few rows,
+    # each row's bounds in one batch of Lehmer's formula; the totals were
+    # taken when each leaf made its own pi calls
+    counts = _spy_counts(monkeypatch)
+    assert pndn(8, seed="3*5*7*13*71", odd_only=True).count_abundant == 21_336_142_259
+    assert sum(hi > _CACHE_CAP for _, hi in counts) == 469
+    assert sfpan(8, seed="3*5*7*13*71", odd_only=True).count_abundant == 21_336_061_886
 
 
 def test_leaves_past_the_table_cap_hit_the_ceiling():
@@ -456,6 +468,18 @@ def test_row_primes_past_the_floor_against_sympy():
             assert [int(p) for p in row] == want, (start, bound)
             assert isinstance(row, np.ndarray) or start > 2**25, (start, bound)
     assert isinstance(_row_primes(2**26 - 10, 10**9), list)
+
+
+def test_further_rows_double_up_to_a_batch():
+    # a parent's further rows take 2, 4, ... times _ROW primes, up to
+    # _BATCH, each way: a slice of the floor, a decode of the table, steps
+    _table(_CACHE_CAP)
+    for start in (17, 40_000, 2**20 + 7, 2**26 - 3000):
+        for size in (2 * _ROW, _BATCH):
+            for bound in (start + 1000, 10**9):
+                ahead = list(islice(iter_primes_above(start), size))
+                cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), size)
+                assert [int(q) for q in _row_primes(start, bound, size)] == ahead[:cut]
 
 
 def test_row_kernel_matches_the_scalar_loop_in_the_table():

@@ -32,6 +32,7 @@ from panweird.primes import (
     PrimeTable,
     _table,
     count_in_closed,
+    count_in_closed_many,
     prime_table,
 )
 
@@ -349,15 +350,76 @@ def test_prime_pi_past_the_table_against_sympy():
     assert count_in_closed(lo, hi) == int(sympy_primepi(hi)) - int(sympy_primepi(lo - 1))
 
 
+def test_count_in_closed_many_against_single_counts_and_sympy(monkeypatch):
+    sympy_primepi = pytest.importorskip("sympy").primepi
+    cap = _CACHE_CAP
+    switch = 409 * cap + 408  # Lehmer's branch up to here, Meissel's just past it
+    rank = PrimeTable.pi
+
+    def pi(table, xs):
+        assert np.all(np.asarray(xs) >= 2), "a bound below 2 reached the table"
+        return rank(table, xs)
+
+    monkeypatch.setattr(PrimeTable, "pi", pi)
+    empty = [(10, 5), (3, 2), (cap + 10, cap + 1), (switch, switch - 1)]
+    below_two = [(-7, 1), (0, 2), (1, 1), (2, 2), (-5, -1), (-3, 10), (-10**30, 1)]
+    across_the_table = [(cap - 1000, cap + 1000), (3, cap + 1), (cap + 1, 3 * 10**9)]
+    across_the_switch = [(switch - 40, switch + 40), (switch + 1, switch + 40), (2, switch - 41)]
+    again = [(cap - 1000, cap + 1000), (2, 10**6), (3, cap + 1), (10, 5), (switch + 1, switch + 40)]
+    intervals = empty + below_two + across_the_table + across_the_switch + again
+    got = count_in_closed_many(intervals)
+    assert all(type(n) is int for n in got)
+    assert got == [count_in_closed(lo, hi) for lo, hi in intervals]
+
+    def stepped(lo, hi):
+        return sum(1 for n in range(lo, hi + 1) if is_prime(n))
+
+    want = dict.fromkeys(empty, 0)
+    want.update(zip(below_two, [0, 1, 0, 1, 0, 4, 0]))
+    want.update(zip(across_the_table, [
+        stepped(cap - 1000, cap + 1000), int(sympy_primepi(cap + 1)) - 1,
+        int(sympy_primepi(3 * 10**9)) - int(sympy_primepi(cap))]))
+    want.update(zip(across_the_switch, [
+        stepped(switch - 40, switch + 40), stepped(switch + 1, switch + 40),
+        int(sympy_primepi(switch - 41))]))
+    want[2, 10**6] = 78_498
+    assert got == [want[iv] for iv in intervals]
+    assert count_in_closed_many([]) == []
+
+
+def test_counts_below_two_never_grow_the_table(monkeypatch):
+    _fresh_table(monkeypatch)
+    assert count_in_closed_many([(-5, 1), (1, 1), (0, -3)]) == [0, 0, 0]
+    assert prime_pi(1) == prime_pi(-5) == 0
+    assert prime_table().limit == 0
+
+
+def test_batched_counts_grow_the_table_as_single_counts_do(monkeypatch):
+    intervals = [(3, 1000), (50, 70_000), (2, 2**20 + 1), (10, 5), (5, 2**19)]
+    limits = []
+    _fresh_table(monkeypatch)
+    for lo, hi in intervals:
+        count_in_closed(lo, hi)
+        limits.append(prime_table().limit)
+    _fresh_table(monkeypatch)
+    grown = []
+    real = panweird.primes._table
+    monkeypatch.setattr(panweird.primes, "_table", lambda n: grown.append(n) or real(n))
+    count_in_closed_many(intervals)
+    assert prime_table().limit == limits[-1] and limits == [65_536, 131_072, 1_048_704] + [1_048_704] * 2
+    assert grown == [1000, 70_000, 2**20 + 1]
+
+
 def _recorded_stages(monkeypatch):
-    """How many primes each _sieved_counts call runs its recurrence over:
-    pi(x^(1/4)) in Lehmer's branch, pi(cbrt(x)) in Meissel's."""
+    """How many primes the recurrence runs over for each x of each
+    _sieved_counts call: pi(x^(1/4)) in Lehmer's branch, pi(cbrt(x)) in
+    Meissel's."""
     stages = []
     sieved = panweird.primes._sieved_counts
 
-    def record(x, primes, need):
-        stages.append(len(primes))
-        return sieved(x, primes, need)
+    def record(xs, counts, *rest):
+        stages.extend(counts.tolist())
+        return sieved(xs, counts, *rest)
 
     monkeypatch.setattr(panweird.primes, "_sieved_counts", record)
     return stages
@@ -403,8 +465,8 @@ def test_lehmer_and_meissel_branches_agree(monkeypatch):
     rng = random.Random(0x1E4)
     for x in [rng.randrange(_CACHE_CAP + 1, 27 * 10**9) for _ in range(12)]:
         del stages[:]
-        want = panweird.primes._lucy_pi(x, table)
-        assert panweird.primes._lucy_pi(x, small) == want, x
+        want = panweird.primes._lucy_pi(np.array([x]), table)
+        assert panweird.primes._lucy_pi(np.array([x]), small) == want, x
         fourth = sum(1 for p in range(2, math.isqrt(math.isqrt(x)) + 1) if is_prime(p))
         assert stages[0] == fourth < stages[1], x
 
