@@ -67,6 +67,7 @@ from .primes import (
     _DEFAULT_CEILING,
     PI_BOUND,
     _floor,
+    count_in_closed,  # noqa: F401  (perfbench's tracer test patches and calls it by this name)
     count_in_closed_many,
     is_prime,
     iter_primes_above,

@@ -20,11 +20,12 @@ Only counting grows the table, and every count goes through
 count_in_closed_many: a count over [lo, hi] is pi(hi) - pi(lo - 1), and
 prime_pi and count_in_closed are batches of one.  A call reads the ranks
 of all its bounds in the table at once; past the table, nothing is
-sieved.  Its bounds past the table share one run of Lucy_Hedgehog's
-recurrence, started from the wheel of the primes up to 13 and run over the
-primes up to x^(1/4): the run keeps one dense int32 array of counts up to
-the largest sqrt(x), and each x adds only the squarefree products of the
-primes from 17 to x^(1/4).  Lehmer's P2 sum then reads its pi values off
+sieved.  Its bounds past the table share runs of Lucy_Hedgehog's
+recurrence, consecutive bounds up to _ENTRIES entries a run, started from
+the wheel of the primes up to 13 and run over the primes up to x^(1/4):
+a run keeps one dense int32 array of counts up to its largest sqrt(x),
+and each x adds only the squarefree products of the primes from 17 to
+x^(1/4).  Lehmer's P2 sum then reads its pi values off
 the table's ranks, which reach them for x up to about 2.7 * 10^10, and
 P3 off that dense array.  Past that bound, x by x, the recurrence runs to
 cbrt(x) over the i <= sqrt(x) prime to the wheel, and Meissel's P2 sum
@@ -364,6 +365,14 @@ def _wheel() -> np.ndarray:
     return _wheel_counts
 
 
+# Recurrence entries (x, i) per run at most, each about 32 bytes and as
+# much again in the stage loop's temporaries: a batch's bounds in Lehmer's
+# range share runs of this many.  On the odd Omega = 8 shard 3*5*7*13*71
+# (388,349 entries in 427 bounds) 2^15 is the fastest budget and holds the
+# walk's growth to about 5 MB, against 25.5 MB for one run of them all.
+_ENTRIES = 1 << 15
+
+
 def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """starts[k], starts[k] + 1, ..., starts[k] + lens[k] - 1 for each k in
     turn, as one int64 array."""
@@ -384,9 +393,10 @@ def _lucy_pi(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
     (x^(1/4), cbrt(x)] and p*q*q <= x.  Every P3 argument is below sqrt(x),
     where the recurrence leaves pi, and no P2 argument exceeds x // p, p the
     least prime above x^(1/4).  The x for which the table answers that
-    share one recurrence, which needs S(x // i) only at the squarefree
-    products i of the primes from 17 to x^(1/4); then each x's P2 is one
-    rank call and its P3 one read of the recurrence's dense counts.  Past
+    share runs of the recurrence, consecutive x up to _ENTRIES entries a
+    run, which need S(x // i) only at the squarefree products i of the
+    primes from 17 to x^(1/4); then each x's P2 is one rank call and its
+    P3 one read of its run's dense counts.  Past
     that bound, x by x, the recurrence runs to a = pi(cbrt(x)) at every i
     prime to 2*3*5*7*11*13, and Meissel's pi(x) = S(x, a) - P2 reads every
     pi(x // p) off it.
@@ -418,20 +428,36 @@ def _lucy_pi(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
         need = np.concatenate((need, need[need <= r[-1] // p] * p))
     need.sort()
     lens = need.searchsorted(r, side="right")
-    large, pi = _sieved_counts(xs, a, lens, primes, need)
-    s = large[np.cumsum(lens) - lens]  # S(x, a), at each x's entry 1
-    for k, (x, ak, ck, rk) in enumerate(zip(xs.tolist(), a.tolist(), c.tolist(), pr.tolist())):
-        xp = x // primes[ak:rk]  # P2's arguments
-        # P3's pairs: p = primes[i] for ak <= i < ck, q = primes[j] for
-        # i <= j with q * q <= x // p, j running through one block per i
-        i = np.arange(ak, ck)
-        lens = sq.searchsorted(xp[: ck - ak], side="right") - i
-        j = _ragged(i, lens)
-        p2 = int((table.pi(xp) - np.arange(ak, rk)).sum())
-        p3 = int((pi[np.repeat(xp[: ck - ak], lens) // primes[j]] - j).sum())
-        s[k] -= p2 + p3
+    s = np.empty(len(xs), dtype=np.int64)
+    for u, w in _chunks(lens.tolist(), _ENTRIES):
+        # one run of the recurrence; its dense counts reach isqrt(xs[w - 1])
+        large, pi = _sieved_counts(xs[u:w], a[u:w], lens[u:w], primes, need[: lens[w - 1]])
+        s[u:w] = large[np.cumsum(lens[u:w]) - lens[u:w]]  # S(x, a), at each x's entry 1
+        for k in range(u, w):
+            x, ak, ck, rk = int(xs[k]), int(a[k]), int(c[k]), int(pr[k])
+            xp = x // primes[ak:rk]  # P2's arguments
+            # P3's pairs: p = primes[i] for ak <= i < ck, q = primes[j] for
+            # i <= j with q * q <= x // p, j running through one block per i
+            i = np.arange(ak, ck)
+            row = sq.searchsorted(xp[: ck - ak], side="right") - i
+            j = _ragged(i, row)
+            p2 = int((table.pi(xp) - np.arange(ak, rk)).sum())
+            p3 = int((pi[np.repeat(xp[: ck - ak], row) // primes[j]] - j).sum())
+            s[k] -= p2 + p3
     pis[lehmer] = s
     return pis
+
+
+def _chunks(sizes: list[int], budget: int):
+    """(u, w) for consecutive runs sizes[u:w] that cover sizes in order,
+    each as long as its sum stays within budget, and at least one long."""
+    u, total = 0, 0
+    for k, n in enumerate(sizes):
+        if total and total + n > budget:
+            yield u, k
+            u, total = k, 0
+        total += n
+    yield u, len(sizes)
 
 
 def _sieved_counts(xs: np.ndarray, stages: np.ndarray, lens: np.ndarray,
@@ -514,8 +540,8 @@ def count_in_closed_many(intervals) -> list[int]:
     A bound past PI_BOUND raises CeilingExceeded before any work.  The
     table first grows as pi(hi) and then pi(lo - 1) of each interval in
     turn would grow it; a bound below 2 counts 0 and never reaches it.
-    Then one pi call on the table answers every bound in it, and one
-    _lucy_pi call every distinct bound past it.
+    Then one pi call on the table answers its distinct bounds in it, and
+    one _lucy_pi call those past it.
     """
     bounds = []  # pi(1) = 0 stands for every bound below 2
     for lo, hi in intervals:
@@ -528,15 +554,14 @@ def count_in_closed_many(intervals) -> list[int]:
     for x in bounds:
         if x > t.limit and x >= 2:
             t = _table(x)
-    xs = np.array(bounds, dtype=np.int64)
-    pis = np.zeros(len(xs), dtype=np.int64)
-    inside = (xs >= 2) & (xs <= t.limit)
-    pis[inside] = t.pi(xs[inside])
-    past = xs > max(t.limit, 1)
-    if past.any():
-        xs, back = np.unique(xs[past], return_inverse=True)
-        pis[past] = _lucy_pi(xs, t)[back]
-    return (pis[0::2] - pis[1::2]).tolist()
+    pis = dict.fromkeys(bounds, 0)
+    inside = [x for x in pis if 2 <= x <= t.limit]
+    past = sorted(x for x in pis if x > max(t.limit, 1))
+    if inside:
+        pis.update(zip(inside, t.pi(inside).tolist()))
+    if past:
+        pis.update(zip(past, _lucy_pi(np.array(past, dtype=np.int64), t).tolist()))
+    return [pis[hi] - pis[lo] for hi, lo in zip(bounds[0::2], bounds[1::2])]
 
 
 # _PRIME_TO_105[c % 105] is 1 when c has no factor 3, 5 or 7: a candidate

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import numpy as np
@@ -261,12 +264,31 @@ def test_reference_counts_past_the_table_are_pinned(monkeypatch):
 
 def test_odd_omega8_shard_past_the_table_is_pinned(monkeypatch):
     # 469 leaves of each walk count past the 2^26 table, in a few rows,
-    # each row's bounds in one batch of Lehmer's formula; the totals were
+    # each row's bounds in one count_in_closed_many batch; the totals were
     # taken when each leaf made its own pi calls
     counts = _spy_counts(monkeypatch)
     assert pndn(8, seed="3*5*7*13*71", odd_only=True).count_abundant == 21_336_142_259
     assert sum(hi > _CACHE_CAP for _, hi in counts) == 469
     assert sfpan(8, seed="3*5*7*13*71", odd_only=True).count_abundant == 21_336_061_886
+
+
+def test_odd_omega8_shard_counts_past_the_table_in_bounded_memory():
+    # its 427 distinct bounds past the table hold 388,349 recurrence
+    # entries; run in pieces of _ENTRIES, the walk grows the process by
+    # about 5 MB (as when each bound had its own run), all at once by 25 MB
+    src = os.path.dirname(os.path.dirname(panweird.enumerate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource\n"
+            "from panweird.enumerate import pndn\n"
+            "from panweird.primes import _CACHE_CAP, _table\n"
+            "_table(_CACHE_CAP)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "n = pndn(8, seed='3*5*7*13*71', odd_only=True).count_abundant\n"
+            "print(n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert int(out[0]) == 21_336_142_259
+    assert int(out[1]) * 1024 <= 8 * 2**20
 
 
 def test_leaves_past_the_table_cap_hit_the_ceiling():
