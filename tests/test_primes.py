@@ -455,6 +455,30 @@ def test_prime_pi_at_prime_powers_and_wheel_multiples_against_sympy():
     assert wheel.tolist() == want.tolist() and wheel[-1] == 5760
 
 
+def test_lehmer_runs_split_by_their_entry_budget_agree(monkeypatch):
+    # consecutive bounds share a run while their entries fit _ENTRIES; a
+    # bound alone past it still gets its own run
+    chunks = panweird.primes._chunks
+    assert list(chunks([3, 3, 3, 9, 1], 6)) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+    assert list(chunks([4], 1)) == [(0, 1)]
+    table = _table(_CACHE_CAP)
+    rng = random.Random(0xC4)
+    xs = np.array(sorted({rng.randrange(_CACHE_CAP + 1, 2 * 10**10) for _ in range(9)}))
+    runs = []
+    sieved = panweird.primes._sieved_counts
+
+    def record(xs, *rest):
+        runs.append(len(xs))
+        return sieved(xs, *rest)
+
+    monkeypatch.setattr(panweird.primes, "_sieved_counts", record)
+    whole = panweird.primes._lucy_pi(xs, table)
+    monkeypatch.setattr(panweird.primes, "_ENTRIES", 1)
+    alone = panweird.primes._lucy_pi(xs, table)
+    assert runs == [9] + [1] * 9
+    assert alone.tolist() == whole.tolist()
+
+
 def test_lehmer_and_meissel_branches_agree(monkeypatch):
     # a table of 2^20 holds every prime up to isqrt(x) here, but not
     # x // p for the least prime p above x^(1/4), so it forces the
