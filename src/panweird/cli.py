@@ -8,11 +8,11 @@ stderr; stdout carries records only when --out is '-'.
 Records written to a file go to <out>.partial first and are renamed to
 <out> only when the run succeeds.  The manifest is written either way; its
 status says how the run ended: ok, ceiling, interrupted or error, and its
-prime_table gives the prime table's limit and source (none, sieve or cache)
-at the end.  enumerate writes every completion its walk counts, perfect
-ones included, so a run that ends ok has emitted = count_abundant +
-count_perfect.  convert writes no manifest, so it removes its partial file
-when it fails.
+prime_table gives the prime table's limit, 0 or 2^26, and source (none,
+sieve or cache) at the end.  enumerate writes every completion its walk
+counts, perfect ones included, so a run that ends ok has emitted =
+count_abundant + count_perfect.  convert writes no manifest, so it removes
+its partial file when it fails.
 
 Exit codes: 0 success, 1 usage, bad input or a file that cannot be read or
 written, 2 verification failure, 3 resource ceiling hit, factorization

@@ -23,6 +23,8 @@ consecutive primes.  A new prime above 2*sigma(m)/deficiency(m) always
 closes a barren leaf, so the scan stops by then and the rows end there.  A
 row that ends below 2^16, as nearly all do, is one slice of the floor's
 prime array, and one that ends inside the prime table one decode of it.
+A walk makes the prime table the 2^26 cap table before its first row, so
+only a leaf whose bound lies past 2^26 waits for a count past the table.
 Every row closes in one array kernel, _Batch, whose docstring holds the
 leaf contract: one call takes the rows of several parents, and its
 in-order scan then does all that has effects, its counts past the table
@@ -31,16 +33,16 @@ The leaf parents under a node with three factors left, its deepened child
 first (pndn) and then its new primes, share batches: the first holds two
 of them when pndn has a last prime to deepen and one otherwise, each next
 one twice as many parents, and a batch ends early once its first rows
-hold _BATCH leaves.  A first row holds up to _ROW primes, and a parent's
-further rows twice as many each time, up to _BATCH; a node with one or two
-factors left and each further row are batches of one.  A parent's further
-rows close before the next parent is scanned, then on_stop, and a parent
-past the node's first barren new-prime child does nothing at all.  So the
-benchmark's count-k7 repetition makes 204 kernel calls and unseeded
-pndn(7) makes 925.  The deepened leaf of a leaf parent (pndn) joins the
-parent's first row as its head; a seed with one factor left is a row of
-just that head.  Records come from a plain in-order loop over the closed
-leaves, which lists each interval's primes.
+hold _BATCH leaves.  Every row, first or further, holds up to _BATCH
+primes; a node with one or two factors left and each further row are
+batches of one.  A parent's further rows close before the next parent is
+scanned, then on_stop, and a parent past the node's first barren
+new-prime child does nothing at all.  So the benchmark's count-k7
+repetition makes 182 kernel calls (84 on its held-out inputs) and
+unseeded pndn(7) makes 846.  The deepened leaf of a leaf parent (pndn)
+joins the parent's first row as its head; a seed with one factor left is
+a row of just that head.  Records come from a plain in-order loop over
+the closed leaves, which lists each interval's primes.
 
 A seed pins the walk to the subtree of its multiples.  Larger campaigns
 run disjoint seed shards as separate processes and add up their totals.
@@ -67,6 +69,7 @@ from .primes import (
     _DEFAULT_CEILING,
     PI_BOUND,
     _floor,
+    _table,
     count_in_closed,  # noqa: F401  (perfbench's tracer test patches and calls it by this name)
     count_in_closed_many,
     is_prime,
@@ -102,13 +105,12 @@ class EnumOutcome:
     found: bool = False
 
 
-# New primes per first row at most; most leaf parents fit in one.  512
-# takes a count-k7 repetition from 247 kernel calls (at 256) to 204, and
-# 1,024 only to 190 (BENCH_row_batches.json).
-_ROW = 512
 # Leaves per batch of first rows, which bounds its arrays' memory: a batch
-# takes leaf parents until their rows and heads fill this, and a parent's
-# further rows grow to this many primes.
+# takes leaf parents until their rows and heads fill this, and every row,
+# first or further, takes up to this many new primes.  A count-k7
+# repetition makes 182 kernel calls so (84 held out), against 204 (96) when
+# first rows took 512 primes and further rows doubled up to this
+# (BENCH_one_table.json).
 _BATCH = 4096
 # A row computes in int64 when (P + 1) * (P*d + s), for its largest prime P
 # and its parent's s and d, stays below this, and (p + 1) * (s + d) does for
@@ -272,31 +274,31 @@ class _Batch:
         return n, stop, over, sca, scp, sfound > 0
 
 
-def _row_primes(start, bound, size=_ROW):
-    """A leaf parent's row: up to size primes above start, increasing,
+def _row_primes(start, bound):
+    """A leaf parent's row: up to _BATCH primes above start, increasing,
     through the first one past bound.  A row that ends in the floor's
     array, as nearly all do, is one slice of it.  Past the floor, the table
-    as it stands is decoded once, up to size past bound or past
-    start + size * log2(start), whichever is less: that spans about 1.44
-    times size primes.  When the decode holds size primes or one past bound,
-    it gives the row; any other row is stepped with iter_primes_above, into
-    a list of ints."""
+    (the cap table in a walk) is decoded once, up to _BATCH past bound or
+    past start + _BATCH * log2(start), whichever is less: that spans about
+    1.44 times _BATCH primes.  When the decode holds _BATCH primes or one
+    past bound, it gives the row; any other row is stepped with
+    iter_primes_above, into a list of ints."""
     floor = _floor()
     i = int(floor.searchsorted(start, side="right"))
     j = int(floor.searchsorted(max(start, bound), side="right"))  # the first prime past bound
-    if j < len(floor) or i + size <= len(floor):
-        return floor[i : min(i + size, j + 1)]
+    if j < len(floor) or i + _BATCH <= len(floor):
+        return floor[i : min(i + _BATCH, j + 1)]
     table = prime_table()
-    end = min(max(start, bound), start + size * start.bit_length()) + size
+    end = min(max(start, bound), start + _BATCH * start.bit_length()) + _BATCH
     if end <= table.limit:
         row = table.primes(start + 1, end)
         j = int(row.searchsorted(bound, side="right"))
-        if j < len(row) or len(row) >= size:
-            return row[: min(size, j + 1)]
+        if j < len(row) or len(row) >= _BATCH:
+            return row[: min(_BATCH, j + 1)]
     row = []
     for q in iter_primes_above(start):
         row.append(q)
-        if q > bound or len(row) == size:
+        if q > bound or len(row) == _BATCH:
             return row
 
 
@@ -314,6 +316,7 @@ def walk_start(general, k, seed, odd_only, ceiling):
 
 def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
     left, v, s, pairs, sigpps = walk_start(general, k, seed, odd_only, ceiling)
+    _table()  # the cap table, before the first row: only leaves past it pend
     emit = None
     if sink is not None:
         def emit(pairs, delta):  # every completion has delta >= 0
@@ -379,10 +382,8 @@ def _run(general, k, seed, sink, odd_only, on_stop, ceiling):
         batch = _Batch(general, [row for _, row, _, _ in parents], ceiling, prime_table())
         for i, (pairs, (ps, s, d, omax, _), bound, hpairs) in enumerate(parents):
             ca, cp, found, stop = close(batch, i, pairs, hpairs)
-            size = _ROW
             while stop is None:
-                size = min(2 * size, _BATCH)
-                ps = _row_primes(int(ps[-1]), bound, size)
+                ps = _row_primes(int(ps[-1]), bound)
                 more = _Batch(general, [(ps, s, d, omax, None)], ceiling, prime_table())
                 sca, scp, sfound, stop = close(more, 0, pairs, None)
                 ca, cp, found = ca + sca, cp + scp, found or sfound

@@ -9,14 +9,15 @@ The table holds one primality bit per odd number up to a limit: 64 odd
 numbers per uint64 word, and per word a uint32 rank, the count of set bits
 in the words before it, so pi(x) is a rank plus one popcount.  That is
 6 MB at the cap 2^26, where an int64 per prime took 31.7 MB.  The table
-grows (up to the cap) by sieving only the new range with one odd-only
-sieve, each window's mask packed straight into the words.  The cap table
-depends on no input, so its 4 MB of words are kept in a file under
-$XDG_CACHE_HOME/panweird (or ~/.cache/panweird) and loaded instead of
-sieved, but only when the file's sha256 is _CAP_SHA256, the digest compiled
-in here; any other file counts as absent.  A sieve that reaches the cap is
-checked against that digest too, and then written for the next process.
-Only counting grows the table, and every count goes through
+has two states: empty, and the cap table, up to 2^26, made whole by the
+first count with a bound of 2 or more past the limit (or by a walk of
+enumerate, which asks for it first).  The cap table depends on no input,
+so its 4 MB of words are kept in a file under $XDG_CACHE_HOME/panweird (or
+~/.cache/panweird) and loaded instead of sieved, but only when the file's
+sha256 is _CAP_SHA256, the digest compiled in here; any other file counts
+as absent.  Otherwise one odd-only sieve makes it window by window, each
+window's mask packed straight into the words, checks it against that
+digest too and writes it for the next process.  Every count goes through
 count_in_closed_many: a count over [lo, hi] is pi(hi) - pi(lo - 1), and
 prime_pi and count_in_closed are batches of one.  A call reads the ranks
 of all its bounds in the table at once; past the table, nothing is
@@ -42,7 +43,7 @@ factor 3, 5 or 7, one byte looked up mod 105, and is_prime decides every
 other one, exact below 3.3 * 10^24: 3 strong tests per prime below
 4,759,123,141 and 4 below 1.1 * 10^12 (Jaeschke, 1993), where most
 searches step.  iter_primes_above reads the floor's array, then chunks
-decoded from the table as it stands, then next_prime.
+decoded from the cap table once a count has loaded it, then next_prime.
 Only Python ints leave the table.
 """
 
@@ -148,10 +149,10 @@ def certifiable(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # The prime table: one primality bit per odd number up to a limit.
 
-_CACHE_CAP = 1 << 26  # the table stops growing here
-# The primes up to here form an int64 array, all that stepping reads, and
-# the table's least growth.  isqrt(_CACHE_CAP) lies below it, so these
-# primes sieve every window of the table's growth.
+_CACHE_CAP = 1 << 26  # the limit of the table once it is made
+# The primes up to here form an int64 array, all that stepping reads.
+# isqrt(_CACHE_CAP) lies below it, so these primes sieve every window of
+# the cap table.
 _TABLE_FLOOR = 1 << 16
 _FLOOR_LAST = 65_521  # the largest prime up to _TABLE_FLOOR
 _WINDOW = 1 << 21  # numbers sieved per call of the kernel (a 1 MB mask)
@@ -171,7 +172,7 @@ def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
     """Primality mask of the odd numbers in (lo, hi]; entry i is (lo+1|1) + 2i.
 
     table must hold every prime up to isqrt(hi), in order.  This is the only
-    sieve: it builds the floor, and window by window it grows the table.
+    sieve: it builds the floor, and window by window the cap table.
     """
     first = (lo + 1) | 1
     mask = np.ones(max(0, (hi - first) // 2 + 1), dtype=bool)
@@ -184,7 +185,9 @@ def _sieve_primes(lo: int, hi: int, table: np.ndarray) -> np.ndarray:
 
 
 class PrimeTable(NamedTuple):
-    """Every prime up to limit, a multiple of 128, as one bit per odd number.
+    """Every prime up to limit as one bit per odd number.  The module's
+    table has limit 0 or _CACHE_CAP; a cut of the cap table at any multiple
+    of 128 reads the same way.
 
     Bit j of words[w] is set when 2(64w + j) + 1 is prime, and ranks[w]
     counts the set bits of words[:w].  An integer x >= 2 has the odd index
@@ -279,61 +282,41 @@ def _store_cap_words(path: str, words: np.ndarray) -> None:
             pass
 
 
-def _sieved_words(t: PrimeTable, limit: int) -> np.ndarray:
-    """t's words extended to limit by sieving only the new range, window by
-    window, each window's mask packed straight into the new words."""
-    words = np.empty(limit // 128, dtype=_WORD)
-    words[: len(t.words)] = t.words
-    for lo in range(t.limit, limit, _WINDOW):
-        hi = min(lo + _WINDOW, limit)
-        mask = _sieve_primes(lo, hi, _floor())
-        words[lo >> 7 : hi >> 7] = np.packbits(mask, bitorder="little").view(_WORD)
-    return words
-
-
-def _cap_words(t: PrimeTable) -> tuple[np.ndarray, str]:
+def _cap_words() -> tuple[np.ndarray, str]:
     """The cap table's words and their source: the cached file when it is
-    valid, else t sieved up to the cap, checked against _CAP_SHA256 and
-    then cached."""
+    valid, else [0, _CACHE_CAP) sieved window by window, each window's mask
+    packed straight into the words, checked against _CAP_SHA256 and then
+    cached."""
     path = _cache_path()
     words = _load_cap_words(path)
     if words is not None:
         return words, "cache"
-    words = _sieved_words(t, _CACHE_CAP)
+    words = np.empty(_CACHE_CAP // 128, dtype=_WORD)
+    for lo in range(0, _CACHE_CAP, _WINDOW):
+        mask = _sieve_primes(lo, lo + _WINDOW, _floor())
+        words[lo >> 7 : (lo + _WINDOW) >> 7] = np.packbits(mask, bitorder="little").view(_WORD)
     if hashlib.sha256(words).hexdigest() != _CAP_SHA256:
         raise RuntimeError("the sieved table up to %d does not match its digest" % _CACHE_CAP)
     _store_cap_words(path, words)
     return words, "sieve"
 
 
-def _table(n: int) -> PrimeTable:
-    """The table, first grown (at least doubling) to min(n, cap).
-
-    Growth below the cap sieves the new range; growth to the cap loads the
-    cached cap table instead when there is a valid one.  Either way the
-    ranks are counted afresh.
-    """
+def _table() -> PrimeTable:
+    """The cap table, made from _cap_words on first use with its ranks
+    counted afresh; a table below the cap, empty or cut short, is replaced
+    whole."""
     global _state
-    t = _state
-    if n <= t.limit or t.limit >= _CACHE_CAP:
-        return t
     with _lock:
-        t = _state
-        if n <= t.limit:
-            return t
-        limit = min(-(-max(n, 2 * t.limit, _TABLE_FLOOR) // 128) * 128, _CACHE_CAP)
-        if limit == _CACHE_CAP:
-            words, source = _cap_words(t)
-        else:
-            words, source = _sieved_words(t, limit), "sieve"
-        ranks = np.zeros(len(words), dtype=np.uint32)
-        np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=ranks[1:])
-        _state = PrimeTable(limit, words, ranks, source)
-        return _state
+        if _state.limit < _CACHE_CAP:
+            words, source = _cap_words()
+            ranks = np.zeros(len(words), dtype=np.uint32)
+            np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=ranks[1:])
+            _state = PrimeTable(_CACHE_CAP, words, ranks, source)
+    return _state
 
 
 def prime_table() -> PrimeTable:
-    """The table as it stands, not grown.
+    """The table as it stands, empty or the cap table; this never loads it.
 
     A caller with many bounds x, each 2 <= x <= limit, answers them with one
     pi call; pi reads out of range for x < 2 and gives no error.
@@ -537,11 +520,11 @@ def count_in_closed_many(intervals) -> list[int]:
     """The count of primes in [lo, hi] for each (lo, hi) of intervals, in
     order, as ints: pi(hi) - pi(lo - 1), and 0 when hi < lo.
 
-    A bound past PI_BOUND raises CeilingExceeded before any work.  The
-    table first grows as pi(hi) and then pi(lo - 1) of each interval in
-    turn would grow it; a bound below 2 counts 0 and never reaches it.
-    Then one pi call on the table answers its distinct bounds in it, and
-    one _lucy_pi call those past it.
+    A bound past PI_BOUND raises CeilingExceeded before any work.  A bound
+    of 2 or more past the table's limit first makes it the cap table; a
+    bound below 2 counts 0 and never reaches it.  Then one pi call on the
+    table answers its distinct bounds in it, and one _lucy_pi call those
+    past it.
     """
     bounds = []  # pi(1) = 0 stands for every bound below 2
     for lo, hi in intervals:
@@ -551,9 +534,8 @@ def count_in_closed_many(intervals) -> list[int]:
         if x > PI_BOUND:
             raise CeilingExceeded("pi(%d) above the bound %d" % (x, PI_BOUND))
     t = _state
-    for x in bounds:
-        if x > t.limit and x >= 2:
-            t = _table(x)
+    if max(bounds, default=1) > max(t.limit, 1):
+        t = _table()
     pis = dict.fromkeys(bounds, 0)
     inside = [x for x in pis if 2 <= x <= t.limit]
     past = sorted(x for x in pis if x > max(t.limit, 1))
@@ -631,8 +613,8 @@ def iter_primes_above(x: int):
 
     The primes up to the floor come from its array; past it, chunks are
     decoded from the table, read afresh before each chunk, so once a
-    caller's counting has grown it past the scan, the scan reads it again;
-    past the table, each prime comes from next_prime.
+    caller's count has loaded the cap table, a scan that was stepping
+    decodes it; past the table, each prime comes from next_prime.
     """
     p = operator.index(x)
     while True:
@@ -658,4 +640,4 @@ def primes_in_closed(lo: int, hi: int) -> list[int]:
         return []
     if hi > _CACHE_CAP:
         raise CeilingExceeded("range end %d above cache cap %d" % (hi, _CACHE_CAP))
-    return _table(hi).primes(lo, hi).tolist()
+    return _table().primes(lo, hi).tolist()

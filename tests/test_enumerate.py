@@ -26,7 +26,7 @@ from panweird import (
 )
 from panweird.arith import seed_state, sigma_prime_power
 from panweird.classify import children, reduced_center_floor, same_prime_extension
-from panweird.enumerate import _BATCH, _ROW, _Batch, _row_primes
+from panweird.enumerate import _BATCH, _Batch, _row_primes
 from panweird.primes import (
     _CACHE_CAP, PI_BOUND, PrimeTable, _floor, _table, next_prime, primes_in_closed,
 )
@@ -245,7 +245,7 @@ def test_reference_counts_past_the_table_are_pinned(monkeypatch):
     # the table cut at 2^20, taken when each leaf made its own
     # count_in_closed calls, before leaf parents were closed in batches:
     # nothing past a stop is counted, and no count moves
-    cap = _table(_CACHE_CAP)
+    cap = _table()
     counts = _spy_counts(monkeypatch)
     pins = []
     for w in (len(cap.words), 1 << 13):
@@ -280,8 +280,8 @@ def test_odd_omega8_shard_counts_past_the_table_in_bounded_memory():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import resource\n"
             "from panweird.enumerate import pndn\n"
-            "from panweird.primes import _CACHE_CAP, _table\n"
-            "_table(_CACHE_CAP)\n"
+            "from panweird.primes import _table\n"
+            "_table()\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "n = pndn(8, seed='3*5*7*13*71', odd_only=True).count_abundant\n"
             "print(n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
@@ -456,56 +456,44 @@ def test_row_primes_at_the_edge_of_the_floor(monkeypatch):
     # The floor's array ends at 65,521, the last prime below 2^16; the next
     # prime is 65,537.  A row that ends inside the array is a slice of it,
     # one past it a decode of the table, or stepped when the table does not
-    # reach that far: each way, the first _ROW primes above start, through
+    # reach that far: each way, the first _BATCH primes above start, through
     # the first one past bound.
     empty = PrimeTable(0, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32))
     floor = _floor()
     assert floor[-1] == 65_521
-    full, short = int(floor[-_ROW - 1]), int(floor[-_ROW])  # _ROW, _ROW - 1 primes left
-    for table in (empty, _table(_CACHE_CAP)):
+    full, short = int(floor[-_BATCH - 1]), int(floor[-_BATCH])  # _BATCH, _BATCH - 1 primes left
+    for table in (empty, _table()):
         monkeypatch.setattr(panweird.primes, "_state", table)
         for start in (65_519, 65_520, 65_521, full, short):
+            ahead = list(islice(iter_primes_above(start), _BATCH))
             for bound in (0, 65_520, 65_521, 65_522, 65_536, 65_537, 65_538, 10**6):
-                ahead = list(islice(iter_primes_above(start), _ROW))
-                cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _ROW)
+                cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _BATCH)
                 row = _row_primes(start, bound)
                 assert [int(q) for q in row] == ahead[:cut], (start, bound)
-        assert len(_row_primes(full, 10**6)) == _ROW
+        assert len(_row_primes(full, 10**6)) == _BATCH
         assert isinstance(_row_primes(full, 10**6), np.ndarray)
         assert isinstance(_row_primes(short, 10**6), np.ndarray if table.limit else list)
 
 
 def test_row_primes_past_the_floor_against_sympy():
-    # rows inside the table are one decode of it; rows that run past its end
-    # are stepped
+    # rows inside the table are one decode of it, the row from 40,000 too,
+    # which leaves the floor's array; rows that run past its end are stepped
     sympy = pytest.importorskip("sympy")
-    _table(_CACHE_CAP)
+    _table()
     rng = random.Random(0x20E5)
-    for start in [rng.randrange(2**16, 2**25) for _ in range(30)] + [2**26 - 3000, 2**26 - 10]:
+    starts = [rng.randrange(2**16, 2**25) for _ in range(30)] + [40_000, 2**26 - 3000, 2**26 - 10]
+    for start in starts:
+        ahead = list(islice(sympy.primerange(start + 1, start + 40 * _BATCH), _BATCH))
         for bound in (start - 1, start + rng.randrange(1, 300), start + 5000, 10**9):
-            want = [int(sympy.nextprime(start))]
-            while len(want) < _ROW and want[-1] <= bound:
-                want.append(int(sympy.nextprime(want[-1])))
+            cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _BATCH)
             row = _row_primes(start, bound)
-            assert [int(p) for p in row] == want, (start, bound)
+            assert [int(p) for p in row] == ahead[:cut], (start, bound)
             assert isinstance(row, np.ndarray) or start > 2**25, (start, bound)
     assert isinstance(_row_primes(2**26 - 10, 10**9), list)
 
 
-def test_further_rows_double_up_to_a_batch():
-    # a parent's further rows take 2, 4, ... times _ROW primes, up to
-    # _BATCH, each way: a slice of the floor, a decode of the table, steps
-    _table(_CACHE_CAP)
-    for start in (17, 40_000, 2**20 + 7, 2**26 - 3000):
-        for size in (2 * _ROW, _BATCH):
-            for bound in (start + 1000, 10**9):
-                ahead = list(islice(iter_primes_above(start), size))
-                cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), size)
-                assert [int(q) for q in _row_primes(start, bound, size)] == ahead[:cut]
-
-
 def test_row_kernel_matches_the_scalar_loop_in_the_table():
-    table = _table(_CACHE_CAP)
+    table = _table()
     rng = random.Random(0x1EAF)
     heads = stops = 0
     for s, d, omax, head, ps in _random_rows(rng, 400):
@@ -536,7 +524,7 @@ def test_row_kernel_matches_the_scalar_loop_on_synthetic_rows():
     # small integers no walk needs to reach: heads whose same-prime closing
     # is perfect, centers that are primes outside [lo, upper], and prefix
     # sigmas that decide the closing's primitivity
-    cap = _table(_CACHE_CAP)
+    cap = _table()
     rng = random.Random(0x5147)
     perfect = centered = 0
     for _ in range(3000):
@@ -568,7 +556,7 @@ def test_row_kernel_straddling_the_table_limit():
     # a table cut short, down to the empty one of a fresh process: leaves
     # past it count one by one once the scan reaches them, in the same
     # order as those inside it
-    cap = _table(_CACHE_CAP)
+    cap = _table()
     rng = random.Random(0x57AD)
     straddled = 0
     for s, d, omax, head, ps in _random_rows(rng, 300):
@@ -585,7 +573,7 @@ def test_row_kernel_straddling_the_table_limit():
 def test_row_kernel_ceilings_raise_where_the_scalar_loop_did():
     # a ceiling at or just under each leaf's bound, those past the stop
     # too; inside a row it raises after the leaves before it have closed
-    table = _table(_CACHE_CAP)
+    table = _table()
     rng = random.Random(0xCE11)
     raised = inside = 0
     for s, d, omax, head, ps in _random_rows(rng, 60):
@@ -606,7 +594,7 @@ def test_row_kernel_past_int64_runs_on_python_ints():
     # 2^(2a+4) and 2^(a+3), so the row's products pass 2^63; leaves near
     # 1.5 center(m) count inside the table or just past it, and those just
     # above the center have bounds above the ceiling
-    table = _table(_CACHE_CAP)
+    table = _table()
     counted = past = 0
     for a, lengths in ((20, 24), (24, 3)):
         q = next_prime((1 << (a + 3)) + (1 << (a + 1)))
@@ -689,7 +677,7 @@ def test_sibling_batches_match_closing_each_leaf_parent_alone(monkeypatch):
     # (neither raises) and just under a random one (both raise after the
     # same records): same totals, per parent too, records, on_stop events
     # and prime counts, in order.
-    cap = _table(_CACHE_CAP)
+    cap = _table()
     counts = _spy_counts(monkeypatch)
     rng = random.Random(0x5B1B)
     groups = raised = pending = 0
@@ -740,7 +728,7 @@ def test_batched_rows_scan_as_each_row_closes_alone(monkeypatch):
     # batch of that row alone, which the scalar loop checks, and counts only
     # that row's leaves past the table, in order, whatever the ceiling does
     # to the other rows.
-    cap = _table(_CACHE_CAP)
+    cap = _table()
     counts = _spy_counts(monkeypatch)
     rng = random.Random(0xBA7C)
     rows = list(_random_rows(rng, 300))

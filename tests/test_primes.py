@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from panweird import (
     kth_prime_above,
     kth_prime_below,
     next_prime,
+    pndn,
     prime_pi,
     primes_in_closed,
+    pwn_search_general,
+    pwn_search_squarefree,
+    sfpan,
 )
 from panweird.primes import (
     _CACHE_CAP,
@@ -394,20 +399,34 @@ def test_counts_below_two_never_grow_the_table(monkeypatch):
     assert prime_table().limit == 0
 
 
-def test_batched_counts_grow_the_table_as_single_counts_do(monkeypatch):
-    intervals = [(3, 1000), (50, 70_000), (2, 2**20 + 1), (10, 5), (5, 2**19)]
-    limits = []
+def test_counts_and_walks_load_the_cap_table_whole(monkeypatch):
+    # the table is empty or the cap table: a count with a bound of 2 or
+    # more past the limit, and any walk, make it the cap table; counts
+    # below 2, prime steps and both searches leave it empty
+    cap = _table()
+    loads = [lambda: prime_pi(2), lambda: count_in_closed(3, 1000),
+             lambda: count_in_closed_many([(10, 5), (-3, 2)]),
+             lambda: count_in_closed_many([(1, 1), (_CACHE_CAP + 1, _CACHE_CAP + 9)]),
+             lambda: primes_in_closed(2, 3), lambda: pndn(1), lambda: pndn(3),
+             lambda: sfpan(3, odd_only=True)]
+    for load in loads:
+        _fresh_table(monkeypatch)
+        load()
+        assert prime_table().limit == _CACHE_CAP
     _fresh_table(monkeypatch)
-    for lo, hi in intervals:
-        count_in_closed(lo, hi)
-        limits.append(prime_table().limit)
-    _fresh_table(monkeypatch)
-    grown = []
-    real = panweird.primes._table
-    monkeypatch.setattr(panweird.primes, "_table", lambda n: grown.append(n) or real(n))
-    count_in_closed_many(intervals)
-    assert prime_table().limit == limits[-1] and limits == [65_536, 131_072, 1_048_704] + [1_048_704] * 2
-    assert grown == [1000, 70_000, 2**20 + 1]
+    assert count_in_closed_many([(-5, 1), (1, 1), (0, -3)]) == [0, 0, 0]
+    assert prime_pi(1) == 0
+    next_prime(10**6), kth_prime_above(2**20, 50), kth_prime_below(2**20, 50)
+    list(islice(iter_primes_above(2**16 - 100), 500))
+    pwn_search_squarefree(5, "2^3", amplitude=6)
+    pwn_search_general(5, "2", amplitude=4)
+    assert prime_table().limit == 0
+    # a table cut short answers the bounds it holds, and any bound past it
+    # loads the cap table whole
+    cut = PrimeTable(2**20, cap.words[: 2**13], cap.ranks[: 2**13])
+    monkeypatch.setattr(panweird.primes, "_state", cut)
+    assert count_in_closed(2, 2**20) == 82_025 and prime_table() is cut
+    assert count_in_closed(2, 2**20 + 1) == 82_025 and prime_table().limit == _CACHE_CAP
 
 
 def _recorded_stages(monkeypatch):
@@ -461,7 +480,7 @@ def test_lehmer_runs_split_by_their_entry_budget_agree(monkeypatch):
     chunks = panweird.primes._chunks
     assert list(chunks([3, 3, 3, 9, 1], 6)) == [(0, 2), (2, 3), (3, 4), (4, 5)]
     assert list(chunks([4], 1)) == [(0, 1)]
-    table = _table(_CACHE_CAP)
+    table = _table()
     rng = random.Random(0xC4)
     xs = np.array(sorted({rng.randrange(_CACHE_CAP + 1, 2 * 10**10) for _ in range(9)}))
     runs = []
@@ -483,7 +502,7 @@ def test_lehmer_and_meissel_branches_agree(monkeypatch):
     # a table of 2^20 holds every prime up to isqrt(x) here, but not
     # x // p for the least prime p above x^(1/4), so it forces the
     # cube-root branch at every x
-    table = _table(_CACHE_CAP)
+    table = _table()
     small = PrimeTable(2**20, table.words[: 2**20 // 128], table.ranks[: 2**20 // 128])
     stages = _recorded_stages(monkeypatch)
     rng = random.Random(0x1E4)
@@ -503,8 +522,8 @@ def test_prime_pi_past_the_table_holds_five_arrays_at_most():
     src = os.path.dirname(os.path.dirname(panweird.primes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import resource\n"
-            "from panweird.primes import _CACHE_CAP, _table, prime_pi\n"
-            "_table(_CACHE_CAP)\n"
+            "from panweird.primes import _table, prime_pi\n"
+            "_table()\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "pi = prime_pi(%d)\n"
             "print(pi, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)" % x)
@@ -587,26 +606,23 @@ def test_stepping_is_independent_of_the_table(monkeypatch):
     assert _step_answers() == want
 
 
-@pytest.mark.parametrize("order", [(3, 70_000, 2**20 + 1, _CACHE_CAP), (_CACHE_CAP,)])
-def test_table_grows_exactly(monkeypatch, order):
+def test_table_grows_exactly(monkeypatch):
+    # from empty straight to the cap table
     sympy = pytest.importorskip("sympy")
     small = np.array(list(sympy.primerange(2, 10**6 + 1)), dtype=np.int64)
     _fresh_table(monkeypatch)
-    for n in order:
-        table = panweird.primes._table(n)
-        limit = table.limit
-        assert limit >= n and limit % 128 == 0 and prime_table() is table
-        assert table.words.dtype == np.uint64 and table.ranks.dtype == np.uint32
-        assert len(table.words) == len(table.ranks) == limit // 128
-        cut = min(limit, 10**6)
-        assert np.array_equal(table.primes(0, cut), small[small <= cut])
-        decoded = table.primes(0, limit)
-        assert np.all(decoded[1:] > decoded[:-1]) and decoded[-1] <= limit
-        assert int(table.pi(limit)) == len(decoded) == int(sympy.primepi(limit))
-        # pi takes every x from 2 to limit, its two ends included
-        ends = [2, 3, limit - 1, limit]
-        assert table.pi(ends).tolist() == [int(sympy.primepi(x)) for x in ends]
-    assert limit == _CACHE_CAP and len(decoded) == 3_957_809
+    table = panweird.primes._table()
+    limit = table.limit
+    assert limit == _CACHE_CAP and prime_table() is table
+    assert table.words.dtype == np.uint64 and table.ranks.dtype == np.uint32
+    assert len(table.words) == len(table.ranks) == limit // 128
+    assert np.array_equal(table.primes(0, 10**6), small)
+    decoded = table.primes(0, limit)
+    assert np.all(decoded[1:] > decoded[:-1]) and decoded[-1] <= limit
+    assert int(table.pi(limit)) == len(decoded) == int(sympy.primepi(limit)) == 3_957_809
+    # pi takes every x from 2 to limit, its two ends included
+    ends = [2, 3, limit - 1, limit]
+    assert table.pi(ends).tolist() == [int(sympy.primepi(x)) for x in ends]
 
 
 def test_rank_and_decode_at_word_edges_and_random_points(monkeypatch):
@@ -615,7 +631,7 @@ def test_rank_and_decode_at_word_edges_and_random_points(monkeypatch):
     # sympy's pi and primes and against trial division
     sympy = pytest.importorskip("sympy")
     _fresh_table(monkeypatch)
-    table = panweird.primes._table(_CACHE_CAP)
+    table = panweird.primes._table()
     rng = random.Random(0xB175)
     last = _CACHE_CAP // 128
     words = [1, 2, 3, 511, 512, 513, last - 1, last] + rng.sample(range(4, last), 12)
@@ -637,7 +653,7 @@ def test_rank_and_decode_at_word_edges_and_random_points(monkeypatch):
 
 def test_table_at_the_cap_fits_six_and_a_half_mb(monkeypatch):
     _fresh_table(monkeypatch)
-    table = panweird.primes._table(_CACHE_CAP)
+    table = panweird.primes._table()
     assert table.limit == _CACHE_CAP
     # one bit per odd number and a uint32 rank per 64 of them: 6 MB, where
     # an int64 per prime took 31.7 MB
@@ -658,18 +674,20 @@ def test_prime_scan_returns_to_the_table(monkeypatch):
     x = 2**16 - 200
     it = iter_primes_above(x)
     head = [next(it) for _ in range(40)]
-    # the floor array serves the primes up to 2^16; every later one is stepped
+    # the floor array serves the primes up to 2^16; with the table empty
+    # every later one is stepped
     past_floor = sum(p > 2**16 for p in head)
     assert len(stepped) == past_floor > 0
-    prime_pi(2**18)  # a count grows the table past the scan
+    prime_pi(2)  # a count loads the cap table: the scan decodes it from here
     mid = [next(it) for _ in range(1000)]
-    assert mid[-1] < 2**18 and len(stepped) == past_floor
-    tail = []
-    while not tail or tail[-1] <= 2**18:
-        tail.append(next(it))
-    assert len(stepped) == past_floor + 1  # past the table again
-    seq = head + mid + tail
+    assert len(stepped) == past_floor
+    seq = head + mid
     assert seq == list(sympy.primerange(x + 1, seq[-1] + 1))
+    # past the cap table, a scan steps again
+    it = iter_primes_above(_CACHE_CAP - 300)
+    tail = [next(it) for _ in range(30)]
+    assert len(stepped) - past_floor == sum(p > _CACHE_CAP for p in tail) > 0
+    assert tail == list(sympy.primerange(_CACHE_CAP - 299, tail[-1] + 1))
 
 
 # The cap table's file cache.  The session's XDG_CACHE_HOME is private
@@ -709,8 +727,7 @@ def test_cache_path_follows_xdg_cache_home(monkeypatch, tmp_path):
 
 def test_cold_fill_sieves_the_cap_table_and_writes_it(monkeypatch, tmp_path):
     path = _fresh_cache(monkeypatch, tmp_path)
-    panweird.primes._table(2**20 + 1)  # the fill sieves on from a partial table
-    table = panweird.primes._table(_CACHE_CAP)
+    table = panweird.primes._table()
     assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
     assert hashlib.sha256(table.words).hexdigest() == _CAP_SHA256
     assert _is_cap_file(path)
@@ -719,13 +736,14 @@ def test_cold_fill_sieves_the_cap_table_and_writes_it(monkeypatch, tmp_path):
 
 def test_warm_load_equals_the_sieved_table(monkeypatch, tmp_path):
     _fresh_cache(monkeypatch, tmp_path)
-    sieved = panweird.primes._table(_CACHE_CAP)
+    sieved = panweird.primes._table()
     _fresh_table(monkeypatch)
-    starts = [prime_table(), panweird.primes._table(2**20 + 1)]  # empty, and partial
+    # empty, and cut short at 2^20
+    starts = [prime_table(), PrimeTable(2**20, sieved.words[: 2**13], sieved.ranks[: 2**13])]
     monkeypatch.setattr(panweird.primes, "_sieve_primes", _no_sieve)
     for start in starts:
         monkeypatch.setattr(panweird.primes, "_state", start)
-        loaded = panweird.primes._table(_CACHE_CAP)
+        loaded = panweird.primes._table()
         assert (loaded.limit, loaded.source) == (_CACHE_CAP, "cache")
         assert loaded.words.dtype == np.uint64 and loaded.ranks.dtype == np.uint32
         assert np.array_equal(loaded.words, sieved.words)
@@ -735,7 +753,7 @@ def test_warm_load_equals_the_sieved_table(monkeypatch, tmp_path):
 @pytest.mark.parametrize("damage", ["flipped bit", "truncated", "oversized", "empty", "directory"])
 def test_a_bad_cache_file_is_ignored_and_resieved(monkeypatch, tmp_path, damage):
     path = _fresh_cache(monkeypatch, tmp_path)
-    good = panweird.primes._table(_CACHE_CAP).words.tobytes()
+    good = panweird.primes._table().words.tobytes()
     want = _pi_answers()
     path.unlink()
     if damage == "directory":
@@ -745,7 +763,7 @@ def test_a_bad_cache_file_is_ignored_and_resieved(monkeypatch, tmp_path, damage)
                "truncated": good[:-8], "oversized": good + bytes(8), "empty": b""}[damage]
         path.write_bytes(bad)
     _fresh_table(monkeypatch)
-    table = panweird.primes._table(_CACHE_CAP)
+    table = panweird.primes._table()
     assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
     assert _pi_answers() == want
     if damage == "directory":  # nothing can replace it, so it stays, and no temporary file
@@ -758,7 +776,7 @@ def test_a_cache_root_that_is_a_file_is_skipped(monkeypatch, tmp_path):
     root = tmp_path / "root"
     root.write_text("not a directory")
     _fresh_cache(monkeypatch, root)
-    table = panweird.primes._table(_CACHE_CAP)
+    table = panweird.primes._table()
     assert (table.limit, table.source) == (_CACHE_CAP, "sieve")
     assert os.listdir(tmp_path) == ["root"] and root.read_text() == "not a directory"
 
@@ -767,7 +785,7 @@ def test_a_sieve_that_misses_the_digest_raises_and_writes_nothing(monkeypatch, t
     _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(panweird.primes, "_CAP_SHA256", "0" * 64)
     with pytest.raises(RuntimeError, match="digest"):
-        panweird.primes._table(_CACHE_CAP)
+        panweird.primes._table()
     assert prime_table().limit == 0
     assert os.listdir(tmp_path) == []
 
