@@ -492,6 +492,17 @@ def test_row_primes_past_the_floor_against_sympy():
     assert isinstance(_row_primes(2**26 - 10, 10**9), list)
 
 
+def test_further_rows_double_up_to_a_batch():
+    # a parent's further rows take _BATCH primes, as its first row does,
+    # each way: a slice of the floor, a decode of the table, steps
+    _table()
+    for start in (17, 40_000, 2**20 + 7, 2**26 - 3000):
+        for bound in (start + 1000, 10**9):
+            ahead = list(islice(iter_primes_above(start), _BATCH))
+            cut = next((i + 1 for i, q in enumerate(ahead) if q > bound), _BATCH)
+            assert [int(q) for q in _row_primes(start, bound)] == ahead[:cut]
+
+
 def test_row_kernel_matches_the_scalar_loop_in_the_table():
     table = _table()
     rng = random.Random(0x1EAF)

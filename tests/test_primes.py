@@ -606,12 +606,17 @@ def test_stepping_is_independent_of_the_table(monkeypatch):
     assert _step_answers() == want
 
 
-def test_table_grows_exactly(monkeypatch):
-    # from empty straight to the cap table
+@pytest.mark.parametrize("order", [(3, 70_000, 2**20 + 1, _CACHE_CAP), (_CACHE_CAP,)])
+def test_table_grows_exactly(monkeypatch, order):
+    # whatever the bounds of the counts, the first one takes the table from
+    # empty straight to the cap table, and no later one replaces it
     sympy = pytest.importorskip("sympy")
     small = np.array(list(sympy.primerange(2, 10**6 + 1)), dtype=np.int64)
     _fresh_table(monkeypatch)
-    table = panweird.primes._table()
+    count_in_closed(2, order[0])
+    table = prime_table()
+    for n in order[1:]:
+        assert count_in_closed(2, n) == int(sympy.primepi(n)) and prime_table() is table
     limit = table.limit
     assert limit == _CACHE_CAP and prime_table() is table
     assert table.words.dtype == np.uint64 and table.ranks.dtype == np.uint32
